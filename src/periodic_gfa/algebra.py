@@ -11,9 +11,11 @@ Quantifier patterns follow the class conventions exactly:
 
     moderate    Beurling: forall h exists lambda   Roumieu: forall lambda exists h
     negligible  Beurling: forall h forall lambda   Roumieu: exists lambda exists h
+    regular     Beurling: exists lambda forall h   Roumieu: exists h forall lambda
 
-with the weighted quantity ||f_n||_h e^{-M(lambda n)} (moderate) or
-||f_n||_h e^{+M(lambda n)} (negligible).
+with the weighted quantity ||f_n||_h e^{-M(lambda n)} (moderate, regular)
+or ||f_n||_h e^{+M(lambda n)} (negligible).  The table PATTERNS holds
+them, and every classifier decides through verdict.decide.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .series import (
     multiply,
     sup_norm_argmax,
 )
-from .verdict import DEFAULTS, GrowthVerdict, bounded_test
+from .verdict import DEFAULTS, GrowthVerdict, bounded_test, decide
 from .weights import RSequence, WeightSequence, associated_gauge, modified_weights
 
 
@@ -124,52 +126,36 @@ def net_scale(f: Net, a: complex, label: str | None = None) -> Net:
 
 
 # ---------------------------------------------------------------------------
-# norm tables (memoized per net)
+# norm tables (memoized per net, keyed by the content of the scale)
 # ---------------------------------------------------------------------------
 
-def _ws_key(ws: WeightSequence):
-    return (ws.label, ws.p_max)
+def _memo_rows(net: Net, key: tuple, norm: Callable[[TrigPoly], float]) -> np.ndarray:
+    """norm of every representative f_n, memoized on the net under key."""
+    if key not in net._norms:
+        net._norms[key] = np.array([norm(net.at(n)) for n in range(net.n_max + 1)])
+    return net._norms[key]
 
 
 def _ud_table(net: Net, ws: WeightSequence, h: float) -> np.ndarray:
-    key = ("ud", _ws_key(ws), float(h))
-    if key not in net._norms:
-        net._norms[key] = np.array(
-            [log_ud_norm(net.at(n), ws, h) for n in range(net.n_max + 1)]
-        )
-    return net._norms[key]
+    return _memo_rows(net, ("ud", ws.memo_key, float(h)), lambda f: log_ud_norm(f, ws, h))
 
 
 def _sup_table(net: Net) -> np.ndarray:
-    key = ("sup",)
-    if key not in net._norms:
-        vals = []
-        for n in range(net.n_max + 1):
-            v = sup_norm_argmax(net.at(n))[0]
-            vals.append(math.log(v) if v > 0 else -np.inf)
-        net._norms[key] = np.array(vals)
-    return net._norms[key]
+    def log_sup(f):
+        v = sup_norm_argmax(f)[0]
+        return math.log(v) if v > 0 else -np.inf
+
+    return _memo_rows(net, ("sup",), log_sup)
 
 
 def _coef_table(net: Net, ws: WeightSequence, h: float) -> np.ndarray:
-    key = ("coef", _ws_key(ws), float(h))
-    if key not in net._norms:
-        net._norms[key] = np.array(
-            [
-                log_coef_seminorm(net.at(n), ws, h, sign="plus")
-                for n in range(net.n_max + 1)
-            ]
-        )
-    return net._norms[key]
+    return _memo_rows(
+        net, ("coef", ws.memo_key, float(h)), lambda f: log_coef_seminorm(f, ws, h, sign="plus")
+    )
 
 
 def _rj_table(net: Net, ws: WeightSequence, rs: RSequence) -> np.ndarray:
-    key = ("rj", _ws_key(ws), id(rs))
-    if key not in net._norms:
-        net._norms[key] = np.array(
-            [log_ud_norm_rj(net.at(n), ws, rs) for n in range(net.n_max + 1)]
-        )
-    return net._norms[key]
+    return _memo_rows(net, ("rj", ws.memo_key, rs.memo_key), lambda f: log_ud_norm_rj(f, ws, rs))
 
 
 def _gauge_table(ws: WeightSequence, lam: float, n_max: int) -> np.ndarray:
@@ -177,48 +163,42 @@ def _gauge_table(ws: WeightSequence, lam: float, n_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quantifier engine
+# quantifier patterns
 # ---------------------------------------------------------------------------
 
-_RED = {"forall": (np.max, np.argmax), "exists": (np.min, np.argmin)}
+# (mode, class) -> (outer axis, outer quantifier, inner quantifier, gauge sign)
+# over the profiles rows[h] + sign * gauges[lambda].  The axis order is part
+# of the pattern: ties in the reduction go to the first grid point.
+PATTERNS = {
+    ("moderate", "beurling"): ("h", "forall", "exists", -1.0),
+    ("moderate", "roumieu"): ("lambda", "forall", "exists", -1.0),
+    ("negligible", "beurling"): ("h", "forall", "forall", +1.0),
+    ("negligible", "roumieu"): ("h", "exists", "exists", +1.0),
+    ("regular", "beurling"): ("lambda", "exists", "forall", -1.0),
+    ("regular", "roumieu"): ("h", "exists", "forall", -1.0),
+}
 
 
-def _pattern_verdict(
-    quantity: Callable[[int, int], np.ndarray],
-    outer_vals,
-    inner_vals,
-    outer_q: str,
-    inner_q: str,
-    tau: float,
-    grid: dict,
-    method: str,
+def _decide_pattern(
+    rows, gauges, mode: str, cls: str, tau: float, grid: dict, method: str
 ) -> GrowthVerdict:
-    margins = np.empty((len(outer_vals), len(inner_vals)))
-    witnesses = {}
-    for i in range(len(outer_vals)):
-        for j in range(len(inner_vals)):
-            _, m, w, _ = bounded_test(quantity(i, j), tau)
-            margins[i, j] = m
-            witnesses[(i, j)] = w
-    inner_red, inner_arg = _RED[inner_q]
-    outer_red, outer_arg = _RED[outer_q]
-    per_outer = inner_red(margins, axis=1)
-    margin = float(outer_red(per_outer))
-    i_star = int(outer_arg(per_outer))
-    j_star = int(inner_arg(margins[i_star]))
-    return GrowthVerdict(
-        bounded=margin <= tau,
-        margin=margin,
-        witness_n=witnesses[(i_star, j_star)],
-        grid=grid,
-        method=method,
-        tau=tau,
-        details={
-            "margins": margins.tolist(),
-            "decisive_outer": i_star,
-            "decisive_inner": j_star,
-        },
-    )
+    """Decide rows[h] + sign * gauges[lambda] by the pattern of (mode, cls).
+
+    A single row (a sup-norm table, a scalar net) leaves only the lambda
+    quantifiers of the pattern.
+    """
+    if (mode, cls) not in PATTERNS:
+        raise ValueError("cls must be 'beurling' or 'roumieu'")
+    axis, outer_q, inner_q, sign = PATTERNS[mode, cls]
+    cells = [[r + sign * g for g in gauges] for r in rows]
+    if axis == "lambda":
+        cells = [list(col) for col in zip(*cells)]
+    return decide(cells, outer_q, inner_q, tau, grid, method)
+
+
+def _require_mode(mode: str):
+    if mode not in ("moderate", "negligible"):
+        raise ValueError("mode must be 'moderate' or 'negligible'")
 
 
 def _grids(h_grid, lam_grid):
@@ -227,6 +207,25 @@ def _grids(h_grid, lam_grid):
     if len(h) == 0 or len(lam) == 0 or min(h) <= 0 or min(lam) <= 0:
         raise ValueError("grids must be nonempty with positive entries")
     return h, lam
+
+
+def _classify_row(row: np.ndarray, ws: WeightSequence, mode, cls, lam_grid, tau, method):
+    """Decide a single row against the gauges: only the lambda quantifiers remain."""
+    _, lam_grid = _grids(None, lam_grid)
+    grid = {"lambda_grid": list(lam_grid), "class": cls, "mode": mode}
+    gauges = [_gauge_table(ws, lam, len(row) - 1) for lam in lam_grid]
+    return _decide_pattern([row], gauges, mode, cls, tau, grid, method)
+
+
+def _classify(net: Net, ws: WeightSequence, table, mode, cls, h_grid, lam_grid, tau, method):
+    """Decide the per-h norm tables of a net against the gauges by the pattern."""
+    h_grid, lam_grid = _grids(h_grid, lam_grid)
+    grid = {"h_grid": list(h_grid), "lambda_grid": list(lam_grid), "class": cls, "mode": mode}
+    return _decide_pattern(
+        [table(net, ws, h) for h in h_grid],
+        [_gauge_table(ws, lam, net.n_max) for lam in lam_grid],
+        mode, cls, tau, grid, method,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +241,7 @@ def classify_moderate(
     tau: float = DEFAULTS.tau,
 ) -> GrowthVerdict:
     """Desk verdict on membership in the moderate space of the given class."""
-    h_grid, lam_grid = _grids(h_grid, lam_grid)
-    U = {h: _ud_table(net, ws, h) for h in h_grid}
-    G = {lam: _gauge_table(ws, lam, net.n_max) for lam in lam_grid}
-    grid = {"h_grid": list(h_grid), "lambda_grid": list(lam_grid), "class": cls, "mode": "moderate"}
-    if cls == "beurling":
-        return _pattern_verdict(
-            lambda i, j: U[h_grid[i]] - G[lam_grid[j]],
-            h_grid, lam_grid, "forall", "exists", tau, grid, "full_norm",
-        )
-    if cls == "roumieu":
-        return _pattern_verdict(
-            lambda i, j: U[h_grid[j]] - G[lam_grid[i]],
-            lam_grid, h_grid, "forall", "exists", tau, grid, "full_norm",
-        )
-    raise ValueError("cls must be 'beurling' or 'roumieu'")
+    return _classify(net, ws, _ud_table, "moderate", cls, h_grid, lam_grid, tau, "full_norm")
 
 
 def classify_negligible(
@@ -268,20 +253,7 @@ def classify_negligible(
     tau: float = DEFAULTS.tau,
 ) -> GrowthVerdict:
     """Desk verdict on membership in the negligible ideal of the given class."""
-    h_grid, lam_grid = _grids(h_grid, lam_grid)
-    U = {h: _ud_table(net, ws, h) for h in h_grid}
-    G = {lam: _gauge_table(ws, lam, net.n_max) for lam in lam_grid}
-    grid = {"h_grid": list(h_grid), "lambda_grid": list(lam_grid), "class": cls, "mode": "negligible"}
-    quantity = lambda i, j: U[h_grid[i]] + G[lam_grid[j]]  # noqa: E731
-    if cls == "beurling":
-        return _pattern_verdict(
-            quantity, h_grid, lam_grid, "forall", "forall", tau, grid, "full_norm"
-        )
-    if cls == "roumieu":
-        return _pattern_verdict(
-            quantity, h_grid, lam_grid, "exists", "exists", tau, grid, "full_norm"
-        )
-    raise ValueError("cls must be 'beurling' or 'roumieu'")
+    return _classify(net, ws, _ud_table, "negligible", cls, h_grid, lam_grid, tau, "full_norm")
 
 
 def classify_negligible_supnorm(
@@ -305,15 +277,7 @@ def classify_negligible_supnorm(
         raise HypothesisFail(
             f"net {net.label!r} is not desk-moderate; sup-norm characterization needs it"
         )
-    _, lam_grid = _grids(None, lam_grid)
-    S = _sup_table(net)
-    G = {lam: _gauge_table(ws, lam, net.n_max) for lam in lam_grid}
-    grid = {"lambda_grid": list(lam_grid), "class": cls, "mode": "negligible"}
-    q = "forall" if cls == "beurling" else "exists"
-    return _pattern_verdict(
-        lambda i, j: S + G[lam_grid[j]],
-        (None,), lam_grid, "forall", q, tau, grid, "sup_norm",
-    )
+    return _classify_row(_sup_table(net), ws, "negligible", cls, lam_grid, tau, "sup_norm")
 
 
 def coef_classify(
@@ -331,28 +295,9 @@ def coef_classify(
     n -> TrigPoly.  Equivalent to the function-side classifiers by the
     coefficient characterization; the test batteries confirm agreement.
     """
+    _require_mode(mode)
     net = coef_net if isinstance(coef_net, Net) else make_net(coef_net, DEFAULTS.n_max)
-    h_grid, lam_grid = _grids(h_grid, lam_grid)
-    U = {h: _coef_table(net, ws, h) for h in h_grid}
-    G = {lam: _gauge_table(ws, lam, net.n_max) for lam in lam_grid}
-    grid = {"h_grid": list(h_grid), "lambda_grid": list(lam_grid), "class": cls, "mode": mode}
-    if mode == "moderate":
-        if cls == "beurling":
-            return _pattern_verdict(
-                lambda i, j: U[h_grid[i]] - G[lam_grid[j]],
-                h_grid, lam_grid, "forall", "exists", tau, grid, "coefficient",
-            )
-        return _pattern_verdict(
-            lambda i, j: U[h_grid[j]] - G[lam_grid[i]],
-            lam_grid, h_grid, "forall", "exists", tau, grid, "coefficient",
-        )
-    if mode == "negligible":
-        quantity = lambda i, j: U[h_grid[i]] + G[lam_grid[j]]  # noqa: E731
-        pattern = ("forall", "forall") if cls == "beurling" else ("exists", "exists")
-        return _pattern_verdict(
-            quantity, h_grid, lam_grid, *pattern, tau, grid, "coefficient"
-        )
-    raise ValueError("mode must be 'moderate' or 'negligible'")
+    return _classify(net, ws, _coef_table, mode, cls, h_grid, lam_grid, tau, "coefficient")
 
 
 def roumieu_rj_classify(
@@ -367,35 +312,21 @@ def roumieu_rj_classify(
     r_families is a list of (r, s) RSequence pairs standing in for the
     full directed family: moderate asks that every supplied r admits
     some supplied s with ||f_n||_{r} e^{-M_s(n)} bounded; negligible
-    asks boundedness of ||f_n||_{r} e^{+M_s(n)} for every pair.
+    asks boundedness of ||f_n||_{r} e^{+M_s(n)} for every pair.  These
+    are the Beurling patterns with r in place of h and s in place of
+    lambda.
     """
     pairs = list(r_families)
     if not pairs:
         raise ValueError("r_families must be nonempty")
-    r_list = [p[0] for p in pairs]
-    s_list = [p[1] for p in pairs]
-    R = {id(r): _rj_table(net, ws, r) for r in r_list}
-    G = {
-        id(s): np.asarray(
-            associated_gauge(modified_weights(ws, s), np.arange(net.n_max + 1, dtype=float))
-        )
-        for s in s_list
-    }
-    grid = {
-        "families": [(r.label, s.label) for r, s in pairs],
-        "mode": mode,
-    }
-    if mode == "moderate":
-        return _pattern_verdict(
-            lambda i, j: R[id(r_list[i])] - G[id(s_list[j])],
-            r_list, s_list, "forall", "exists", tau, grid, "rj_family",
-        )
-    if mode == "negligible":
-        return _pattern_verdict(
-            lambda i, j: R[id(r_list[i])] + G[id(s_list[j])],
-            r_list, s_list, "forall", "forall", tau, grid, "rj_family",
-        )
-    raise ValueError("mode must be 'moderate' or 'negligible'")
+    _require_mode(mode)
+    ns = np.arange(net.n_max + 1, dtype=float)
+    grid = {"families": [(r.label, s.label) for r, s in pairs], "mode": mode}
+    return _decide_pattern(
+        [_rj_table(net, ws, r) for r, _ in pairs],
+        [np.asarray(associated_gauge(modified_weights(ws, s), ns)) for _, s in pairs],
+        mode, "beurling", tau, grid, "rj_family",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,30 +363,19 @@ def gn_classify(
     lam_grid=None,
     tau: float = DEFAULTS.tau,
 ) -> GrowthVerdict:
-    """Classify a generalized number; note the lambda quantifiers flip
-    relative to the function case (there is no h here):
+    """Classify a generalized number.
+
+    The patterns are the function-side PATTERNS with no h axis: log|z_n|
+    is the single row, so only the lambda quantifiers remain, and they
+    flip relative to the function case:
 
         moderate    Beurling: exists lambda    Roumieu: forall lambda
         negligible  Beurling: forall lambda    Roumieu: exists lambda
     """
-    _, lam_grid = _grids(None, lam_grid)
+    _require_mode(mode)
     with np.errstate(divide="ignore"):
         logz = np.where(z.values != 0, np.log(np.abs(z.values)), -np.inf)
-    n_max = z.n_max
-    G = {lam: _gauge_table(ws, lam, n_max) for lam in lam_grid}
-    grid = {"lambda_grid": list(lam_grid), "class": cls, "mode": mode}
-    if mode == "moderate":
-        q = "exists" if cls == "beurling" else "forall"
-        sign = -1.0
-    elif mode == "negligible":
-        q = "forall" if cls == "beurling" else "exists"
-        sign = +1.0
-    else:
-        raise ValueError("mode must be 'moderate' or 'negligible'")
-    return _pattern_verdict(
-        lambda i, j: logz + sign * G[lam_grid[j]],
-        (None,), lam_grid, "forall", q, tau, grid, "scalar",
-    )
+    return _classify_row(logz, ws, mode, cls, lam_grid, tau, "scalar")
 
 
 def point_value(net: Net, t: GeneralizedNumber, label: str | None = None) -> GeneralizedNumber:

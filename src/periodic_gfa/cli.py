@@ -151,33 +151,33 @@ def parse_net(desc: str, ws, cls: str, n_max: int) -> algebra.Net:
     return algebra.make_net(net.at, n_max, label=desc)
 
 
+def _structure_operator(spec: dict, ws) -> operators.Ultrapolynomial:
+    """The dominating series of the structure theorem, in the class its form fixes."""
+    if spec["form"] == "structure_beurling":
+        return operators.build_ultrapolynomial(
+            {"form": "structure_beurling", "lambda": spec["lambda"]}, ws, "beurling"
+        )
+    if spec["form"] == "structure_roumieu":
+        rs = weights.linear_rsequence(1024)
+        return operators.build_ultrapolynomial(
+            {"form": "structure_roumieu", "r": rs, "k": rs}, ws, "roumieu"
+        )
+    raise ValueError(f"unknown operator form {spec['form']!r}")
+
+
 def parse_operator(desc: str, ws, cls: str) -> operators.Ultrapolynomial:
     if desc.startswith("poly:"):
         coef = [complex(float(x), 0.0) for x in desc[5:].split(",")]
         return operators.build_ultrapolynomial(coef, ws, cls)
     if desc.startswith("structure_beurling:"):
         lam = float(desc.split(":", 1)[1])
-        return operators.build_ultrapolynomial(
-            {"form": "structure_beurling", "lambda": lam}, ws, "beurling"
-        )
+        return _structure_operator({"form": "structure_beurling", "lambda": lam}, ws)
     if desc == "structure_roumieu":
-        rs = weights.linear_rsequence(1024)
-        return operators.build_ultrapolynomial(
-            {"form": "structure_roumieu", "r": rs, "k": rs}, ws, "roumieu"
-        )
+        return _structure_operator({"form": desc}, ws)
     if desc.startswith("file:"):
         payload = json.loads(Path(desc[5:]).read_text())
         if "form" in payload:
-            if payload["form"] == "structure_beurling":
-                return operators.build_ultrapolynomial(
-                    {"form": "structure_beurling", "lambda": payload["lambda"]}, ws, "beurling"
-                )
-            if payload["form"] == "structure_roumieu":
-                rs = weights.linear_rsequence(1024)
-                return operators.build_ultrapolynomial(
-                    {"form": "structure_roumieu", "r": rs, "k": rs}, ws, "roumieu"
-                )
-            raise ValueError(f"unknown operator form {payload['form']!r}")
+            return _structure_operator(payload, ws)
         table = {int(r["n"]): complex(r.get("re", 0.0), r.get("im", 0.0)) for r in payload["a"]}
         coef = np.zeros(max(table) + 1, dtype=complex)
         for nn, v in table.items():
@@ -357,8 +357,9 @@ def cmd_demo(args) -> tuple[int, dict]:
     cls = args.cls
     sin_d = parse_distribution("sin", ws, cls)
     cos_d = parse_distribution("cos", ws, cls)
+    iota_delta = embedding.embed(series.delta(cls), mol, n_max)
     u = algebra.make_net(
-        algebra.net_mul(embedding.embed(sin_d, mol, n_max), embedding.embed(series.delta(cls), mol, n_max)).at,
+        algebra.net_mul(embedding.embed(sin_d, mol, n_max), iota_delta).at,
         n_max, label="iota(sin)*iota(delta)",
     )
     v = algebra.make_net(
@@ -366,10 +367,9 @@ def cmd_demo(args) -> tuple[int, dict]:
         n_max, label="u*iota(cot_reg)",
     )
     w = algebra.make_net(
-        algebra.net_mul(embedding.embed(cos_d, mol, n_max), embedding.embed(series.delta(cls), mol, n_max)).at,
+        algebra.net_mul(embedding.embed(cos_d, mol, n_max), iota_delta).at,
         n_max, label="iota(cos)*iota(delta)",
     )
-    iota_delta = embedding.embed(series.delta(cls), mol, n_max)
 
     sups = [series.sup_norm(u.at(n)) for n in range(n_max + 1)]
     u_neg = algebra.classify_negligible(u, ws, cls, tau=args.tau)

@@ -32,7 +32,7 @@ from .series import (
     multiply,
     truncate_distribution,
 )
-from .verdict import DEFAULTS, GrowthVerdict, json_float, profile_verdict
+from .verdict import DEFAULTS, GrowthVerdict, decide, json_float, profile_verdict
 from .weights import WeightSequence, associated_gauge
 
 TWO_PI = 2.0 * math.pi
@@ -205,20 +205,19 @@ def const_embed(
     vals = poly.coef
     with np.errstate(divide="ignore"):
         logc = np.where(vals != 0, np.log(np.abs(vals)), -np.inf)
-    margins = {}
-    for lam in DEFAULTS.lambda_grid:
-        gauge = np.asarray(associated_gauge(ws, lam * ks.astype(float)))
-        margins[lam] = profile_verdict(
-            ks, logc + gauge, tau, {"lambda": lam, "mode": "sigma_plus"}, "coefficient"
-        )
-    ok_any = [lam for lam, v in margins.items() if v.bounded]
-    needed_all = f.cls == "beurling"
-    if (needed_all and len(ok_any) < len(margins)) or not ok_any:
+    lam_grid = DEFAULTS.lambda_grid
+    gauges = [associated_gauge(ws, lam * ks.astype(float)) for lam in lam_grid]
+    v = decide(
+        [[logc + np.asarray(g) for g in gauges]],
+        "forall", "forall" if f.cls == "beurling" else "exists", tau, None, "coefficient", ks=ks,
+    )
+    if not v.bounded:
         raise DecayFail(
             f"{f.label!r} does not satisfy the {f.cls} smooth-class decay on the grid"
         )
+    passing = [lam for lam, m in zip(lam_grid, v.details["margins"][0]) if m <= tau]
     net = constant_net(poly, n_max, label=f"sigma({f.label})")
-    net.meta.update({"truncation_error": tail, "degree": poly.degree, "decay_lambdas": ok_any})
+    net.meta.update({"truncation_error": tail, "degree": poly.degree, "decay_lambdas": passing})
     return net
 
 

@@ -27,7 +27,7 @@ from scipy.special import logsumexp
 
 from .algebra import Net
 from .series import CoefDistribution, TrigPoly
-from .verdict import DEFAULTS, GrowthVerdict, bounded_test, json_float, profile_verdict
+from .verdict import DEFAULTS, GrowthVerdict, bounded_test, decide, json_float, profile_verdict
 from .weights import (
     RSequence,
     WeightSequence,
@@ -524,22 +524,12 @@ def structure_factorize(
     g_inclass = profile_verdict(ks, logg + gauge, tau, inclass_grid, "coefficient")
     g_target = None
     if target is not None:
-        margins = []
-        for mu in DEFAULTS.lambda_grid:
-            tgauge = np.asarray(associated_gauge(target, mu * ks.astype(float)))
-            margins.append(
-                profile_verdict(
-                    ks, logg + tgauge, tau, {"mu": mu, "mode": "sigma_plus_target"}, "coefficient"
-                )
-            )
-        worst = max(margins, key=lambda v: v.margin)
-        g_target = GrowthVerdict(
-            bounded=all(v.bounded for v in margins),
-            margin=worst.margin,
-            witness_n=worst.witness_n,
-            grid={"mu_grid": list(DEFAULTS.lambda_grid), "target": target.label},
-            method="coefficient",
-            tau=tau,
+        tgauges = [associated_gauge(target, mu * ks.astype(float)) for mu in DEFAULTS.lambda_grid]
+        g_target = decide(
+            [[logg + np.asarray(t) for t in tgauges]],
+            "forall", "forall", tau,
+            {"mu_grid": list(DEFAULTS.lambda_grid), "target": target.label},
+            "coefficient", ks=ks,
         )
 
     lb = lower_bound_check(P, ws, lam=inclass_lam, tau=tau)

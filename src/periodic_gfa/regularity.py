@@ -12,15 +12,24 @@ that drives it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .algebra import Net, _gauge_table, _pattern_verdict, _ud_table, classify_moderate, HypothesisFail
+from .algebra import (
+    PATTERNS,
+    HypothesisFail,
+    Net,
+    _decide_pattern,
+    _gauge_table,
+    _grids,
+    _ud_table,
+    classify_moderate,
+)
 from .embedding import Mollifier, MollifierFail, embed
 from .series import CoefDistribution, log_coef_seminorm
-from .verdict import DEFAULTS, GrowthVerdict, bounded_test, json_float, profile_verdict
+from .verdict import DEFAULTS, GrowthVerdict, decide, json_float
 from .weights import WeightSequence, associated_gauge
 
 
@@ -70,8 +79,7 @@ def classify_regular(
     A not-regular verdict means no grid witness exists; it is a
     statement about the supplied grids, recorded in the result.
     """
-    h_grid = tuple(h_grid) if h_grid is not None else DEFAULTS.h_grid
-    lam_grid = tuple(lam_grid) if lam_grid is not None else DEFAULTS.lambda_grid
+    h_grid, lam_grid = _grids(h_grid, lam_grid)
     if moderate is None:
         moderate = classify_moderate(net, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau)
     if not moderate.bounded:
@@ -86,31 +94,22 @@ def classify_regular(
         lam_eff = tuple(sorted(set(lam_grid) | {min(h_grid) / 4.0}))
     else:
         raise ValueError("cls must be 'beurling' or 'roumieu'")
-    U = {h: _ud_table(net, ws, h) for h in h_eff}
-    G = {lam: _gauge_table(ws, lam, net.n_max) for lam in lam_eff}
-    if cls == "beurling":
-        pattern = "exists lambda forall h"
-        v = _pattern_verdict(
-            lambda i, j: U[h_eff[j]] - G[lam_eff[i]],
-            lam_eff, h_eff, "exists", "forall", tau,
-            {"h_grid": list(h_eff), "lambda_grid": list(lam_eff), "class": cls},
-            "full_norm",
-        )
-        witness = {"lambda": lam_eff[v.details["decisive_outer"]]}
-    else:
-        pattern = "exists h forall lambda"
-        v = _pattern_verdict(
-            lambda i, j: U[h_eff[i]] - G[lam_eff[j]],
-            h_eff, lam_eff, "exists", "forall", tau,
-            {"h_grid": list(h_eff), "lambda_grid": list(lam_eff), "class": cls},
-            "full_norm",
-        )
-        witness = {"h": h_eff[v.details["decisive_outer"]]}
+    v = _decide_pattern(
+        [_ud_table(net, ws, h) for h in h_eff],
+        [_gauge_table(ws, lam, net.n_max) for lam in lam_eff],
+        "regular", cls, tau,
+        {"h_grid": list(h_eff), "lambda_grid": list(lam_eff), "class": cls},
+        "full_norm",
+    )
+    # the witness is the outer ("exists") grid point of the pattern
+    axis = PATTERNS["regular", cls][0]
+    rates = lam_eff if axis == "lambda" else h_eff
+    inner = "h" if axis == "lambda" else "lambda"
     return RegularityVerdict(
         regular=v.bounded,
-        pattern=pattern,
+        pattern=f"exists {axis} forall {inner}",
         margin=v.margin,
-        witness=witness,
+        witness={axis: rates[v.details["decisive_outer"]]},
         moderate=moderate,
         tau=tau,
         details={"margins": v.details["margins"]},
@@ -136,30 +135,17 @@ def coefficient_decay_class(
     vals = c.coefficients(ks)
     with np.errstate(divide="ignore"):
         logc = np.where(vals != 0, np.log(np.abs(vals)), -np.inf)
-    margins = []
-    for mu in mu_grid:
-        gauge = np.asarray(associated_gauge(ws, mu * ks.astype(float)))
-        margins.append(
-            profile_verdict(ks, logc + gauge, tau, {"mu": mu}, "coefficient").margin
-        )
-    margins = np.asarray(margins)
-    if cls == "beurling":
-        margin = float(np.max(margins))
-        decisive = int(np.argmax(margins))
-        pattern = "forall mu"
-    else:
-        margin = float(np.min(margins))
-        decisive = int(np.argmin(margins))
-        pattern = "exists mu"
-    return GrowthVerdict(
-        bounded=margin <= tau,
-        margin=margin,
+    q = "forall" if cls == "beurling" else "exists"
+    gauges = [associated_gauge(ws, mu * ks.astype(float)) for mu in mu_grid]
+    v = decide(
+        [[logc + np.asarray(g) for g in gauges]], "forall", q, tau, None, "coefficient", ks=ks
+    )
+    # the decisive rate is reported in the grid, not a witness frequency
+    return replace(
+        v,
         witness_n=None,
-        grid={"mu_grid": list(mu_grid), "class": cls, "pattern": pattern,
-              "decisive_mu": mu_grid[decisive]},
-        method="coefficient",
-        tau=tau,
-        details={"margins_per_mu": margins.tolist()},
+        grid={"mu_grid": list(mu_grid), "class": cls, "pattern": f"{q} mu",
+              "decisive_mu": mu_grid[v.details["decisive_inner"]]},
     )
 
 
@@ -220,8 +206,7 @@ def check_embedding_residual(
     lam_grid = tuple(lam_grid) if lam_grid is not None else DEFAULTS.lambda_grid
     ks = np.arange(-k_max, k_max + 1)
     fvals = f.coefficients(ks)
-    per_lambda = {}
-    fits = {}
+    profiles = []
     for lam in lam_grid:
         dual_gauge = np.asarray(associated_gauge(ws, ws.H * lam * ks.astype(float)))
         gauge_n = np.asarray(associated_gauge(ws, lam * np.arange(n_max + 1, dtype=float)))
@@ -231,30 +216,29 @@ def check_embedding_residual(
             with np.errstate(divide="ignore"):
                 logres = np.where(resid > 0, np.log(resid), -np.inf)
             prof[n] = float(np.max(logres - dual_gauge)) + gauge_n[n]
-        ok, margin, _, _ = bounded_test(prof, tau)
-        per_lambda[lam] = margin
-        fits[lam] = (ok, float(np.max(prof[np.isfinite(prof)])) if np.any(np.isfinite(prof)) else -np.inf)
-    passing = [lam for lam in lam_grid if fits[lam][0]]
-    if passing:
-        best = min(passing, key=lambda lam: per_lambda[lam])
-        logK = log_coef_seminorm(f, ws, best, sign="minus", k_max=k_max)
-        reference = ws.A * (1.0 + 2.0 * math.pi * m.C_bound) * math.exp(logK)
-        fitted = math.exp(fits[best][1]) if np.isfinite(fits[best][1]) else 0.0
+        profiles.append(prof)
+    # exists lambda: the decisive rate is the one with the smallest margin
+    v = decide([profiles], "forall", "exists", tau, None, "residual")
+    per_lambda = dict(zip(lam_grid, v.details["margins"][0]))
+    if not v.bounded:
         return ResidualBoundReport(
-            passed=True,
-            best_lambda=best,
-            margin=per_lambda[best],
-            fitted_constant=fitted,
-            reference_constant=reference,
+            passed=False,
+            best_lambda=None,
+            margin=v.margin,
+            fitted_constant=math.inf,
+            reference_constant=math.inf,
             per_lambda=per_lambda,
         )
-    worst = min(lam_grid, key=lambda lam: per_lambda[lam])
+    j = v.details["decisive_inner"]
+    best = lam_grid[j]
+    finite = profiles[j][np.isfinite(profiles[j])]
+    logK = log_coef_seminorm(f, ws, best, sign="minus", k_max=k_max)
     return ResidualBoundReport(
-        passed=False,
-        best_lambda=None,
-        margin=per_lambda[worst],
-        fitted_constant=math.inf,
-        reference_constant=math.inf,
+        passed=True,
+        best_lambda=best,
+        margin=v.margin,
+        fitted_constant=math.exp(float(np.max(finite))) if finite.size else 0.0,
+        reference_constant=ws.A * (1.0 + 2.0 * math.pi * m.C_bound) * math.exp(logK),
         per_lambda=per_lambda,
     )
 
@@ -304,16 +288,7 @@ def check_regularity_equivalence(
         net, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau, moderate=moderate
     )
     decay = coefficient_decay_class(f, ws, cls, mu_grid=lam_grid, k_max=k_max, tau=tau)
-    reg = RegularityVerdict(
-        regular=reg.regular,
-        pattern=reg.pattern,
-        margin=reg.margin,
-        witness=reg.witness,
-        moderate=reg.moderate,
-        coefficient_decay=decay,
-        tau=reg.tau,
-        details=reg.details,
-    )
+    reg = replace(reg, coefficient_decay=decay)
 
     h_star = reg.witness.get("h", 1.0)
     lam_star = reg.witness.get("lambda", 1.0)

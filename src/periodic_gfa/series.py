@@ -213,25 +213,6 @@ def _golden_max_rows(w: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return best_v, best_t
 
 
-def _golden_max(g, a: float, b: float, iters: int = 60):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        if b - a < 1e-13:
-            break
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    return (c, gc) if gc >= gd else (d, gd)
-
-
 def _local_peaks(vals: np.ndarray, rel: float = 0.975, cap: int = 4) -> np.ndarray:
     """Indices of circular local maxima within rel of the global max."""
     up = vals >= np.roll(vals, 1)

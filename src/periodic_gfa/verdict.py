@@ -101,23 +101,52 @@ def json_float(x):
     return repr(x)
 
 
-def combine_margins(margins: np.ndarray, outer: str, inner: str) -> float:
-    """Reduce a (outer, inner) margin matrix per the quantifier pattern.
+_QUANTIFIERS = {"forall": (np.max, np.argmax), "exists": (np.min, np.argmin)}
 
-    'forall' reduces with max (every grid point must pass), 'exists'
-    with min (one witness suffices).
+
+def decide(
+    profiles, outer_q: str, inner_q: str, tau: float, grid: dict, method: str, ks=None
+) -> GrowthVerdict:
+    """The quantifier engine: one verdict from a grid of log profiles.
+
+    profiles[outer][inner] is a sequence of log magnitudes; each cell is
+    judged by bounded_test and the cell margins are reduced over the
+    inner axis, then the outer one, 'forall' with max (every grid point
+    must pass) and 'exists' with min (one witness suffices).  Ties go to
+    the first grid point, so the axis order fixes the witness.  Given
+    ks, each profile is indexed by the frequencies ks, folded to |k|
+    ascending, and the witness is reported as a frequency |k|.
     """
-    red = {"forall": np.max, "exists": np.min}
-    inner_red = red[inner](margins, axis=1)
-    return float(red[outer](inner_red))
+    if ks is not None:
+        freqs = np.abs(np.asarray(ks))
+        order = np.argsort(freqs, kind="stable")
+        freqs = freqs[order]
+    margins = np.empty((len(profiles), len(profiles[0])))
+    witnesses = {}
+    for i, row in enumerate(profiles):
+        for j, prof in enumerate(row):
+            if ks is not None:
+                prof = np.asarray(prof)[order]
+            _, m, w, _ = bounded_test(prof, tau)
+            margins[i, j] = m
+            witnesses[i, j] = int(freqs[w]) if ks is not None and w is not None else w
+    inner_red, inner_arg = _QUANTIFIERS[inner_q]
+    outer_red, outer_arg = _QUANTIFIERS[outer_q]
+    per_outer = inner_red(margins, axis=1)
+    margin = float(outer_red(per_outer))
+    i_star = int(outer_arg(per_outer))
+    j_star = int(inner_arg(margins[i_star]))
+    return GrowthVerdict(
+        bounded=margin <= tau,
+        margin=margin,
+        witness_n=witnesses[i_star, j_star],
+        grid=grid,
+        method=method,
+        tau=tau,
+        details={"margins": margins.tolist(), "decisive_outer": i_star, "decisive_inner": j_star},
+    )
 
 
 def profile_verdict(ks, log_values, tau: float, grid: dict, method: str) -> GrowthVerdict:
     """Boundedness of a symmetric coefficient profile, folded to |k| ascending."""
-    ks = np.asarray(ks)
-    order = np.argsort(np.abs(ks), kind="stable")
-    ok, margin, w, _ = bounded_test(np.asarray(log_values)[order], tau)
-    witness = int(np.abs(ks)[order][w]) if w is not None else None
-    return GrowthVerdict(
-        bounded=ok, margin=margin, witness_n=witness, grid=grid, method=method, tau=tau
-    )
+    return decide([[log_values]], "forall", "forall", tau, grid, method, ks=ks)

@@ -22,14 +22,16 @@ at p* = max{p : m_p <= t} and equals p* log t - log M_{p*}.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 from scipy.special import gammaln
 
-from .verdict import DEFAULTS, GrowthVerdict, bounded_test, combine_margins, json_float
+from .verdict import DEFAULTS, GrowthVerdict, decide, json_float
 
 _M1_TOL = 1e-9
 
@@ -48,6 +50,10 @@ class CertificationFail(InvalidSpec):
 
 class TruncationWarning(RuntimeWarning):
     """A supremum hit the end of the stored table; raise p_max to refine."""
+
+
+def _digest(table: np.ndarray) -> str:
+    return hashlib.blake2b(table.tobytes(), digest_size=16).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,11 @@ class WeightSequence:
     @property
     def kind(self) -> str:
         return self.spec.get("kind", "table")
+
+    @cached_property
+    def memo_key(self) -> tuple:
+        """What every norm against this scale depends on, for memo keys."""
+        return (self.gevrey_s, _digest(self.logM), self.A, self.H)
 
     @property
     def gevrey_s(self) -> float | None:
@@ -187,6 +198,10 @@ class RSequence:
     @property
     def j_max(self) -> int:
         return len(self.r) - 1
+
+    @cached_property
+    def memo_key(self) -> str:
+        return _digest(self.r)
 
     def log_prod(self) -> np.ndarray:
         """log of the running products prod_{j<=p} r_j."""
@@ -393,21 +408,10 @@ def relation(
     diff = np.asarray(wsM.logM_at(p), dtype=float) - np.asarray(
         wsN.logM_at(p), dtype=float
     )
-    margins = np.empty((1, len(h_grid)))
-    witnesses = []
-    for j, h in enumerate(h_grid):
-        _, m, w, _ = bounded_test(diff - p * np.log(h), tau)
-        margins[0, j] = m
-        witnesses.append(w)
     inner = "forall" if kind == "strict" else "exists"
-    margin = combine_margins(margins, "forall", inner)
-    j = int(np.argmax(margins[0])) if kind == "strict" else int(np.argmin(margins[0]))
-    return GrowthVerdict(
-        bounded=margin <= tau,
-        margin=margin,
-        witness_n=witnesses[j],
-        grid={"h_grid": list(h_grid), "kind": kind, "p_max": p_max},
-        method="weight_relation",
-        tau=tau,
-        details={"margins_per_h": margins[0].tolist()},
+    return decide(
+        [[diff - p * np.log(h) for h in h_grid]],
+        "forall", inner, tau,
+        {"h_grid": list(h_grid), "kind": kind, "p_max": p_max},
+        "weight_relation",
     )

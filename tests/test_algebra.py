@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import battery
 from periodic_gfa import algebra as A
 from periodic_gfa import embedding as E
 from periodic_gfa import series as S
+from periodic_gfa import verdict as V
 from periodic_gfa import weights as W
 
 TWO_PI = 2 * math.pi
@@ -275,3 +277,138 @@ class TestWitness:
         net = A.constant_net(S.TrigPoly.zero(), NMAX)
         with pytest.raises(A.NoWitness):
             A.find_witness(net, ws_p1, 1.0)
+
+
+def _synthetic_grid(D, E):
+    """Rows (h axis) and gauges (lambda axis) with known cell margins.
+
+    Profiles run over n = 0..20; the head n <= 8 is zero everywhere, so
+    every baseline is 0.  Row i is zero on its own tail block
+    T_i = (9..14, 15..20)[i] and -inf on the rest of the tail.  Gauge j
+    carries D[i][j] at T_i[2j] and -E[i][j] at T_i[2j+1], zero elsewhere.
+    The cell rows[i] + gauges[j] thus has margin D[i][j] with witness
+    T_i[2j], and rows[i] - gauges[j] has margin E[i][j] with witness
+    T_i[2j+1].
+    """
+    blocks = (range(9, 15), range(15, 21))
+    rows = []
+    for i in range(2):
+        r = np.full(21, -np.inf)
+        r[:9] = 0.0
+        r[list(blocks[i])] = 0.0
+        rows.append(r)
+    gauges = []
+    for j in range(3):
+        g = np.zeros(21)
+        for i in range(2):
+            g[blocks[i][2 * j]] = D[i][j]
+            g[blocks[i][2 * j + 1]] = -E[i][j]
+        gauges.append(g)
+    return rows, gauges
+
+
+# Each of the six reductions of this matrix (max, min, and forall-exists /
+# exists-forall with either axis outer) picks a different cell.
+_D = [[1.0, 6.0, 3.0], [5.0, 2.0, 4.0]]
+_E = [[d + 0.5 for d in row] for row in _D]
+
+
+class TestQuantifierEngine:
+    @pytest.mark.parametrize(
+        "mode, cls, margin, witness",
+        [
+            ("moderate", "beurling", 2.5, 18),  # max_h min_lam of E: cell (1, 1)
+            ("moderate", "roumieu", 3.5, 14),  # max_lam min_h of E: cell (0, 2)
+            ("negligible", "beurling", 6.0, 11),  # max of D: cell (0, 1)
+            ("negligible", "roumieu", 1.0, 9),  # min of D: cell (0, 0)
+            ("regular", "beurling", 4.5, 20),  # min_lam max_h of E: cell (1, 2)
+            ("regular", "roumieu", 5.5, 16),  # min_h max_lam of E: cell (1, 0)
+        ],
+    )
+    def test_pattern_table(self, mode, cls, margin, witness):
+        """Any swapped quantifier or sign moves the decisive cell.
+
+        For the forall-forall and exists-exists entries the axis order
+        only breaks ties; test_ties_follow_the_axis_order pins it.
+        """
+        rows, gauges = _synthetic_grid(_D, _E)
+        v = A._decide_pattern(rows, gauges, mode, cls, 3.0, {}, "synthetic")
+        assert (v.margin, v.witness_n, v.bounded) == (margin, witness, margin <= 3.0)
+
+    def test_table_covers_exactly_the_six_patterns(self):
+        assert set(A.PATTERNS) == {
+            (mode, cls)
+            for mode in ("moderate", "negligible", "regular")
+            for cls in ("beurling", "roumieu")
+        }
+
+    def test_ties_follow_the_axis_order(self):
+        # the maximum 6 sits at (0, 2) and (1, 1), the minimum 1 at (0, 1) and
+        # (1, 0): h outer takes row 0 first, lambda outer would take column 0
+        tie = [[3.0, 1.0, 6.0], [1.0, 6.0, 3.0]]
+        rows, gauges = _synthetic_grid(tie, tie)
+        assert A._decide_pattern(rows, gauges, "negligible", "beurling", 0.5, {}, "t").witness_n == 13
+        assert A._decide_pattern(rows, gauges, "negligible", "roumieu", 0.5, {}, "t").witness_n == 11
+
+    def test_unknown_class_rejected(self):
+        rows, gauges = _synthetic_grid(_D, _E)
+        with pytest.raises(ValueError):
+            A._decide_pattern(rows, gauges, "moderate", "gevrey", 0.5, {}, "t")
+
+    def test_frequency_profiles_fold_to_abs_k(self):
+        ks = np.arange(-20, 21)
+        v = V.decide([[0.1 * np.abs(ks)]], "forall", "forall", 0.5, {}, "coefficient", ks=ks)
+        # |k| ascending: head |k| <= 4 (nine entries), tail peaks at |k| = 20
+        assert v.witness_n == 20 and v.margin == pytest.approx(1.6)
+
+    @pytest.mark.parametrize(
+        "mode, cls, reduce",
+        [
+            ("moderate", "beurling", min),
+            ("moderate", "roumieu", max),
+            ("negligible", "beurling", max),
+            ("negligible", "roumieu", min),
+        ],
+    )
+    def test_one_row_cases_reduce_over_lambda(self, ws_p1, mode, cls, reduce):
+        lams = V.DEFAULTS.lambda_grid
+        gauges = [A._gauge_table(ws_p1, lam, NMAX) for lam in lams]
+        sign = -1.0 if mode == "moderate" else 1.0
+        ns = np.arange(NMAX + 1, dtype=float)
+        z = A.GeneralizedNumber((ns + 1.0) * np.exp(np.asarray(W.associated_gauge(ws_p1, ns))))
+        cells = [V.bounded_test(np.log(np.abs(z.values)) + sign * g)[1:3] for g in gauges]
+        v = A.gn_classify(z, ws_p1, cls, mode)
+        assert (v.margin, v.witness_n) == reduce(cells, key=lambda c: c[0])
+        if mode == "negligible":
+            net = A.make_net(lambda n: S.TrigPoly.sine().scaled(math.exp(-n)), NMAX)
+            logsup = np.array([math.log(S.sup_norm(net.at(n))) for n in range(NMAX + 1)])
+            cells = [V.bounded_test(logsup + g)[1:3] for g in gauges]
+            v = A.classify_negligible_supnorm(net, ws_p1, cls)
+            assert (v.margin, v.witness_n) == reduce(cells, key=lambda c: c[0])
+
+
+class TestMemoKeys:
+    """Norm memos are keyed by the content of the scale, not its label or id."""
+
+    @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
+    def test_table_scales_sharing_a_label(self):
+        p = np.arange(129)
+        s1, s2 = (
+            W.build_weight_sequence({"kind": "table", "logM": s * gammaln(p + 1.0)})
+            for s in (1.0, 2.0)
+        )
+        assert s1.label == s2.label and s1.p_max == s2.p_max
+        net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        fresh = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        for classify in (A.coef_classify, A.classify_moderate):
+            classify(net, s1)
+            memo, new = classify(net, s2), classify(fresh, s2)
+            assert (memo.bounded, memo.margin) == (new.bounded, new.margin)
+
+    def test_rj_tables_by_content(self, ws_p1):
+        net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        s = W.build_rsequence(np.maximum(1.0, np.arange(0, 257) / 16.0), label="slow")
+        for r in (W.linear_rsequence(256), W.linear_rsequence(256), s):
+            A.roumieu_rj_classify(net, ws_p1, [(r, s)], "moderate")
+        # two equal sequences share one table; a different one gets its own
+        assert sum(key[0] == "rj" for key in net._norms) == 2

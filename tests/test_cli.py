@@ -157,6 +157,21 @@ class TestApplyCommand:
         by_k = {c["k"]: c["re"] for c in rep["coef"]}
         assert by_k[2] == pytest.approx(5 / TWO_PI)
 
+    @pytest.mark.parametrize(
+        "named, form",
+        [
+            ("structure_roumieu", {"form": "structure_roumieu"}),
+            ("structure_beurling:2", {"form": "structure_beurling", "lambda": 2}),
+        ],
+    )
+    def test_structure_form_file_matches_named(self, capsys, tmp_path, named, form):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps(form))
+        argv = ["apply", "--dist", "delta", "--kwindow", "3"]
+        code, rep = run(capsys, argv + ["--op", named])
+        assert code == 0 and rep["multiplier_residual"] == 0.0
+        assert run(capsys, argv + ["--op", f"file:{spec}"]) == (0, rep)
+
 
 class TestFactorizeCommand:
     def test_beurling_gauge_growth(self, capsys):
