@@ -30,8 +30,8 @@ from .series import (
     TrigPoly,
     evaluate,
     log_coef_seminorm,
-    log_ud_norm,
     log_ud_norm_rj,
+    log_ud_norms,
     multiply,
     sup_norm_argmax,
 )
@@ -129,33 +129,38 @@ def net_scale(f: Net, a: complex, label: str | None = None) -> Net:
 # norm tables (memoized per net, keyed by the content of the scale)
 # ---------------------------------------------------------------------------
 
-def _memo_rows(net: Net, key: tuple, norm: Callable[[TrigPoly], float]) -> np.ndarray:
-    """norm of every representative f_n, memoized on the net under key."""
-    if key not in net._norms:
-        net._norms[key] = np.array([norm(net.at(n)) for n in range(net.n_max + 1)])
-    return net._norms[key]
+def _memo_rows(net: Net, keys: list, norms: Callable[[TrigPoly, list], list]) -> list[np.ndarray]:
+    """Tables of f_n under keys, memoized on the net; norms(f, missing) fills all missing keys."""
+    missing = list(dict.fromkeys(k for k in keys if k not in net._norms))
+    if missing:
+        cols = np.array([norms(net.at(n), missing) for n in range(net.n_max + 1)])
+        net._norms.update(zip(missing, cols.T.copy()))
+    return [net._norms[k] for k in keys]
 
 
-def _ud_table(net: Net, ws: WeightSequence, h: float) -> np.ndarray:
-    return _memo_rows(net, ("ud", ws.memo_key, float(h)), lambda f: log_ud_norm(f, ws, h))
+def _ud_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
+    keys = [("ud", ws.memo_key, float(h)) for h in hs]
+    return _memo_rows(net, keys, lambda f, miss: log_ud_norms(f, ws, [k[2] for k in miss]))
 
 
 def _sup_table(net: Net) -> np.ndarray:
-    def log_sup(f):
+    def log_sup(f, _):
         v = sup_norm_argmax(f)[0]
-        return math.log(v) if v > 0 else -np.inf
+        return [math.log(v) if v > 0 else -np.inf]
 
-    return _memo_rows(net, ("sup",), log_sup)
+    return _memo_rows(net, [("sup",)], log_sup)[0]
 
 
-def _coef_table(net: Net, ws: WeightSequence, h: float) -> np.ndarray:
+def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
+    keys = [("coef", ws.memo_key, float(h)) for h in hs]
     return _memo_rows(
-        net, ("coef", ws.memo_key, float(h)), lambda f: log_coef_seminorm(f, ws, h, sign="plus")
+        net, keys, lambda f, miss: [log_coef_seminorm(f, ws, k[2], sign="plus") for k in miss]
     )
 
 
 def _rj_table(net: Net, ws: WeightSequence, rs: RSequence) -> np.ndarray:
-    return _memo_rows(net, ("rj", ws.memo_key, rs.memo_key), lambda f: log_ud_norm_rj(f, ws, rs))
+    key = ("rj", ws.memo_key, rs.memo_key)
+    return _memo_rows(net, [key], lambda f, _: [log_ud_norm_rj(f, ws, rs)])[0]
 
 
 def _gauge_table(ws: WeightSequence, lam: float, n_max: int) -> np.ndarray:
@@ -217,12 +222,12 @@ def _classify_row(row: np.ndarray, ws: WeightSequence, mode, cls, lam_grid, tau,
     return _decide_pattern([row], gauges, mode, cls, tau, grid, method)
 
 
-def _classify(net: Net, ws: WeightSequence, table, mode, cls, h_grid, lam_grid, tau, method):
+def _classify(net: Net, ws: WeightSequence, tables, mode, cls, h_grid, lam_grid, tau, method):
     """Decide the per-h norm tables of a net against the gauges by the pattern."""
     h_grid, lam_grid = _grids(h_grid, lam_grid)
     grid = {"h_grid": list(h_grid), "lambda_grid": list(lam_grid), "class": cls, "mode": mode}
     return _decide_pattern(
-        [table(net, ws, h) for h in h_grid],
+        tables(net, ws, h_grid),
         [_gauge_table(ws, lam, net.n_max) for lam in lam_grid],
         mode, cls, tau, grid, method,
     )
@@ -241,7 +246,7 @@ def classify_moderate(
     tau: float = DEFAULTS.tau,
 ) -> GrowthVerdict:
     """Desk verdict on membership in the moderate space of the given class."""
-    return _classify(net, ws, _ud_table, "moderate", cls, h_grid, lam_grid, tau, "full_norm")
+    return _classify(net, ws, _ud_tables, "moderate", cls, h_grid, lam_grid, tau, "full_norm")
 
 
 def classify_negligible(
@@ -253,7 +258,7 @@ def classify_negligible(
     tau: float = DEFAULTS.tau,
 ) -> GrowthVerdict:
     """Desk verdict on membership in the negligible ideal of the given class."""
-    return _classify(net, ws, _ud_table, "negligible", cls, h_grid, lam_grid, tau, "full_norm")
+    return _classify(net, ws, _ud_tables, "negligible", cls, h_grid, lam_grid, tau, "full_norm")
 
 
 def classify_negligible_supnorm(
@@ -297,7 +302,7 @@ def coef_classify(
     """
     _require_mode(mode)
     net = coef_net if isinstance(coef_net, Net) else make_net(coef_net, DEFAULTS.n_max)
-    return _classify(net, ws, _coef_table, mode, cls, h_grid, lam_grid, tau, "coefficient")
+    return _classify(net, ws, _coef_tables, mode, cls, h_grid, lam_grid, tau, "coefficient")
 
 
 def roumieu_rj_classify(

@@ -155,7 +155,7 @@ def _structure_operator(spec: dict, ws) -> operators.Ultrapolynomial:
     """The dominating series of the structure theorem, in the class its form fixes."""
     if spec["form"] == "structure_beurling":
         return operators.build_ultrapolynomial(
-            {"form": "structure_beurling", "lambda": spec["lambda"]}, ws, "beurling"
+            {"form": "structure_beurling", "lambda": spec.get("lambda")}, ws, "beurling"
         )
     if spec["form"] == "structure_roumieu":
         rs = weights.linear_rsequence(1024)

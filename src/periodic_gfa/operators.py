@@ -19,6 +19,7 @@ evaluation is log-compensated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -103,7 +104,10 @@ def build_ultrapolynomial(spec, ws: WeightSequence, cls: str = "beurling") -> Ul
         if form == "structure_beurling":
             if cls != "beurling":
                 raise ClassFail("the single-factor dominating series is Beurling class only")
-            lam = float(spec["lambda"])
+            lam = spec.get("lambda")
+            if not isinstance(lam, numbers.Real) or isinstance(lam, bool) or not 0 < lam < math.inf:
+                raise ValueError(f"structure_beurling needs a positive finite lambda, got {lam!r}")
+            lam = float(lam)
             L = lam * ws.H**2
             return Ultrapolynomial(
                 form="structure_beurling",

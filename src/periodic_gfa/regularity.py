@@ -24,7 +24,7 @@ from .algebra import (
     _decide_pattern,
     _gauge_table,
     _grids,
-    _ud_table,
+    _ud_tables,
     classify_moderate,
 )
 from .embedding import Mollifier, MollifierFail, embed
@@ -95,7 +95,7 @@ def classify_regular(
     else:
         raise ValueError("cls must be 'beurling' or 'roumieu'")
     v = _decide_pattern(
-        [_ud_table(net, ws, h) for h in h_eff],
+        _ud_tables(net, ws, h_eff),
         [_gauge_table(ws, lam, net.n_max) for lam in lam_eff],
         "regular", cls, tau,
         {"h_grid": list(h_eff), "lambda_grid": list(lam_eff), "class": cls},
@@ -140,10 +140,9 @@ def coefficient_decay_class(
     v = decide(
         [[logc + np.asarray(g) for g in gauges]], "forall", q, tau, None, "coefficient", ks=ks
     )
-    # the decisive rate is reported in the grid, not a witness frequency
+    # witness_n is the frequency |k| where the decisive profile escapes
     return replace(
         v,
-        witness_n=None,
         grid={"mu_grid": list(mu_grid), "class": cls, "pattern": f"{q} mu",
               "decisive_mu": mu_grid[v.details["decisive_inner"]]},
     )

@@ -169,27 +169,30 @@ def derivative(f: TrigPoly, p: int = 1) -> TrigPoly:
 
 
 # ---------------------------------------------------------------------------
-# sup norm: oversampled grid plus golden-section refinement
+# sup norms: oversampled grid plus golden-section refinement
+#
+# On m >= 16N + 1 points the grid maximum of a degree-N polynomial is at
+# least sqrt(1 - 2 pi^2 N^2 / m^2) times its sup (Ehlich and Zeller, Math. Z.
+# 86, 1964): refinement raises a log sup by at most 0.0401 < log 1.05.
 # ---------------------------------------------------------------------------
 
-def _grid_size(degree: int) -> int:
-    return next_fast_len(max(4096, 16 * degree + 1))
-
-
-def _values_on_grid(coef: np.ndarray, degree: int, m: int) -> np.ndarray:
-    """f(2 pi j / m) for j = 0..m-1 via a zero-padded inverse DFT."""
-    buf = np.zeros(m, dtype=complex)
-    ks = np.arange(-degree, degree + 1)
-    np.add.at(buf, ks % m, coef)
-    return ifft(buf) * m
+_REFINE_LOG = math.log(1.05)
 
 
 def _golden_max_rows(w: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int = 40):
     """Golden-section maximization of |sum_k w[i,k] e^{ikt}| per row.
 
-    All rows iterate in lockstep; each step evaluates both interior
-    points with one outer-product exponential.  Returns (values, ts).
+    Rows iterate in lockstep, in batches of at most 2^16 row coefficients;
+    each step evaluates both interior points with one outer-product
+    exponential.  Returns (values, ts).
     """
+    chunk = max(1, (1 << 16) // max(len(ks), 1))
+    if len(w) > chunk:
+        parts = [
+            _golden_max_rows(w[i : i + chunk], ks, lo[i : i + chunk], hi[i : i + chunk], iters)
+            for i in range(0, len(w), chunk)
+        ]
+        return tuple(np.concatenate(x) for x in zip(*parts))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a = lo.astype(float).copy()
     b = hi.astype(float).copy()
@@ -231,8 +234,10 @@ def sup_norm_argmax(f: TrigPoly):
     """
     if f.degree == 0:
         return abs(f.coef[0]), 0.0
-    m = _grid_size(f.degree)
-    vals = np.abs(_values_on_grid(f.coef, f.degree, m))
+    m = next_fast_len(max(4096, 16 * f.degree + 1))
+    buf = np.zeros(m, dtype=complex)
+    np.add.at(buf, f.support() % m, f.coef)
+    vals = np.abs(ifft(buf) * m)  # f(2 pi j / m) by a zero-padded inverse DFT
     js = _local_peaks(vals)
     if len(js) == 0:
         js = np.array([int(np.argmax(vals))])
@@ -253,7 +258,7 @@ def sup_norm(f: TrigPoly) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ultradifferentiable norms, in log scale
+# ultradifferentiable norms, in log scale, one pass over p for every h
 # ---------------------------------------------------------------------------
 
 def _log_abs_coef(f: TrigPoly):
@@ -264,16 +269,13 @@ def _log_abs_coef(f: TrigPoly):
     return lc, phases
 
 
-def _log_sup_rows(f: TrigPoly, ps: np.ndarray, offsets=None, refine_rel: float = 1.05):
-    """log sup_t |D^p f| for each p in ps, computed on scaled rows.
+def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
+    """Grid values of log sup_t |D^p f| for each p in ps, unrefined.
 
-    Rows are normalized by their largest coefficient magnitude so the
-    batched grid evaluation stays in range.  The grid is 16x oversampled
-    for the row degree; rows whose offset-adjusted value (offsets carry
-    the caller's h^p / M_p weighting) sits within refine_rel of the
-    winner get their near-top local maxima refined by golden section,
-    which keeps the winning value accurate far beyond the grid
-    resolution.
+    f is trimmed with degree >= 1, so no row vanishes.  Rows are
+    normalized by their largest coefficient magnitude so the batched grid
+    evaluation stays in range; the grid is 16x oversampled.  Returns the
+    log grid maxima and what refining a row needs: (out, w, scale, vals).
     """
     ks = f.support().astype(float)
     lc, phases = _log_abs_coef(f)
@@ -285,97 +287,85 @@ def _log_sup_rows(f: TrigPoly, ps: np.ndarray, offsets=None, refine_rel: float =
     term[ps == 0, :] = 0.0
     logmat = lc[None, :] + term
     scale = np.max(logmat, axis=1)
-    dead = ~np.isfinite(scale)
-    scale_safe = np.where(dead, 0.0, scale)
     signs = np.where(ks[None, :] < 0, (-1.0) ** pcol, 1.0)
-    w = np.exp(logmat - scale_safe[:, None]) * phases[None, :] * signs
+    w = np.exp(logmat - scale[:, None]) * phases[None, :] * signs
 
     m = next_fast_len(max(64, 16 * f.degree + 1))
     buf = np.zeros((len(ps), m), dtype=complex)
     cols = (f.support() % m).astype(int)
     buf[:, cols] = w  # distinct columns since m > 2*degree
     vals = np.abs(ifft(buf, axis=1) * m)
-    rowmax = np.max(vals, axis=1)
-
-    out = np.where(dead, -np.inf, scale_safe + np.log(np.where(rowmax > 0, rowmax, 1.0)))
-    if not np.any(np.isfinite(out)):
-        return out
-    offsets = np.zeros(len(ps)) if offsets is None else np.asarray(offsets, dtype=float)
-    adjusted = out + offsets
-    best = np.max(adjusted)
-    cand = np.nonzero(adjusted >= best - math.log(refine_rel))[0]
-    if len(cand):
-        rows, brackets = [], []
-        for i in cand:
-            for j in _local_peaks(vals[i]):
-                rows.append(i)
-                brackets.append(TWO_PI * j / m)
-        rows = np.array(rows, dtype=int)
-        ts = np.array(brackets)
-        step = TWO_PI / m
-        ref_v, _ = _golden_max_rows(w[rows], ks, ts - step, ts + step)
-        for i, v in zip(rows, ref_v):
-            if v > 0:
-                out[i] = max(out[i], scale_safe[i] + math.log(v))
-    return out
+    return scale + np.log(np.max(vals, axis=1)), w, scale, vals
 
 
-def log_ud_norm(f: TrigPoly, ws: WeightSequence, h: float = 1.0) -> float:
-    """log sup_p h^p ||D^p f||_inf / M_p.
+def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
+    """log sup_p h^p ||D^p f||_inf / M_p for every h in hs, in one pass over p.
 
-    Termination uses the coefficient bound h^p ||D^p f|| <= (h k_eff)^p
-    sum|c_k|: once p passes the peak of (h k_eff)^p / M_p the bound
-    decreases, and the loop stops as soon as it falls below the running
-    maximum.  Finite for every TrigPoly.
+    The rows log sup_t |D^p f| do not depend on h: each block of rows is
+    evaluated on the grid once and read by every live h.  An h stops once
+    the bound h^p ||D^p f|| <= (h k_eff)^p sum|c_k|, decreasing past its
+    peak, falls below its running maximum, or warns at the table end.  By
+    the bound above only rows within log 1.05 of some h's running maximum
+    can become a maximum; they are refined, each once, after the pass.
     """
-    if h <= 0:
+    if any(h <= 0 for h in hs):
         raise ValueError("h must be positive")
     g = f.trimmed()
     lc, _ = _log_abs_coef(g)
-    if not np.any(np.isfinite(lc)):
-        return -np.inf
-    if g.degree == 0:
-        return float(lc[0])
-    k_eff = g.degree
+    if g.degree == 0 or len(hs) == 0:
+        return np.full(len(hs), float(lc[0]))
     log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
-    log_hk = math.log(h) + math.log(k_eff)
-
+    log_h = np.array([[math.log(h)] for h in hs])
+    log_hk = np.array([[math.log(h) + math.log(g.degree)] for h in hs])
     table_cap = None if ws.gevrey_s is not None else ws.p_max
-    p_peak = int(ws._p_star(h * k_eff, table_cap)[0])
-    hard_cap = table_cap if table_cap is not None else p_peak + 4096
+    peaks = np.array([ws._p_star(h * g.degree, table_cap)[0] for h in hs])
+    caps = peaks + 4096 if table_cap is None else np.full(len(hs), table_cap)
 
-    best = -np.inf
-    p0 = 0
-    while True:
-        # reach just past the bound's peak, then step in short blocks
-        block = min(64, max(8, p_peak + 17 - p0))
-        p1 = min(p0 + block, hard_cap + 1)
+    best = np.full(len(hs), -np.inf)
+    live, stop = np.ones(len(hs), dtype=bool), np.zeros(len(hs), dtype=int)
+    rows, cands, p0 = [], [], 0
+    while live.any():
+        # reach just past the largest live bound peak, then step in short blocks
+        block = min(64, max(8, peaks[live].max() + 17 - p0))
+        p1 = min(p0 + block, caps[live].max() + 1)
         ps = np.arange(p0, p1)
-        if len(ps) == 0:
-            warnings.warn(
-                "ud norm termination not met by p_max; raise p_max",
-                TruncationWarning,
-                stacklevel=2,
-            )
-            break
         logM = np.asarray(ws.logM_at(ps), dtype=float)
-        offsets = ps * math.log(h) - logM
-        log_sup = _log_sup_rows(g, ps, offsets=offsets)
-        terms = log_sup + offsets
-        best = max(best, float(np.max(terms)))
+        out, w, scale, vals = _log_sup_rows(g, ps)
+        rows.append(out)
+        reads = live[:, None] & (ps <= caps[:, None])
+        terms = np.where(reads, out + (ps * log_h - logM), -np.inf)
+        best = np.maximum(best, terms.max(axis=1))
         bounds = ps * log_hk + log_sum_c - logM
-        done = (ps > p_peak) & (bounds < best)
-        if np.any(done):
-            break
-        if p1 > hard_cap:
-            warnings.warn(
-                "ud norm termination not met by p_max; raise p_max",
-                TruncationWarning,
-                stacklevel=2,
-            )
-            break
+        done = np.any(reads & (ps > peaks[:, None]) & (bounds < best[:, None]), axis=1)
+        for _ in range(np.count_nonzero(live & ~done & (p1 > caps))):
+            msg = "ud norm termination not met by p_max; raise p_max"
+            warnings.warn(msg, TruncationWarning, stacklevel=2)
+        stop = np.where(live, p1, stop)  # h_j reads the rows p < stop[j], p <= caps[j]
+        live &= ~done & (p1 <= caps)
+        m = vals.shape[1]
+        for i in np.nonzero(np.any(terms >= best[:, None] - _REFINE_LOG, axis=0))[0]:
+            wi = w[i].copy()  # not a view, so the block is freed after it
+            cands += [(p0 + i, scale[i], wi, TWO_PI * j / m) for j in _local_peaks(vals[i])]
+        del w, vals  # the next block is built without this one alive
         p0 = p1
-    return best
+
+    out = np.concatenate(rows)
+    if cands:
+        ps_c, scales, w_c, ts = (np.array(x) for x in zip(*cands))
+        step = TWO_PI / m
+        ref_v, _ = _golden_max_rows(w_c, g.support().astype(float), ts - step, ts + step)
+        for p, s, v in zip(ps_c, scales, ref_v):
+            if v > 0:
+                out[p] = max(out[p], s + math.log(v))
+    ps = np.arange(len(out))
+    reads = (ps < stop[:, None]) & (ps <= caps[:, None])
+    terms = out + (ps * log_h - np.asarray(ws.logM_at(ps), dtype=float))
+    return np.max(np.where(reads, terms, -np.inf), axis=1)
+
+
+def log_ud_norm(f: TrigPoly, ws: WeightSequence, h: float = 1.0) -> float:
+    """log sup_p h^p ||D^p f||_inf / M_p; see log_ud_norms."""
+    return float(log_ud_norms(f, ws, [h])[0])
 
 
 def ud_norm(f: TrigPoly, ws: WeightSequence, h: float = 1.0) -> float:

@@ -7,6 +7,7 @@ from scipy.special import gammaln
 import battery
 from periodic_gfa import algebra as A
 from periodic_gfa import embedding as E
+from periodic_gfa import regularity as R
 from periodic_gfa import series as S
 from periodic_gfa import verdict as V
 from periodic_gfa import weights as W
@@ -412,3 +413,25 @@ class TestMemoKeys:
             A.roumieu_rj_classify(net, ws_p1, [(r, s)], "moderate")
         # two equal sequences share one table; a different one gets its own
         assert sum(key[0] == "rj" for key in net._norms) == 2
+
+    def test_ud_tables_share_one_pass_per_representative(self, ws_p1, monkeypatch):
+        calls = []
+
+        def counting(f, ws, hs):
+            calls.append(list(hs))
+            return S.log_ud_norms(f, ws, hs)
+
+        monkeypatch.setattr(A, "log_ud_norms", counting)
+        net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        mod = A.classify_moderate(net, ws_p1, "beurling")
+        h_grid = [float(h) for h in V.DEFAULTS.h_grid]
+        assert calls == [h_grid] * (NMAX + 1)
+        assert [k for k in net._norms if k[0] == "ud"] == [("ud", ws_p1.memo_key, h) for h in h_grid]
+
+        calls.clear()
+        A.classify_negligible(net, ws_p1, "beurling")
+        assert calls == []
+        h_reg = 4.0 * max(V.DEFAULTS.lambda_grid)
+        R.classify_regular(net, ws_p1, "beurling", moderate=mod)
+        assert calls == [[h_reg]] * (NMAX + 1)
+        assert sum(k[0] == "ud" for k in net._norms) == len(h_grid) + 1

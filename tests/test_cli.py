@@ -172,6 +172,16 @@ class TestApplyCommand:
         assert code == 0 and rep["multiplier_residual"] == 0.0
         assert run(capsys, argv + ["--op", f"file:{spec}"]) == (0, rep)
 
+    @pytest.mark.parametrize("lam", [None, "two", [2], 0, -1.5, True, "missing"])
+    def test_structure_beurling_bad_lambda_exits_2(self, capsys, tmp_path, lam):
+        form = {"form": "structure_beurling"} | ({} if lam == "missing" else {"lambda": lam})
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps(form))
+        code = cli.main(["apply", "--op", f"file:{spec}", "--dist", "delta", "--kwindow", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "lambda" in captured.err
+
 
 class TestFactorizeCommand:
     def test_beurling_gauge_growth(self, capsys):

@@ -8,6 +8,7 @@ from periodic_gfa import embedding as E
 from periodic_gfa import regularity as R
 from periodic_gfa import series as S
 from periodic_gfa import weights as W
+from periodic_gfa.verdict import DEFAULTS
 
 NMAX = 32
 
@@ -55,6 +56,12 @@ class TestCoefficientDecay:
 
     def test_delta_not_member(self, ws_p1):
         assert not R.coefficient_decay_class(S.delta(), ws_p1, "roumieu").bounded
+
+    def test_delta_names_its_escape_frequency(self, ws_p1):
+        # the witness is the frequency |k| where the decisive profile escapes
+        v = R.coefficient_decay_class(S.delta(), ws_p1, "roumieu")
+        assert type(v.witness_n) is int and 0 <= v.witness_n <= DEFAULTS.k_max
+        assert v.to_json()["witness_n"] == v.witness_n
 
     def test_zero_member(self, ws_p1):
         zero = S.from_trigpoly(S.TrigPoly.zero(), label="0")
