@@ -29,8 +29,8 @@ import numpy as np
 from .series import (
     TrigPoly,
     evaluate,
-    log_coef_seminorm,
-    log_ud_norm_rj,
+    log_abs,
+    log_coef_seminorms,
     log_ud_norms,
     multiply,
     sup_norm_argmax,
@@ -153,14 +153,13 @@ def _sup_table(net: Net) -> np.ndarray:
 
 def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
     keys = [("coef", ws.memo_key, float(h)) for h in hs]
-    return _memo_rows(
-        net, keys, lambda f, miss: [log_coef_seminorm(f, ws, k[2], sign="plus") for k in miss]
-    )
+    return _memo_rows(net, keys, lambda f, miss: log_coef_seminorms(f, ws, [k[2] for k in miss]))
 
 
 def _rj_table(net: Net, ws: WeightSequence, rs: RSequence) -> np.ndarray:
     key = ("rj", ws.memo_key, rs.memo_key)
-    return _memo_rows(net, [key], lambda f, _: [log_ud_norm_rj(f, ws, rs)])[0]
+    mws = modified_weights(ws, rs)
+    return _memo_rows(net, [key], lambda f, _: log_ud_norms(f, mws, [1.0]))[0]
 
 
 def _gauge_table(ws: WeightSequence, lam: float, n_max: int) -> np.ndarray:
@@ -378,9 +377,7 @@ def gn_classify(
         negligible  Beurling: forall lambda    Roumieu: exists lambda
     """
     _require_mode(mode)
-    with np.errstate(divide="ignore"):
-        logz = np.where(z.values != 0, np.log(np.abs(z.values)), -np.inf)
-    return _classify_row(logz, ws, mode, cls, lam_grid, tau, "scalar")
+    return _classify_row(log_abs(z.values), ws, mode, cls, lam_grid, tau, "scalar")
 
 
 def point_value(net: Net, t: GeneralizedNumber, label: str | None = None) -> GeneralizedNumber:

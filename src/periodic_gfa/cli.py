@@ -8,6 +8,7 @@ Reports are deterministic for identical argv and input files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -21,20 +22,14 @@ from .verdict import DEFAULTS, json_float
 
 TWO_PI = 2.0 * math.pi
 
+# ValueError covers InvalidSpec, the *Fail input errors and JSONDecodeError
 _USAGE_ERRORS = (
-    weights.InvalidSpec,
-    embedding.MollifierFail,
-    embedding.DecayFail,
-    operators.ClassFail,
-    operators.GrowthFail,
-    operators.RelationFail,
+    ValueError,
+    KeyError,
+    FileNotFoundError,
     operators.NoConverge,
     algebra.GeneratorFail,
     algebra.HypothesisFail,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    KeyError,
-    ValueError,
 )
 
 
@@ -42,21 +37,31 @@ _USAGE_ERRORS = (
 # descriptor parsing
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _payload(path: str):
+    """The JSON payload of a file: descriptor; a payload of the wrong shape is a ValueError."""
+    payload = json.loads(Path(path).read_text())
+    try:
+        yield payload
+    except (TypeError, AttributeError, KeyError) as exc:
+        raise ValueError(f"malformed payload in {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def parse_weights(desc: str, p_max: int | None = None) -> weights.WeightSequence:
     if desc.startswith("gevrey:"):
         s = float(desc.split(":", 1)[1])
         return weights.gevrey(s, p_max or 2048)
     if desc.startswith("file:"):
-        spec = json.loads(Path(desc[5:]).read_text())
-        return weights.build_weight_sequence(spec, p_max or spec.get("p_max"))
+        with _payload(desc[5:]) as spec:
+            return weights.build_weight_sequence(spec, p_max or spec.get("p_max"))
     raise ValueError(f"unknown weight descriptor {desc!r}")
 
 
 def _dist_from_file(path: str) -> series.CoefDistribution:
-    payload = json.loads(Path(path).read_text())
-    rows = payload["coef"] if isinstance(payload, dict) else payload
-    table = {int(r["k"]): complex(r.get("re", 0.0), r.get("im", 0.0)) for r in rows}
-    cls = payload.get("class", "roumieu") if isinstance(payload, dict) else "roumieu"
+    with _payload(path) as payload:
+        rows = payload["coef"] if isinstance(payload, dict) else payload
+        table = {int(r["k"]): complex(r.get("re", 0.0), r.get("im", 0.0)) for r in rows}
+        cls = payload.get("class", "roumieu") if isinstance(payload, dict) else "roumieu"
     poly = series.TrigPoly.from_coef(table)
     return series.from_trigpoly(poly, cls=cls, label=f"file:{path}")
 
@@ -83,8 +88,8 @@ def parse_distribution(desc: str, ws: weights.WeightSequence, cls: str) -> serie
 
 def parse_rsequence(desc: str) -> weights.RSequence:
     if desc.startswith("file:"):
-        payload = json.loads(Path(desc[5:]).read_text())
-        return weights.build_rsequence(payload["r"])
+        with _payload(desc[5:]) as payload:
+            return weights.build_rsequence(payload["r"])
     if desc == "linear":
         return weights.linear_rsequence(1024)
     raise ValueError(f"unknown r-sequence descriptor {desc!r}")
@@ -100,15 +105,15 @@ def parse_mollifier(desc: str) -> embedding.Mollifier:
             params[key] = float(val)
         return embedding.build_mollifier("cutoff", r=params.get("r", 1.0), R=params.get("R", 2.0))
     if desc.startswith("file:"):
-        payload = json.loads(Path(desc[5:]).read_text())
-        rows = {
-            int(row["n"]): {int(c["k"]): complex(c.get("re", 0.0), c.get("im", 0.0))
-                            for c in row["coef"]}
-            for row in payload["rows"]
-        }
-        return embedding.build_mollifier(
-            "table", rows=rows, C=payload["C"], R=payload["R"], r=payload["r"]
-        )
+        with _payload(desc[5:]) as payload:
+            rows = {
+                int(row["n"]): {int(c["k"]): complex(c.get("re", 0.0), c.get("im", 0.0))
+                                for c in row["coef"]}
+                for row in payload["rows"]
+            }
+            return embedding.build_mollifier(
+                "table", rows=rows, C=payload["C"], R=payload["R"], r=payload["r"]
+            )
     raise ValueError(f"unknown mollifier descriptor {desc!r}")
 
 
@@ -175,18 +180,18 @@ def parse_operator(desc: str, ws, cls: str) -> operators.Ultrapolynomial:
     if desc == "structure_roumieu":
         return _structure_operator({"form": desc}, ws)
     if desc.startswith("file:"):
-        payload = json.loads(Path(desc[5:]).read_text())
-        if "form" in payload:
-            return _structure_operator(payload, ws)
-        table = {int(r["n"]): complex(r.get("re", 0.0), r.get("im", 0.0)) for r in payload["a"]}
-        coef = np.zeros(max(table) + 1, dtype=complex)
-        for nn, v in table.items():
-            coef[nn] = v
-        spec = {"a": coef}
-        for key in ("C", "L"):
-            if key in payload:
-                spec[key] = payload[key]
-        return operators.build_ultrapolynomial(spec, ws, payload.get("class", cls))
+        with _payload(desc[5:]) as payload:
+            if "form" in payload:
+                return _structure_operator(payload, ws)
+            table = {int(r["n"]): complex(r.get("re", 0.0), r.get("im", 0.0)) for r in payload["a"]}
+            coef = np.zeros(max(table) + 1, dtype=complex)
+            for nn, v in table.items():
+                coef[nn] = v
+            spec = {"a": coef}
+            for key in ("C", "L"):
+                if key in payload:
+                    spec[key] = payload[key]
+            return operators.build_ultrapolynomial(spec, ws, payload.get("class", cls))
     raise ValueError(f"unknown operator descriptor {desc!r}")
 
 

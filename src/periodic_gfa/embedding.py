@@ -28,11 +28,13 @@ from .algebra import Net, classify_negligible, constant_net, make_net, net_mul
 from .series import (
     CoefDistribution,
     TrigPoly,
+    coefficient_verdict,
+    log_abs,
     log_coef_seminorm,
     multiply,
     truncate_distribution,
 )
-from .verdict import DEFAULTS, GrowthVerdict, decide, json_float, profile_verdict
+from .verdict import DEFAULTS, GrowthVerdict, json_float
 from .weights import WeightSequence, associated_gauge
 
 TWO_PI = 2.0 * math.pi
@@ -201,16 +203,9 @@ def const_embed(
     if ws is None:
         raise ValueError("const_embed of a coefficient oracle needs a weight sequence")
     poly, tail = truncate_distribution(f, k_max=k_max)
-    ks = poly.support()
-    vals = poly.coef
-    with np.errstate(divide="ignore"):
-        logc = np.where(vals != 0, np.log(np.abs(vals)), -np.inf)
     lam_grid = DEFAULTS.lambda_grid
-    gauges = [associated_gauge(ws, lam * ks.astype(float)) for lam in lam_grid]
-    v = decide(
-        [[logc + np.asarray(g) for g in gauges]],
-        "forall", "forall" if f.cls == "beurling" else "exists", tau, None, "coefficient", ks=ks,
-    )
+    q = "forall" if f.cls == "beurling" else "exists"
+    v = coefficient_verdict(poly.support(), log_abs(poly.coef), ws, lam_grid, q, 1.0, tau, None)
     if not v.bounded:
         raise DecayFail(
             f"{f.label!r} does not satisfy the {f.cls} smooth-class decay on the grid"
@@ -310,13 +305,13 @@ def check_product_preservation(
     # is genuinely bounded (larger rates satisfy the bound vacuously)
     ks = fg.support()
     fg_mag = np.abs(fg.coef)
-    with np.errstate(divide="ignore"):
-        log_fg = np.where(fg_mag > 0, np.log(fg_mag), -np.inf)
-    best = None
-    for lam in sorted(DEFAULTS.lambda_grid):
-        gauge = np.asarray(associated_gauge(ws, lam * ks.astype(float)))
-        if not profile_verdict(ks, log_fg + gauge, tau, {"lambda": lam}, "coefficient").bounded:
-            continue
+    lams = sorted(DEFAULTS.lambda_grid)
+    scan = coefficient_verdict(ks, log_abs(fg.coef), ws, lams, "exists", 1.0, tau, None)
+    lam = next((lam for lam, mg in zip(lams, scan.details["margins"][0]) if mg <= tau), None)
+    if lam is None:
+        best = {"lambda": None, "K": math.inf, "C_fit": math.inf,
+                "reference": math.inf, "ratio": math.inf}
+    else:
         fit = -np.inf
         for n in range(1, n_max + 1):
             resid = fg_mag * np.abs(1.0 - TWO_PI * m.coefficients(ks, n))
@@ -333,9 +328,6 @@ def check_product_preservation(
             "reference": reference,
             "ratio": c_fit / reference if reference > 0 else math.inf,
         }
-        break
-    best = best or {"lambda": None, "K": math.inf, "C_fit": math.inf,
-                    "reference": math.inf, "ratio": math.inf}
     best["truncation_tails"] = [ftail, gtail]
     return ProductPreservationReport(
         verdict=verdict,

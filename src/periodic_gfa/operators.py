@@ -27,8 +27,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .algebra import Net
-from .series import CoefDistribution, TrigPoly
-from .verdict import DEFAULTS, GrowthVerdict, bounded_test, decide, json_float, profile_verdict
+from .series import CoefDistribution, TrigPoly, coefficient_verdict, log_abs
+from .verdict import DEFAULTS, GrowthVerdict, bounded_test, json_float
 from .weights import (
     RSequence,
     WeightSequence,
@@ -81,9 +81,7 @@ class Ultrapolynomial:
 
 def _fit_C(coef: np.ndarray, ws: WeightSequence, L: float) -> float:
     n = np.arange(len(coef))
-    with np.errstate(divide="ignore"):
-        la = np.where(coef != 0, np.log(np.abs(coef)), -np.inf)
-    prof = la + np.asarray(ws.logM_at(n), dtype=float) - n * math.log(L)
+    prof = log_abs(coef) + np.asarray(ws.logM_at(n), dtype=float) - n * math.log(L)
     m = float(np.max(prof))
     return math.exp(m) if m > -np.inf else 0.0
 
@@ -385,9 +383,7 @@ def lower_bound_check(
         x_grid = np.geomspace(1.0, 100.0, 25)
     x_grid = np.asarray(x_grid, dtype=float)
     if P.form == "table":
-        vals = np.abs(np.asarray(multiplier_values(P, x_grid)))
-        with np.errstate(divide="ignore"):
-            logP = np.where(vals > 0, np.log(vals), -np.inf)
+        logP = log_abs(multiplier_values(P, x_grid))
     else:
         logP = log_eval_ultrapoly(P, x_grid)
     if P.form == "structure_roumieu":
@@ -456,14 +452,12 @@ def structure_factorize(
     """
     ks = np.arange(-k_max, k_max + 1)
     cvals = c.coefficients(ks)
-    with np.errstate(divide="ignore"):
-        logc = np.where(cvals != 0, np.log(np.abs(cvals)), -np.inf)
+    logc = log_abs(cvals)
 
     if cls == "beurling":
         lam = 1.0 if lam is None else float(lam)
-        growth_ref = np.asarray(associated_gauge(ws, lam * ks.astype(float)))
-        pre = profile_verdict(
-            ks, logc - growth_ref, tau, {"lambda": lam, "mode": "sigma_prime"}, "coefficient"
+        pre = coefficient_verdict(
+            ks, logc, ws, [lam], "forall", -1.0, tau, {"lambda": lam, "mode": "sigma_prime"}
         )
         if not pre.bounded:
             raise GrowthFail(
@@ -474,9 +468,9 @@ def structure_factorize(
     elif cls == "roumieu":
         r_seq = r_seq if r_seq is not None else _default_rseq(k_max)
         k_seq = k_seq if k_seq is not None else _default_rseq(k_max)
-        growth_ref = np.asarray(associated_gauge(modified_weights(ws, r_seq), ks.astype(float)))
-        pre = profile_verdict(
-            ks, logc - growth_ref, tau, {"r": r_seq.label, "mode": "sigma_prime_r"}, "coefficient"
+        pre = coefficient_verdict(
+            ks, logc, modified_weights(ws, r_seq), [1.0], "forall", -1.0, tau,
+            {"r": r_seq.label, "mode": "sigma_prime_r"},
         )
         if not pre.bounded:
             raise GrowthFail(
@@ -518,22 +512,21 @@ def structure_factorize(
     logg = logc - logP
     if cls == "beurling":
         # the single-factor series even lands g in the base-scale space
-        gauge = np.asarray(associated_gauge(ws, inclass_lam * ks.astype(float)))
+        inclass_ws = ws
         inclass_grid = {"lambda": inclass_lam, "mode": "sigma_plus"}
     else:
         # the two factors cancel the r-modified growth and leave decay
         # at the k-modified gauge
-        gauge = np.asarray(associated_gauge(modified_weights(ws, k_seq), ks.astype(float)))
+        inclass_ws = modified_weights(ws, k_seq)
         inclass_grid = {"k_sequence": k_seq.label, "mode": "sigma_plus_k_modified"}
-    g_inclass = profile_verdict(ks, logg + gauge, tau, inclass_grid, "coefficient")
+    g_inclass = coefficient_verdict(
+        ks, logg, inclass_ws, [inclass_lam], "forall", 1.0, tau, inclass_grid
+    )
     g_target = None
     if target is not None:
-        tgauges = [associated_gauge(target, mu * ks.astype(float)) for mu in DEFAULTS.lambda_grid]
-        g_target = decide(
-            [[logg + np.asarray(t) for t in tgauges]],
-            "forall", "forall", tau,
+        g_target = coefficient_verdict(
+            ks, logg, target, DEFAULTS.lambda_grid, "forall", 1.0, tau,
             {"mu_grid": list(DEFAULTS.lambda_grid), "target": target.label},
-            "coefficient", ks=ks,
         )
 
     lb = lower_bound_check(P, ws, lam=inclass_lam, tau=tau)

@@ -28,7 +28,7 @@ from .algebra import (
     classify_moderate,
 )
 from .embedding import Mollifier, MollifierFail, embed
-from .series import CoefDistribution, log_coef_seminorm
+from .series import CoefDistribution, coefficient_verdict, gauge_profiles, log_abs, log_coef_seminorm
 from .verdict import DEFAULTS, GrowthVerdict, decide, json_float
 from .weights import WeightSequence, associated_gauge
 
@@ -132,14 +132,8 @@ def coefficient_decay_class(
     """
     mu_grid = tuple(mu_grid) if mu_grid is not None else DEFAULTS.lambda_grid
     ks = np.arange(-k_max, k_max + 1)
-    vals = c.coefficients(ks)
-    with np.errstate(divide="ignore"):
-        logc = np.where(vals != 0, np.log(np.abs(vals)), -np.inf)
     q = "forall" if cls == "beurling" else "exists"
-    gauges = [associated_gauge(ws, mu * ks.astype(float)) for mu in mu_grid]
-    v = decide(
-        [[logc + np.asarray(g) for g in gauges]], "forall", q, tau, None, "coefficient", ks=ks
-    )
+    v = coefficient_verdict(ks, log_abs(c.coefficients(ks)), ws, mu_grid, q, 1.0, tau, None)
     # witness_n is the frequency |k| where the decisive profile escapes
     return replace(
         v,
@@ -205,17 +199,14 @@ def check_embedding_residual(
     lam_grid = tuple(lam_grid) if lam_grid is not None else DEFAULTS.lambda_grid
     ks = np.arange(-k_max, k_max + 1)
     fvals = f.coefficients(ks)
-    profiles = []
-    for lam in lam_grid:
-        dual_gauge = np.asarray(associated_gauge(ws, ws.H * lam * ks.astype(float)))
-        gauge_n = np.asarray(associated_gauge(ws, lam * np.arange(n_max + 1, dtype=float)))
-        prof = np.empty(n_max + 1)
-        for n in range(n_max + 1):
-            resid = np.abs(fvals * (1.0 - 2.0 * math.pi * m.coefficients(ks, n)))
-            with np.errstate(divide="ignore"):
-                logres = np.where(resid > 0, np.log(resid), -np.inf)
-            prof[n] = float(np.max(logres - dual_gauge)) + gauge_n[n]
-        profiles.append(prof)
+    lams = np.asarray(lam_grid, dtype=float)
+    dual = gauge_profiles(ks, 0.0, ws, ws.H * lams, -1.0)  # -M(H lambda k), one row per lambda
+    # sup_k |residual_n(k)| e^{-M(H lambda k)} in log scale, as rows over n per lambda
+    sups = np.array([
+        np.max(log_abs(fvals * (1.0 - 2.0 * math.pi * m.coefficients(ks, n))) + dual, axis=1)
+        for n in range(n_max + 1)
+    ]).T
+    profiles = gauge_profiles(np.arange(n_max + 1), sups, ws, lams, 1.0)
     # exists lambda: the decisive rate is the one with the smallest margin
     v = decide([profiles], "forall", "exists", tau, None, "residual")
     per_lambda = dict(zip(lam_grid, v.details["margins"][0]))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.special import logsumexp
 
-from .verdict import DEFAULTS
+from .verdict import DEFAULTS, GrowthVerdict, decide
 from .weights import RSequence, TruncationWarning, WeightSequence, associated_gauge, modified_weights
 
 TWO_PI = 2.0 * math.pi
@@ -35,6 +35,13 @@ class AliasWarning(RuntimeWarning):
 
 class CoefficientOverflow(OverflowError):
     """k^p c_k left the representable range; use the log-scale norm path."""
+
+
+def log_abs(x) -> np.ndarray:
+    """log|x| elementwise, with -inf where x is 0."""
+    x = np.asarray(x)
+    with np.errstate(divide="ignore"):
+        return np.where(x != 0, np.log(np.abs(x)), -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +164,7 @@ def derivative(f: TrigPoly, p: int = 1) -> TrigPoly:
     if p == 0:
         return f
     ks = f.support().astype(float)
-    with np.errstate(divide="ignore"):
-        logk = np.where(ks != 0, np.log(np.abs(ks)), -np.inf)
-        logc = np.where(f.coef != 0, np.log(np.abs(f.coef)), -np.inf)
-    peak = np.max(p * logk + logc) if len(ks) else -np.inf
+    peak = np.max(p * log_abs(ks) + log_abs(f.coef)) if len(ks) else -np.inf
     if peak > _LOG_HUGE:
         raise CoefficientOverflow(
             f"|k|^{p} |c_k| exceeds double range; use the log-scale norm path"
@@ -261,14 +265,6 @@ def sup_norm(f: TrigPoly) -> float:
 # ultradifferentiable norms, in log scale, one pass over p for every h
 # ---------------------------------------------------------------------------
 
-def _log_abs_coef(f: TrigPoly):
-    with np.errstate(divide="ignore"):
-        lc = np.where(f.coef != 0, np.log(np.abs(f.coef)), -np.inf)
-    # np.angle stays finite on denormals where c/|c| would not
-    phases = np.where(f.coef != 0, np.exp(1j * np.angle(f.coef)), 0)
-    return lc, phases
-
-
 def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
     """Grid values of log sup_t |D^p f| for each p in ps, unrefined.
 
@@ -278,14 +274,13 @@ def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
     log grid maxima and what refining a row needs: (out, w, scale, vals).
     """
     ks = f.support().astype(float)
-    lc, phases = _log_abs_coef(f)
-    with np.errstate(divide="ignore"):
-        logk = np.where(ks != 0, np.log(np.abs(ks)), -np.inf)
+    # np.angle stays finite on denormals where c/|c| would not
+    phases = np.where(f.coef != 0, np.exp(1j * np.angle(f.coef)), 0)
     pcol = ps[:, None].astype(float)
     with np.errstate(invalid="ignore"):
-        term = pcol * logk[None, :]
+        term = pcol * log_abs(ks)[None, :]
     term[ps == 0, :] = 0.0
-    logmat = lc[None, :] + term
+    logmat = log_abs(f.coef)[None, :] + term
     scale = np.max(logmat, axis=1)
     signs = np.where(ks[None, :] < 0, (-1.0) ** pcol, 1.0)
     w = np.exp(logmat - scale[:, None]) * phases[None, :] * signs
@@ -311,7 +306,7 @@ def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
     if any(h <= 0 for h in hs):
         raise ValueError("h must be positive")
     g = f.trimmed()
-    lc, _ = _log_abs_coef(g)
+    lc = log_abs(g.coef)
     if g.degree == 0 or len(hs) == 0:
         return np.full(len(hs), float(lc[0]))
     log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
@@ -374,14 +369,9 @@ def ud_norm(f: TrigPoly, ws: WeightSequence, h: float = 1.0) -> float:
     return math.exp(v) if v < _LOG_HUGE else math.inf
 
 
-def log_ud_norm_rj(f: TrigPoly, ws: WeightSequence, rs: RSequence) -> float:
-    """log sup_p ||D^p f||_inf / (M_p prod_{j<=p} r_j)."""
-    return log_ud_norm(f, modified_weights(ws, rs), 1.0)
-
-
 def ud_norm_rj(f: TrigPoly, ws: WeightSequence, rs: RSequence) -> float:
-    v = log_ud_norm_rj(f, ws, rs)
-    return math.exp(v) if v < _LOG_HUGE else math.inf
+    """sup_p ||D^p f||_inf / (M_p prod_{j<=p} r_j)."""
+    return ud_norm(f, modified_weights(ws, rs))
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +593,56 @@ def _coef_arrays(c, k_max: int):
     return np.asarray(ks), np.asarray(vals, dtype=complex), False
 
 
+def gauge_profiles(ks, logc, ws: WeightSequence, lams, sign: float) -> np.ndarray:
+    """Rows logc + sign * M(lambda |k|), one per lambda in lams, from one gauge call."""
+    gauges = associated_gauge(ws, np.multiply.outer(np.asarray(lams, dtype=float), ks))
+    return logc + sign * np.asarray(gauges)
+
+
+def coefficient_verdict(
+    ks, logc, ws: WeightSequence, lams, q: str, sign: float, tau: float, grid
+) -> GrowthVerdict:
+    """Decide the rows of gauge_profiles with quantifier q over lambda.
+
+    Every row is folded to |k| ascending, and the witness is the
+    frequency |k| where the decisive row escapes.
+    """
+    rows = gauge_profiles(ks, logc, ws, lams, sign)
+    return decide([rows], "forall", q, tau, grid, "coefficient", ks=ks)
+
+
+def log_coef_seminorms(
+    c,
+    ws: WeightSequence,
+    lams,
+    sign: str = "plus",
+    k_max: int = DEFAULTS.k_max,
+) -> np.ndarray:
+    """log sup_k |c_k| e^{+/- M(lambda k)} over the stored or swept support, per lambda.
+
+    sign='plus' is the smooth-class seminorm, sign='minus' the dual one.
+    Oracle-backed inputs are swept over |k| <= k_max, with a
+    TruncationWarning for each lambda whose profile is still rising at
+    the boundary.
+    """
+    if any(lam <= 0 for lam in lams):
+        raise ValueError("lambda must be positive")
+    if sign not in ("plus", "minus"):
+        raise ValueError("sign must be 'plus' or 'minus'")
+    ks, vals, swept = _coef_arrays(c, k_max)
+    if len(ks) == 0:
+        return np.full(len(lams), -np.inf)
+    profs = gauge_profiles(ks, log_abs(vals), ws, lams, 1.0 if sign == "plus" else -1.0)
+    if swept and len(ks) > 16:
+        half = len(ks) // 4
+        head = np.max(profs[:, half:-half], axis=1)
+        tail = np.maximum(np.max(profs[:, :half], axis=1), np.max(profs[:, -half:], axis=1))
+        for _ in range(np.count_nonzero(tail > head + 1e-9)):
+            msg = "weighted coefficient profile still rising at k_max"
+            warnings.warn(msg, TruncationWarning, stacklevel=2)
+    return np.max(profs, axis=1)
+
+
 def log_coef_seminorm(
     c,
     ws: WeightSequence,
@@ -610,34 +650,8 @@ def log_coef_seminorm(
     sign: str = "plus",
     k_max: int = DEFAULTS.k_max,
 ) -> float:
-    """log sup_k |c_k| e^{+/- M(lambda k)} over the stored or swept support.
-
-    sign='plus' is the smooth-class seminorm, sign='minus' the dual one.
-    Oracle-backed inputs are swept over |k| <= k_max, with a
-    TruncationWarning when the profile is still rising at the boundary.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
-    ks, vals, swept = _coef_arrays(c, k_max)
-    if len(ks) == 0:
-        return -np.inf
-    with np.errstate(divide="ignore"):
-        lc = np.where(vals != 0, np.log(np.abs(vals)), -np.inf)
-    gauge = np.asarray(associated_gauge(ws, lam * ks.astype(float)), dtype=float)
-    prof = lc + gauge if sign == "plus" else lc - gauge
-    if swept and len(ks) > 16:
-        half = len(ks) // 4
-        head = np.max(prof[half:-half]) if len(prof[half:-half]) else -np.inf
-        tail = max(np.max(prof[:half]), np.max(prof[-half:]))
-        if tail > head + 1e-9:
-            warnings.warn(
-                "weighted coefficient profile still rising at k_max",
-                TruncationWarning,
-                stacklevel=2,
-            )
-    return float(np.max(prof))
+    """log sup_k |c_k| e^{+/- M(lambda k)}; see log_coef_seminorms."""
+    return float(log_coef_seminorms(c, ws, [lam], sign, k_max)[0])
 
 
 def coef_seminorm(c, ws, lam, sign="plus", k_max=DEFAULTS.k_max) -> float:
@@ -654,15 +668,8 @@ def certify_growth(
     tau: float = DEFAULTS.tau,
 ):
     """Check the declared class: the dual-seminorm profile at growth_lambda stays bounded."""
-    from .verdict import profile_verdict
-
     ks = np.arange(-k_max, k_max + 1)
-    vals = dist.coefficients(ks)
-    with np.errstate(divide="ignore"):
-        lc = np.where(vals != 0, np.log(np.abs(vals)), -np.inf)
-    gauge = np.asarray(associated_gauge(ws, dist.growth_lambda * ks.astype(float)))
-    return profile_verdict(
-        ks, lc - gauge, tau,
+    return coefficient_verdict(
+        ks, log_abs(dist.coefficients(ks)), ws, [dist.growth_lambda], "forall", -1.0, tau,
         {"lambda": dist.growth_lambda, "mode": "sigma_prime", "k_max": k_max},
-        "coefficient",
     )

@@ -145,8 +145,3 @@ def decide(
         tau=tau,
         details={"margins": margins.tolist(), "decisive_outer": i_star, "decisive_inner": j_star},
     )
-
-
-def profile_verdict(ks, log_values, tau: float, grid: dict, method: str) -> GrowthVerdict:
-    """Boundedness of a symmetric coefficient profile, folded to |k| ascending."""
-    return decide([[log_values]], "forall", "forall", tau, grid, method, ks=ks)

@@ -435,3 +435,44 @@ class TestMemoKeys:
         R.classify_regular(net, ws_p1, "beurling", moderate=mod)
         assert calls == [[h_reg]] * (NMAX + 1)
         assert sum(k[0] == "ud" for k in net._norms) == len(h_grid) + 1
+
+    def test_coef_tables_share_one_call_per_representative(self, ws_p1, monkeypatch):
+        calls = []
+
+        def counting(f, ws, lams, *args):
+            calls.append(list(lams))
+            return S.log_coef_seminorms(f, ws, lams, *args)
+
+        monkeypatch.setattr(A, "log_coef_seminorms", counting)
+        net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        A.coef_classify(net, ws_p1, "beurling", "moderate")
+        h_grid = [float(h) for h in V.DEFAULTS.h_grid]
+        assert calls == [h_grid] * (NMAX + 1)
+        assert [k for k in net._norms if k[0] == "coef"] == [("coef", ws_p1.memo_key, h) for h in h_grid]
+
+        calls.clear()
+        A.coef_classify(net, ws_p1, "roumieu", "negligible")
+        assert calls == []
+        A.coef_classify(net, ws_p1, "roumieu", "moderate", h_grid=(0.5, 3.0))
+        assert calls == [[3.0]] * (NMAX + 1)
+
+    def test_rj_table_builds_its_scale_once(self, ws_p1, monkeypatch):
+        built, calls = [], []
+
+        def modified(ws, rs):
+            built.append(rs.label)
+            return W.modified_weights(ws, rs)
+
+        def counting(f, ws, hs):
+            calls.append(list(hs))
+            return S.log_ud_norms(f, ws, hs)
+
+        monkeypatch.setattr(A, "modified_weights", modified)
+        monkeypatch.setattr(A, "log_ud_norms", counting)
+        net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        r = W.linear_rsequence(256)
+        s = W.build_rsequence(np.maximum(1.0, np.arange(0, 257) / 16.0), label="slow")
+        A.roumieu_rj_classify(net, ws_p1, [(r, s)], "moderate")
+        # once for the r table, once for the s gauge
+        assert sorted(built) == sorted([r.label, s.label])
+        assert calls == [[1.0]] * (NMAX + 1)

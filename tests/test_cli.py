@@ -183,6 +183,29 @@ class TestApplyCommand:
         assert captured.err.startswith("error:") and "lambda" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["weights", "--weights"], [1, 2]),
+        (["apply", "--dist", "delta", "--op"], [1, 2]),
+        (["apply", "--dist", "delta", "--op"], {"a": 3}),
+        (["embed", "--dist"], {"coef": 5}),
+        (["embed", "--dist"], [1, 2]),
+        (["embed", "--dist", "delta", "--mollifier"], [1, 2]),
+        (["factorize", "--dist", "cot_reg", "--r"], [1, 2]),
+    ],
+    ids=["weights-list", "op-list", "op-a-int", "dist-coef-int", "dist-list", "mollifier-list",
+         "rsequence-list"],
+)
+def test_malformed_file_payload_exits_2(capsys, tmp_path, argv, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(argv + [f"file:{path}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 class TestFactorizeCommand:
     def test_beurling_gauge_growth(self, capsys):
         code, rep = run(

@@ -10,6 +10,7 @@ from scipy.special import gammaln, logsumexp
 
 import battery
 from periodic_gfa import series as S
+from periodic_gfa import verdict as V
 from periodic_gfa import weights as W
 from periodic_gfa.verdict import DEFAULTS
 
@@ -175,7 +176,7 @@ def per_h_log_ud_norm(f, ws, h):
     must reproduce it bit for bit.
     """
     g = f.trimmed()
-    lc, _ = S._log_abs_coef(g)
+    lc = S.log_abs(g.coef)
     if g.degree == 0:
         return float(lc[0])
     log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
@@ -488,6 +489,89 @@ class TestCoefSeminorm:
                 with np.errstate(divide="ignore"):
                     lc = np.where(f.coef != 0, np.log(np.abs(f.coef)), -np.inf)
                 assert np.all(lc <= bound - gauge + 1e-9)
+
+
+def per_lambda_log_coef_seminorm(c, ws, lam, sign="plus", k_max=DEFAULTS.k_max):
+    """log_coef_seminorm with its own gauge call for one lambda.
+
+    This is the per-lambda sweep that log_coef_seminorms replaced; the
+    shared gauge call must reproduce it bit for bit, warnings included.
+    """
+    ks, vals, swept = S._coef_arrays(c, k_max)
+    if len(ks) == 0:
+        return -np.inf
+    with np.errstate(divide="ignore"):
+        lc = np.where(vals != 0, np.log(np.abs(vals)), -np.inf)
+    gauge = np.asarray(W.associated_gauge(ws, lam * ks.astype(float)), dtype=float)
+    prof = lc + gauge if sign == "plus" else lc - gauge
+    if swept and len(ks) > 16:
+        half = len(ks) // 4
+        head = np.max(prof[half:-half])
+        tail = max(np.max(prof[:half]), np.max(prof[-half:]))
+        if tail > head + 1e-9:
+            warnings.warn("weighted coefficient profile still rising at k_max", W.TruncationWarning)
+    return float(np.max(prof))
+
+
+class TestSharedGauges:
+    """log_coef_seminorms takes every lambda's gauge from one call; each value is that of lambda alone."""
+
+    LAMS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 0.75)
+
+    def check(self, c, ws, sign, k_max=DEFAULTS.k_max):
+        with warnings.catch_warnings(record=True) as each:
+            warnings.simplefilter("always")
+            want = [per_lambda_log_coef_seminorm(c, ws, lam, sign, k_max) for lam in self.LAMS]
+        with warnings.catch_warnings(record=True) as shared:
+            warnings.simplefilter("always")
+            got = S.log_coef_seminorms(c, ws, self.LAMS, sign, k_max)
+        with warnings.catch_warnings(record=True) as views:
+            warnings.simplefilter("always")
+            assert [S.log_coef_seminorm(c, ws, lam, sign, k_max) for lam in self.LAMS] == want
+        assert got.tolist() == want
+        assert [str(w.message) for w in shared] == [str(w.message) for w in each]
+        assert [str(w.message) for w in views] == [str(w.message) for w in each]
+        assert all(issubclass(w.category, W.TruncationWarning) for w in shared)
+        return len(shared)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_trigpolys(self, rng, s, sign):
+        ws = W.gevrey(s, 512)
+        for degree in (0, 1, 5, 24, 64):
+            assert self.check(random_poly(rng, degree), ws, sign) == 0
+        assert self.check(S.TrigPoly.zero(3), ws, sign) == 0
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_swept_oracles(self, s, sign):
+        ws = W.gevrey(s, 4096)
+        dists = (S.delta(), S.cot_reg(), S.exp_decay(1.0), S.exp_growth(1.0, ws), S.exp_decay(0.01))
+        for dist in dists:
+            self.check(dist, ws, sign, k_max=512)
+
+    def test_one_warning_per_rising_lambda(self, ws_p1):
+        # e^{M(k)} e^{-M(lambda k)} still rises at k_max exactly for lambda < 1
+        rising = sum(lam < 1.0 for lam in self.LAMS)
+        assert self.check(S.exp_growth(1.0, ws_p1), ws_p1, "minus", k_max=256) == rising == 3
+
+    def test_inputs_rejected(self, ws_p1):
+        with pytest.raises(ValueError):
+            S.log_coef_seminorms(S.delta(), ws_p1, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            S.log_coef_seminorms(S.delta(), ws_p1, [1.0], sign="dual")
+
+    @pytest.mark.parametrize("q", ["forall", "exists"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coefficient_verdict_is_decide_on_per_lambda_rows(self, ws_p1, q, sign):
+        ks = np.arange(-512, 513)
+        for dist in (S.delta(), S.cot_reg(), S.exp_decay(1.0)):
+            lc = S.log_abs(dist.coefficients(ks))
+            rows = [lc + sign * np.asarray(W.associated_gauge(ws_p1, lam * ks.astype(float)))
+                    for lam in self.LAMS]
+            want = V.decide([rows], "forall", q, 0.5, {"g": 1}, "coefficient", ks=ks)
+            got = S.coefficient_verdict(ks, lc, ws_p1, self.LAMS, q, sign, 0.5, {"g": 1})
+            assert got == want  # dataclass equality covers margins, witness and details
 
 
 class TestDistributions:
