@@ -27,16 +27,16 @@ from typing import Callable
 import numpy as np
 
 from .series import (
+    DerivativeRows,
     TrigPoly,
     evaluate,
     log_abs,
     log_coef_seminorms,
-    log_ud_norms,
     multiply,
     sup_norm_argmax,
 )
 from .verdict import DEFAULTS, GrowthVerdict, bounded_test, decide
-from .weights import RSequence, WeightSequence, associated_gauge, modified_weights
+from .weights import WeightSequence, associated_gauge, modified_weights
 
 
 class GeneratorFail(RuntimeError):
@@ -61,6 +61,7 @@ class Net:
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
     _norms: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)
 
     def at(self, n: int) -> TrigPoly:
         if not 0 <= n <= self.n_max:
@@ -71,6 +72,12 @@ class Net:
             except Exception as exc:  # noqa: BLE001 - reported with context
                 raise GeneratorFail(f"generator of {self.label!r} failed at n={n}") from exc
         return self._cache[n]
+
+    def derivative_rows(self, n: int) -> DerivativeRows:
+        """The D^p rows of f_n, shared by every ud table of this net."""
+        if n not in self._rows:
+            self._rows.setdefault(n, DerivativeRows(self.at(n)))
+        return self._rows[n]
 
     def map(self, fn: Callable[[TrigPoly], TrigPoly], label: str | None = None) -> "Net":
         return Net(
@@ -126,26 +133,29 @@ def net_scale(f: Net, a: complex, label: str | None = None) -> Net:
 
 
 # ---------------------------------------------------------------------------
-# norm tables (memoized per net, keyed by the content of the scale)
+# norm tables (memoized per net, keyed by the content of the scale); every
+# ud table, for any scale and h, reduces the D^p rows of Net.derivative_rows
 # ---------------------------------------------------------------------------
 
-def _memo_rows(net: Net, keys: list, norms: Callable[[TrigPoly, list], list]) -> list[np.ndarray]:
-    """Tables of f_n under keys, memoized on the net; norms(f, missing) fills all missing keys."""
+def _memo_rows(net: Net, keys: list, norms: Callable[[int, list], list]) -> list[np.ndarray]:
+    """Tables over n under keys, memoized on the net; norms(n, missing) fills all missing keys."""
     missing = list(dict.fromkeys(k for k in keys if k not in net._norms))
     if missing:
-        cols = np.array([norms(net.at(n), missing) for n in range(net.n_max + 1)])
+        cols = np.array([norms(n, missing) for n in range(net.n_max + 1)])
         net._norms.update(zip(missing, cols.T.copy()))
     return [net._norms[k] for k in keys]
 
 
 def _ud_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
     keys = [("ud", ws.memo_key, float(h)) for h in hs]
-    return _memo_rows(net, keys, lambda f, miss: log_ud_norms(f, ws, [k[2] for k in miss]))
+    return _memo_rows(
+        net, keys, lambda n, miss: net.derivative_rows(n).log_ud_norms(ws, [k[2] for k in miss])
+    )
 
 
 def _sup_table(net: Net) -> np.ndarray:
-    def log_sup(f, _):
-        v = sup_norm_argmax(f)[0]
+    def log_sup(n, _):
+        v = sup_norm_argmax(net.at(n))[0]
         return [math.log(v) if v > 0 else -np.inf]
 
     return _memo_rows(net, [("sup",)], log_sup)[0]
@@ -153,13 +163,9 @@ def _sup_table(net: Net) -> np.ndarray:
 
 def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
     keys = [("coef", ws.memo_key, float(h)) for h in hs]
-    return _memo_rows(net, keys, lambda f, miss: log_coef_seminorms(f, ws, [k[2] for k in miss]))
-
-
-def _rj_table(net: Net, ws: WeightSequence, rs: RSequence) -> np.ndarray:
-    key = ("rj", ws.memo_key, rs.memo_key)
-    mws = modified_weights(ws, rs)
-    return _memo_rows(net, [key], lambda f, _: log_ud_norms(f, mws, [1.0]))[0]
+    return _memo_rows(
+        net, keys, lambda n, miss: log_coef_seminorms(net.at(n), ws, [k[2] for k in miss])
+    )
 
 
 def _gauge_table(ws: WeightSequence, lam: float, n_max: int) -> np.ndarray:
@@ -327,7 +333,7 @@ def roumieu_rj_classify(
     ns = np.arange(net.n_max + 1, dtype=float)
     grid = {"families": [(r.label, s.label) for r, s in pairs], "mode": mode}
     return _decide_pattern(
-        [_rj_table(net, ws, r) for r, _ in pairs],
+        [_ud_tables(net, modified_weights(ws, r), [1.0])[0] for r, _ in pairs],
         [np.asarray(associated_gauge(modified_weights(ws, s), ns)) for _, s in pairs],
         mode, "beurling", tau, grid, "rj_family",
     )

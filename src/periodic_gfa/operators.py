@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -33,6 +33,7 @@ from .weights import (
     RSequence,
     WeightSequence,
     associated_gauge,
+    linear_rsequence,
     modified_weights,
     relation,
 )
@@ -127,11 +128,7 @@ def build_ultrapolynomial(spec, ws: WeightSequence, cls: str = "beurling") -> Ul
                 k_seq=k,
                 label=f"structure_roumieu({r.label},{k.label},{ws.label})",
             )
-            cert = _certify_roumieu_product(poly)
-            return Ultrapolynomial(
-                form="structure_roumieu", ws=ws, cls="roumieu",
-                r_seq=r, k_seq=k, cert=cert, label=poly.label,
-            )
+            return replace(poly, cert=_certify_roumieu_product(poly))
         raise ValueError(f"unknown ultrapolynomial form {form!r}")
 
     if isinstance(spec, dict):
@@ -169,7 +166,6 @@ def _certify_roumieu_product(poly: Ultrapolynomial, tau: float = DEFAULTS.tau):
     ws, r, k = poly.ws, poly.r_seq, poly.k_seq
     probe_cap = min(r.j_max, k.j_max)
     n_probe = 64
-    last_fail = None
     while True:
         p_hi = min(n_probe, probe_cap) // 2
         q = np.arange(0, p_hi + 1)
@@ -280,10 +276,7 @@ def eval_ultrapoly(P: Ultrapolynomial, x):
 
 
 def multiplier_values(P: Ultrapolynomial, ks) -> np.ndarray:
-    ks = np.asarray(ks, dtype=float)
-    if P.form == "table":
-        return np.asarray(np.polynomial.polynomial.polyval(ks, P.coef), dtype=complex)
-    return np.asarray(eval_ultrapoly(P, ks), dtype=complex)
+    return np.asarray(eval_ultrapoly(P, np.asarray(ks, dtype=float)), dtype=complex)
 
 
 def _applied_growth_lambda(P: Ultrapolynomial, lam_f: float) -> float:
@@ -541,6 +534,4 @@ def structure_factorize(
 
 
 def _default_rseq(k_max: int) -> RSequence:
-    from .weights import linear_rsequence
-
     return linear_rsequence(max(512, 2 * k_max))

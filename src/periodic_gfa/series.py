@@ -230,6 +230,20 @@ def _local_peaks(vals: np.ndarray, rel: float = 0.975, cap: int = 4) -> np.ndarr
     return js
 
 
+def _refine_peaks(w: np.ndarray, ks: np.ndarray, vals: np.ndarray):
+    """Golden-section refinement of the near-top grid peaks of each row of vals.
+
+    Row i of vals is |sum_k w[i,k] e^{ikt}| on a uniform grid; each of its
+    _local_peaks (the global maximum among them) is bracketed by the
+    neighbouring grid points.  Returns (values, ts, row of each peak).
+    """
+    m = vals.shape[1]
+    peaks = [_local_peaks(row) for row in vals]
+    rows = np.repeat(np.arange(len(vals)), [len(js) for js in peaks])
+    ts = TWO_PI * np.concatenate(peaks) / m
+    return (*_golden_max_rows(w[rows], ks, ts - TWO_PI / m, ts + TWO_PI / m), rows)
+
+
 def sup_norm_argmax(f: TrigPoly):
     """(max_t |f(t)|, argmax t) on an oversampled grid, locally refined.
 
@@ -242,13 +256,7 @@ def sup_norm_argmax(f: TrigPoly):
     buf = np.zeros(m, dtype=complex)
     np.add.at(buf, f.support() % m, f.coef)
     vals = np.abs(ifft(buf) * m)  # f(2 pi j / m) by a zero-padded inverse DFT
-    js = _local_peaks(vals)
-    if len(js) == 0:
-        js = np.array([int(np.argmax(vals))])
-    step = TWO_PI / m
-    ts = TWO_PI * js / m
-    w = np.tile(f.coef, (len(js), 1))
-    ref_v, ref_t = _golden_max_rows(w, f.support().astype(float), ts - step, ts + step)
+    ref_v, ref_t, _ = _refine_peaks(f.coef[None, :], f.support().astype(float), vals[None, :])
     i = int(np.argmax(ref_v))
     if ref_v[i] >= np.max(vals):
         return float(ref_v[i]), float(ref_t[i] % TWO_PI)
@@ -262,8 +270,13 @@ def sup_norm(f: TrigPoly) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ultradifferentiable norms, in log scale, one pass over p for every h
+# ultradifferentiable norms, in log scale, from one row table per polynomial
 # ---------------------------------------------------------------------------
+
+def _row_blocks(ps: np.ndarray) -> list[np.ndarray]:
+    """ps in batches of at most 64 rows per grid evaluation."""
+    return np.array_split(ps, range(64, len(ps), 64))
+
 
 def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
     """Grid values of log sup_t |D^p f| for each p in ps, unrefined.
@@ -293,69 +306,92 @@ def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
     return scale + np.log(np.max(vals, axis=1)), w, scale, vals
 
 
-def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
-    """log sup_p h^p ||D^p f||_inf / M_p for every h in hs, in one pass over p.
+class DerivativeRows:
+    """The rows log sup_t |D^p f| of one polynomial, shared by every scale and h.
 
-    The rows log sup_t |D^p f| do not depend on h: each block of rows is
-    evaluated on the grid once and read by every live h.  An h stops once
-    the bound h^p ||D^p f|| <= (h k_eff)^p sum|c_k|, decreasing past its
-    peak, falls below its running maximum, or warns at the table end.  By
-    the bound above only rows within log 1.05 of some h's running maximum
-    can become a maximum; they are refined, each once, after the pass.
+    Grid rows (_log_sup_rows) are kept for p = 0, 1, ... as far as any
+    reduction needed them.  A row is refined by golden section once, when
+    a reduction first finds it within log 1.05 of its maximum: by the grid
+    bound no other row can become a maximum, so every value is the one a
+    fresh table gives.  Updates publish a new array in one assignment and
+    a reduction reads its own snapshot, so unsynchronized use is safe.
     """
-    if any(h <= 0 for h in hs):
-        raise ValueError("h must be positive")
-    g = f.trimmed()
-    lc = log_abs(g.coef)
-    if g.degree == 0 or len(hs) == 0:
-        return np.full(len(hs), float(lc[0]))
-    log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
-    log_h = np.array([[math.log(h)] for h in hs])
-    log_hk = np.array([[math.log(h) + math.log(g.degree)] for h in hs])
-    table_cap = None if ws.gevrey_s is not None else ws.p_max
-    peaks = np.array([ws._p_star(h * g.degree, table_cap)[0] for h in hs])
-    caps = peaks + 4096 if table_cap is None else np.full(len(hs), table_cap)
 
-    best = np.full(len(hs), -np.inf)
-    live, stop = np.ones(len(hs), dtype=bool), np.zeros(len(hs), dtype=int)
-    rows, cands, p0 = [], [], 0
-    while live.any():
-        # reach just past the largest live bound peak, then step in short blocks
-        block = min(64, max(8, peaks[live].max() + 17 - p0))
-        p1 = min(p0 + block, caps[live].max() + 1)
-        ps = np.arange(p0, p1)
-        logM = np.asarray(ws.logM_at(ps), dtype=float)
-        out, w, scale, vals = _log_sup_rows(g, ps)
-        rows.append(out)
-        reads = live[:, None] & (ps <= caps[:, None])
-        terms = np.where(reads, out + (ps * log_h - logM), -np.inf)
-        best = np.maximum(best, terms.max(axis=1))
-        bounds = ps * log_hk + log_sum_c - logM
-        done = np.any(reads & (ps > peaks[:, None]) & (bounds < best[:, None]), axis=1)
-        for _ in range(np.count_nonzero(live & ~done & (p1 > caps))):
+    def __init__(self, f: TrigPoly):
+        self.poly = f.trimmed()
+        self.rows = np.empty((2, 0))  # grid rows; refined rows, nan until refined
+
+    def _grown(self, rows: np.ndarray, p_end: int) -> np.ndarray:
+        if p_end > rows.shape[1]:
+            blocks = _row_blocks(np.arange(rows.shape[1], p_end))
+            grid = np.concatenate([_log_sup_rows(self.poly, ps)[0] for ps in blocks])
+            self.rows = rows = np.concatenate([rows, [grid, np.full(len(grid), np.nan)]], axis=1)
+        return rows
+
+    def _refined(self, rows: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        rows, ks = rows.copy(), self.poly.support().astype(float)
+        rows[1, ps] = rows[0, ps]
+        for block in _row_blocks(ps):
+            _, w, scale, vals = _log_sup_rows(self.poly, block)
+            for v, _, i in zip(*_refine_peaks(w, ks, vals)):
+                if v > 0:
+                    rows[1, block[i]] = max(rows[1, block[i]], scale[i] + math.log(v))
+        self.rows = rows
+        return rows
+
+    def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
+        """log sup_p h^p ||D^p f||_inf / M_p for every h in hs.
+
+        Each h reads the rows up to its bound peak + 16, then 8 more at a
+        time, until the bound h^p ||D^p f|| <= (h k_eff)^p sum|c_k|,
+        decreasing past its peak, falls below the running maximum of the
+        grid rows, or the table ends (a TruncationWarning).  Then the
+        rows within log 1.05 of some h's maximum are refined.
+        """
+        if any(h <= 0 for h in hs):
+            raise ValueError("h must be positive")
+        g = self.poly
+        lc = log_abs(g.coef)
+        if g.degree == 0 or len(hs) == 0:
+            return np.full(len(hs), float(lc[0]))
+        log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
+        log_h = np.array([[math.log(h)] for h in hs])
+        log_hk = np.array([[math.log(h) + math.log(g.degree)] for h in hs])
+        table_cap = None if ws.gevrey_s is not None else ws.p_max
+        peaks = np.array([ws._p_star(h * g.degree, table_cap)[0] for h in hs])
+        caps = peaks + 4096 if table_cap is None else np.full(len(hs), table_cap)
+        ends = np.minimum(peaks + 17, caps + 1)  # h reads the rows p < ends[h]
+        rows = self.rows
+        while True:
+            rows = self._grown(rows, ends.max())
+            ps = np.arange(ends.max())
+            logM = np.asarray(ws.logM_at(ps), dtype=float)
+            reads = ps < ends[:, None]
+            terms = np.where(reads, rows[0, : len(ps)] + (ps * log_h - logM), -np.inf)
+            bounds = ps * log_hk + log_sum_c - logM
+            stops = reads & (ps > peaks[:, None]) & (bounds < np.maximum.accumulate(terms, axis=1))
+            more = ~stops.any(axis=1) & (ends <= caps)
+            if not more.any():
+                break
+            ends = np.where(more, np.minimum(ends + 8, caps + 1), ends)
+        for _ in range(np.count_nonzero(~stops.any(axis=1))):
             msg = "ud norm termination not met by p_max; raise p_max"
             warnings.warn(msg, TruncationWarning, stacklevel=2)
-        stop = np.where(live, p1, stop)  # h_j reads the rows p < stop[j], p <= caps[j]
-        live &= ~done & (p1 <= caps)
-        m = vals.shape[1]
-        for i in np.nonzero(np.any(terms >= best[:, None] - _REFINE_LOG, axis=0))[0]:
-            wi = w[i].copy()  # not a view, so the block is freed after it
-            cands += [(p0 + i, scale[i], wi, TWO_PI * j / m) for j in _local_peaks(vals[i])]
-        del w, vals  # the next block is built without this one alive
-        p0 = p1
 
-    out = np.concatenate(rows)
-    if cands:
-        ps_c, scales, w_c, ts = (np.array(x) for x in zip(*cands))
-        step = TWO_PI / m
-        ref_v, _ = _golden_max_rows(w_c, g.support().astype(float), ts - step, ts + step)
-        for p, s, v in zip(ps_c, scales, ref_v):
-            if v > 0:
-                out[p] = max(out[p], s + math.log(v))
-    ps = np.arange(len(out))
-    reads = (ps < stop[:, None]) & (ps <= caps[:, None])
-    terms = out + (ps * log_h - np.asarray(ws.logM_at(ps), dtype=float))
-    return np.max(np.where(reads, terms, -np.inf), axis=1)
+        def refined_terms(rows):
+            return np.where(reads, np.fmax(*rows[:, : len(ps)]) + (ps * log_h - logM), -np.inf)
+
+        terms = refined_terms(rows)
+        near = np.any(terms >= terms.max(axis=1)[:, None] - _REFINE_LOG, axis=0)
+        fresh = np.nonzero(near & np.isnan(rows[1, : len(ps)]))[0]
+        if len(fresh):
+            terms = refined_terms(self._refined(rows, fresh))
+        return terms.max(axis=1)
+
+
+def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
+    """log sup_p h^p ||D^p f||_inf / M_p for every h in hs; see DerivativeRows."""
+    return DerivativeRows(f).log_ud_norms(ws, hs)
 
 
 def log_ud_norm(f: TrigPoly, ws: WeightSequence, h: float = 1.0) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any
 
@@ -245,27 +245,30 @@ def associated_function_rj(ws: WeightSequence, rs: RSequence, t):
     return associated_function(modified_weights(ws, rs), t)
 
 
-def _certify_m2_table(logM: np.ndarray):
-    """Grid search H in 2^{1/4}..2^4 minimizing the certified A for (M.2)."""
-    n = len(logM)
-    # min over p of logM[p] + logM[m-p] for each m, O(n^2)
-    min_split = np.full(n, np.inf)
+def _certify_m2(logM: np.ndarray, declared: tuple[float, float] | None = None):
+    """(A, H) with M_m <= A H^m min_{p+q=m} M_p M_q on the stored table, in log scale.
+
+    A declared (A, H) is checked; otherwise H is the first grid point
+    2^{1/4}..2^4 that needs the least A.  An A beyond double range
+    certifies nothing.
+    """
+    n, m = len(logM), np.arange(len(logM))
+    min_split = np.full(n, np.inf)  # min over p of logM[p] + logM[m - p]
     for p in range(n):
-        m = np.arange(p, n)
-        np.minimum.at(min_split, m, logM[p] + logM[m - p])
-    m = np.arange(n)
-    best = None
-    for expo in range(1, 17):
-        H = 2.0 ** (expo / 4.0)
-        logA_req = np.max(logM - m * np.log(H) - min_split)
-        if not np.isfinite(logA_req):
-            continue
-        A = float(np.exp(max(logA_req, 0.0)))
-        if best is None or A < best[0]:
-            best = (A, H)
-    if best is None:
-        raise CertificationFail("no grid H certifies (M.2) on the stored table")
-    return best
+        np.minimum(min_split[p:], logM[p] + logM[: n - p], out=min_split[p:])
+    if declared is not None:
+        bad = logM - m * np.log(declared[1]) - min_split > np.log(declared[0]) + 1e-9
+        if np.any(bad):
+            raise CertificationFail(f"(M.2) fails for the declared (A, H) at m = {np.argmax(bad)}")
+        return declared
+    grid = [2.0 ** (e / 4.0) for e in range(1, 17)]
+    logA, H = min(
+        ((max(np.max(logM - m * np.log(H) - min_split), 0.0), H) for H in grid),
+        key=lambda c: c[0] if np.isfinite(c[0]) else np.inf,
+    )
+    if not logA < np.log(np.finfo(float).max):
+        raise CertificationFail("no grid H certifies (M.2) with a finite A on the stored table")
+    return float(np.exp(logA)), H
 
 
 def build_weight_sequence(spec, p_max: int | None = None) -> WeightSequence:
@@ -302,14 +305,10 @@ def build_weight_sequence(spec, p_max: int | None = None) -> WeightSequence:
         logM = np.asarray(spec["logM"], dtype=float)
         if abs(logM[0]) > 1e-12:
             raise InvalidSpec("table entry 0 must be 0 in log scale")
-        if "A" in spec and "H" in spec:
-            A, H = float(spec["A"]), float(spec["H"])
-        else:
-            A, H = _certify_m2_table(logM)
-        ws = WeightSequence(
-            logM=logM, A=A, H=H, label=spec.get("label", "table"), spec={"kind": "table"}
-        )
-        _check_m2(ws)
+        declared = (float(spec["A"]), float(spec["H"])) if "A" in spec and "H" in spec else None
+        ws = WeightSequence(logM=logM, label=spec.get("label", "table"), spec={"kind": "table"})
+        A, H = _certify_m2(ws.logM, declared)
+        ws = replace(ws, A=A, H=H)
     else:
         raise InvalidSpec(f"unknown weight-sequence kind: {kind!r}")
 
@@ -319,19 +318,6 @@ def build_weight_sequence(spec, p_max: int | None = None) -> WeightSequence:
             "divergence proxy m_pmax > 2 m_1 fails; the ratios m_p do not grow"
         )
     return ws
-
-
-def _check_m2(ws: WeightSequence):
-    logM, n = ws.logM, ws.p_max + 1
-    logA, logH = np.log(ws.A), np.log(ws.H)
-    for p in range(n):
-        q = np.arange(0, n - p)
-        lhs = logM[p + q]
-        rhs = logA + (p + q) * logH + logM[p] + logM[q]
-        if np.any(lhs > rhs + 1e-9):
-            raise CertificationFail(
-                f"(M.2) fails for the declared (A, H) at p = {p}"
-            )
 
 
 def gevrey(s: float, p_max: int = 64) -> WeightSequence:

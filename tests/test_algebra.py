@@ -1,4 +1,8 @@
+import json
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -388,6 +392,25 @@ class TestQuantifierEngine:
             assert (v.margin, v.witness_n) == reduce(cells, key=lambda c: c[0])
 
 
+def count_rows(monkeypatch):
+    """Record the number of rows of every grid evaluation of D^p rows."""
+    rows = []
+    inner = S._log_sup_rows
+
+    def counting(f, ps):
+        rows.append(len(ps))
+        return inner(f, ps)
+
+    monkeypatch.setattr(S, "_log_sup_rows", counting)
+    return rows
+
+
+def held_rows(net):
+    """Grid rows held for every f_n of the net, plus the refined ones."""
+    tables = (net.derivative_rows(n).rows for n in range(net.n_max + 1))
+    return sum(rows.shape[1] + int(np.count_nonzero(~np.isnan(rows[1]))) for rows in tables)
+
+
 class TestMemoKeys:
     """Norm memos are keyed by the content of the scale, not its label or id."""
 
@@ -406,35 +429,38 @@ class TestMemoKeys:
             memo, new = classify(net, s2), classify(fresh, s2)
             assert (memo.bounded, memo.margin) == (new.bounded, new.margin)
 
-    def test_rj_tables_by_content(self, ws_p1):
+    def test_rj_tables_by_content(self, ws_p1, monkeypatch):
+        rows = count_rows(monkeypatch)
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
         s = W.build_rsequence(np.maximum(1.0, np.arange(0, 257) / 16.0), label="slow")
+        added = []
         for r in (W.linear_rsequence(256), W.linear_rsequence(256), s):
+            before = (len(rows), len(net._norms))
             A.roumieu_rj_classify(net, ws_p1, [(r, s)], "moderate")
-        # two equal sequences share one table; a different one gets its own
-        assert sum(key[0] == "rj" for key in net._norms) == 2
+            added.append((len(rows) > before[0], len(net._norms) - before[1]))
+        # two equal sequences share one table and its rows; a different one gets its own table
+        assert added[0] == (True, 1) and added[1] == (False, 0) and added[2][1] == 1
 
     def test_ud_tables_share_one_pass_per_representative(self, ws_p1, monkeypatch):
-        calls = []
-
-        def counting(f, ws, hs):
-            calls.append(list(hs))
-            return S.log_ud_norms(f, ws, hs)
-
-        monkeypatch.setattr(A, "log_ud_norms", counting)
+        rows = count_rows(monkeypatch)
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
         mod = A.classify_moderate(net, ws_p1, "beurling")
         h_grid = [float(h) for h in V.DEFAULTS.h_grid]
-        assert calls == [h_grid] * (NMAX + 1)
+        # every grid row of each f_n is evaluated once for all h, and once more if refined
+        assert sum(rows) == held_rows(net) > 0
         assert [k for k in net._norms if k[0] == "ud"] == [("ud", ws_p1.memo_key, h) for h in h_grid]
 
-        calls.clear()
+        rows.clear()
         A.classify_negligible(net, ws_p1, "beurling")
-        assert calls == []
+        net._norms.clear()
+        assert A.classify_moderate(net, ws_p1, "beurling") == mod
+        assert rows == []  # warm rows: nothing is evaluated or refined again
+        held = held_rows(net)
         h_reg = 4.0 * max(V.DEFAULTS.lambda_grid)
         R.classify_regular(net, ws_p1, "beurling", moderate=mod)
-        assert calls == [[h_reg]] * (NMAX + 1)
-        assert sum(k[0] == "ud" for k in net._norms) == len(h_grid) + 1
+        # the stretched h reads the rows there and only grows them
+        assert sum(rows) == held_rows(net) - held > 0
+        assert ("ud", ws_p1.memo_key, h_reg) in net._norms
 
     def test_coef_tables_share_one_call_per_representative(self, ws_p1, monkeypatch):
         calls = []
@@ -457,22 +483,81 @@ class TestMemoKeys:
         assert calls == [[3.0]] * (NMAX + 1)
 
     def test_rj_table_builds_its_scale_once(self, ws_p1, monkeypatch):
-        built, calls = [], []
+        built = []
 
         def modified(ws, rs):
             built.append(rs.label)
             return W.modified_weights(ws, rs)
 
-        def counting(f, ws, hs):
-            calls.append(list(hs))
-            return S.log_ud_norms(f, ws, hs)
-
         monkeypatch.setattr(A, "modified_weights", modified)
-        monkeypatch.setattr(A, "log_ud_norms", counting)
+        rows = count_rows(monkeypatch)
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        A.classify_moderate(net, ws_p1, "roumieu")
+        held, rows[:] = held_rows(net), []
         r = W.linear_rsequence(256)
         s = W.build_rsequence(np.maximum(1.0, np.arange(0, 257) / 16.0), label="slow")
         A.roumieu_rj_classify(net, ws_p1, [(r, s)], "moderate")
         # once for the r table, once for the s gauge
         assert sorted(built) == sorted([r.label, s.label])
-        assert calls == [[1.0]] * (NMAX + 1)
+        # the r table reads the gevrey:1 rows: nothing below them is evaluated again
+        assert sum(rows) == held_rows(net) - held
+
+
+class TestSharedRowTable:
+    """One D^p row table per f_n serves every scale and h as a fresh net would.
+
+    Each step asks for tables the memo does not hold yet, so the fresh net
+    computes (and warns) exactly what the shared one does.
+    """
+
+    @staticmethod
+    def recorded(step, net):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            v = step(net)
+        return json.dumps(v.to_json(), sort_keys=True), repr(v.margin), [
+            (w.category, str(w.message)) for w in seen
+        ]
+
+    @pytest.mark.parametrize("i", [3, 5, 8])
+    def test_scales_in_turn_equal_a_fresh_net(self, ws_p1, i):
+        table = W.build_weight_sequence(
+            {"kind": "table", "logM": 1.5 * gammaln(np.arange(13) + 1.0)}, p_max=12
+        )
+        r, s = W.linear_rsequence(256), W.build_rsequence(np.maximum(1.0, np.arange(257) / 16.0))
+        steps = [
+            lambda net: R.classify_regular(net, ws_p1, "beurling"),
+            lambda net: A.classify_moderate(net, W.gevrey(2.0, 512), "roumieu"),
+            lambda net: A.classify_moderate(net, table, "roumieu"),  # rows longer than p_max
+            lambda net: A.classify_negligible(net, table, "beurling", h_grid=(3.0, 16.0)),
+            lambda net: A.roumieu_rj_classify(net, ws_p1, [(r, s), (s, r)]),
+        ]
+        shared = battery.full_battery(ws_p1, NMAX)[i][0]
+        for step in steps:
+            fresh = battery.full_battery(ws_p1, NMAX)[i][0]
+            assert self.recorded(step, shared) == self.recorded(step, fresh)
+        assert max(shared.derivative_rows(n).rows.shape[1] for n in range(NMAX + 1)) > 13
+
+    @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
+    def test_threads_equal_serial(self, ws_p1):
+        def make():
+            return A.make_net(lambda n: S.TrigPoly.dirichlet(n) * S.TrigPoly.cosine(), NMAX)
+
+        rs = W.linear_rsequence(256)
+        tasks = [
+            lambda net: R.classify_regular(net, ws_p1, "beurling").to_json(),
+            lambda net: A.classify_moderate(net, ws_p1, "roumieu", h_grid=battery.WIDE_H).to_json(),
+            lambda net: A.classify_negligible(net, W.gevrey(2.0, 512), "beurling").to_json(),
+            lambda net: A.roumieu_rj_classify(net, ws_p1, [(rs, rs)]).to_json(),
+        ]
+        serial = [task(make()) for task in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                net = make()  # every task grows and refines the same row tables
+                with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
+                    futures = [pool.submit(task, net) for task in tasks]
+                    assert [f.result(timeout=300) for f in futures] == serial
+        finally:
+            sys.setswitchinterval(interval)

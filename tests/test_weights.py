@@ -57,6 +57,25 @@ class TestBuild:
         ws = W.build_weight_sequence({"kind": "table", "logM": logM})
         assert ws.A >= 1.0 and ws.H >= 1.0
 
+    def test_square_table_fails_m2(self):
+        # log M_p = p^2 needs A = e^{p^2/2 - p log H}: beyond double range by p = 64
+        with pytest.raises(W.CertificationFail):
+            W.build_weight_sequence({"kind": "table", "logM": np.arange(65.0) ** 2})
+
+    def test_declared_constants_too_small(self):
+        logM = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, 65))]))
+        assert W.build_weight_sequence({"kind": "table", "logM": logM, "A": 1, "H": 2}).H == 2.0
+        with pytest.raises(W.CertificationFail):
+            W.build_weight_sequence({"kind": "table", "logM": logM, "A": 1, "H": 1.5})
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_gevrey_tables_certify_in_log_scale(self, s):
+        logM = s * np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, 4097))]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ws = W.build_weight_sequence({"kind": "table", "logM": logM})
+        assert (ws.A, ws.H) == (1.0, 2.0**s)
+
     def test_pmax_floor(self):
         with pytest.raises(W.InvalidSpec):
             W.gevrey(1.0, 4)
