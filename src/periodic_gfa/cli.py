@@ -187,7 +187,10 @@ def parse_operator(desc: str, ws, cls: str) -> operators.Ultrapolynomial:
             coef = np.zeros(max(table) + 1, dtype=complex)
             for nn, v in table.items():
                 coef[nn] = v
-            spec = {"a": coef, **{key: payload[key] for key in ("C", "L") if key in payload}}
+            spec = {"a": coef}
+            for key in ("C", "L"):
+                if key in payload:
+                    spec[key] = payload[key]
             return operators.build_ultrapolynomial(spec, ws, payload.get("class", cls))
     raise ValueError(f"unknown operator descriptor {desc!r}")
 
@@ -197,10 +200,12 @@ def _grid_arg(text: str | None):
 
 
 def _coef_rows(poly: series.TrigPoly) -> list[dict]:
-    return [
-        {"k": int(k), "re": float(v.real), "im": float(v.imag)}
-        for k, v in zip(poly.support(), poly.coef) if v != 0
-    ]
+    rows = []
+    for k in poly.support():
+        v = poly.coefficient(int(k))
+        if v != 0:
+            rows.append({"k": int(k), "re": float(v.real), "im": float(v.imag)})
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,23 @@ def _validate_mollifier(m: Mollifier, n_probe: int):
     ks = np.arange(-k_hi, k_hi + 1)
     for n in range(1, n_probe + 1):
         vals = m.coefficients(ks, n)
-        clauses = (
-            (np.abs(vals) > m.C_bound + 1e-12, f"bound clause |c| <= {m.C_bound}"),
-            ((np.abs(ks) >= m.R * n - 1e-9) & (np.abs(vals) > 1e-15),
-             "support clause c = 0 for |k| >= R n"),
-            ((np.abs(ks) <= m.r * n + 1e-9) & (np.abs(vals - 1.0 / TWO_PI) > 1e-12),
-             "plateau clause c = 1/(2 pi) for |k| <= r n"),
-        )
-        for bad, clause in clauses:
-            if np.any(bad):
-                raise MollifierFail(f"{clause} fails at (k={int(ks[np.argmax(bad)])}, n={n})")
+        mags = np.abs(vals)
+        bad = mags > m.C_bound + 1e-12
+        if np.any(bad):
+            k = int(ks[np.argmax(bad)])
+            raise MollifierFail(f"bound clause |c| <= {m.C_bound} fails at (k={k}, n={n})")
+        outside = np.abs(ks) >= m.R * n - 1e-9
+        bad = outside & (mags > 1e-15)
+        if np.any(bad):
+            k = int(ks[np.argmax(bad)])
+            raise MollifierFail(f"support clause c = 0 for |k| >= R n fails at (k={k}, n={n})")
+        plateau = np.abs(ks) <= m.r * n + 1e-9
+        bad = plateau & (np.abs(vals - 1.0 / TWO_PI) > 1e-12)
+        if np.any(bad):
+            k = int(ks[np.argmax(bad)])
+            raise MollifierFail(
+                f"plateau clause c = 1/(2 pi) for |k| <= r n fails at (k={k}, n={n})"
+            )
 
 
 def build_mollifier(kind: str, n_probe: int = 64, **params) -> Mollifier:
@@ -136,7 +143,9 @@ def build_mollifier(kind: str, n_probe: int = 64, **params) -> Mollifier:
         )
     elif kind == "table":
         rows = {int(n): {int(k): complex(v) for k, v in row.items()} for n, row in params["rows"].items()}
-        C, R, r = (float(params[key]) for key in ("C", "R", "r"))
+        C = float(params["C"])
+        R = float(params["R"])
+        r = float(params["r"])
         n_probe = min(n_probe, max(rows) if rows else 0)
         if n_probe < 1:
             raise MollifierFail("table mollifier needs rows for n >= 1")
@@ -281,9 +290,16 @@ def check_product_preservation(
     diff = make_net(diff.gen, n_max, label=diff.label)
     verdict = classify_negligible(diff, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau)
 
-    sups = [float(np.max(np.abs(diff.at(n).coef))) for n in range(n_max + 1)]
-    # the start of the final run of exact zeros, if the last difference is one
-    exact_from = next((n for n in range(n_max + 1) if not any(sups[n:])), None)
+    sups = []
+    exact_from = None
+    for n in range(n_max + 1):
+        s = float(np.max(np.abs(diff.at(n).coef)))
+        sups.append(s)
+        if s == 0.0:
+            if exact_from is None:
+                exact_from = n
+        else:
+            exact_from = None
 
     # residual bound at the smallest grid rate whose plus-seminorm profile
     # is genuinely bounded (larger rates satisfy the bound vacuously)

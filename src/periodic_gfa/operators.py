@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -33,7 +33,6 @@ from .weights import (
     RSequence,
     WeightSequence,
     associated_gauge,
-    linear_rsequence,
     modified_weights,
     relation,
 )
@@ -128,7 +127,11 @@ def build_ultrapolynomial(spec, ws: WeightSequence, cls: str = "beurling") -> Ul
                 k_seq=k,
                 label=f"structure_roumieu({r.label},{k.label},{ws.label})",
             )
-            return replace(poly, cert=_certify_roumieu_product(poly))
+            cert = _certify_roumieu_product(poly)
+            return Ultrapolynomial(
+                form="structure_roumieu", ws=ws, cls="roumieu",
+                r_seq=r, k_seq=k, cert=cert, label=poly.label,
+            )
         raise ValueError(f"unknown ultrapolynomial form {form!r}")
 
     if isinstance(spec, dict):
@@ -166,6 +169,7 @@ def _certify_roumieu_product(poly: Ultrapolynomial, tau: float = DEFAULTS.tau):
     ws, r, k = poly.ws, poly.r_seq, poly.k_seq
     probe_cap = min(r.j_max, k.j_max)
     n_probe = 64
+    last_fail = None
     while True:
         p_hi = min(n_probe, probe_cap) // 2
         q = np.arange(0, p_hi + 1)
@@ -276,7 +280,10 @@ def eval_ultrapoly(P: Ultrapolynomial, x):
 
 
 def multiplier_values(P: Ultrapolynomial, ks) -> np.ndarray:
-    return np.asarray(eval_ultrapoly(P, np.asarray(ks, dtype=float)), dtype=complex)
+    ks = np.asarray(ks, dtype=float)
+    if P.form == "table":
+        return np.asarray(np.polynomial.polynomial.polyval(ks, P.coef), dtype=complex)
+    return np.asarray(eval_ultrapoly(P, ks), dtype=complex)
 
 
 def _applied_growth_lambda(P: Ultrapolynomial, lam_f: float) -> float:
@@ -534,4 +541,6 @@ def structure_factorize(
 
 
 def _default_rseq(k_max: int) -> RSequence:
+    from .weights import linear_rsequence
+
     return linear_rsequence(max(512, 2 * k_max))

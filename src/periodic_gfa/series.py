@@ -230,18 +230,11 @@ def _local_peaks(vals: np.ndarray, rel: float = 0.975, cap: int = 4) -> np.ndarr
     return js
 
 
-def _refine_peaks(w: np.ndarray, ks: np.ndarray, vals: np.ndarray):
-    """Golden-section refinement of the near-top grid peaks of each row of vals.
-
-    Row i of vals is |sum_k w[i,k] e^{ikt}| on a uniform grid; each of its
-    _local_peaks (the global maximum among them) is bracketed by the
-    neighbouring grid points.  Returns (values, ts, row of each peak).
-    """
-    m = vals.shape[1]
-    peaks = [_local_peaks(row) for row in vals]
-    rows = np.repeat(np.arange(len(vals)), [len(js) for js in peaks])
-    ts = TWO_PI * np.concatenate(peaks) / m
-    return (*_golden_max_rows(w[rows], ks, ts - TWO_PI / m, ts + TWO_PI / m), rows)
+def _peak_brackets(vals: np.ndarray):
+    """Golden-section brackets (lo, hi) around the _local_peaks of vals, a uniform grid on [0, 2 pi)."""
+    m = len(vals)
+    ts = TWO_PI * _local_peaks(vals) / m
+    return ts - TWO_PI / m, ts + TWO_PI / m
 
 
 def sup_norm_argmax(f: TrigPoly):
@@ -256,7 +249,8 @@ def sup_norm_argmax(f: TrigPoly):
     buf = np.zeros(m, dtype=complex)
     np.add.at(buf, f.support() % m, f.coef)
     vals = np.abs(ifft(buf) * m)  # f(2 pi j / m) by a zero-padded inverse DFT
-    ref_v, ref_t, _ = _refine_peaks(f.coef[None, :], f.support().astype(float), vals[None, :])
+    lo, hi = _peak_brackets(vals)
+    ref_v, ref_t = _golden_max_rows(np.tile(f.coef, (len(lo), 1)), f.support().astype(float), lo, hi)
     i = int(np.argmax(ref_v))
     if ref_v[i] >= np.max(vals):
         return float(ref_v[i]), float(ref_t[i] % TWO_PI)
@@ -272,11 +266,6 @@ def sup_norm(f: TrigPoly) -> float:
 # ---------------------------------------------------------------------------
 # ultradifferentiable norms, in log scale, from one row table per polynomial
 # ---------------------------------------------------------------------------
-
-def _row_blocks(ps: np.ndarray) -> list[np.ndarray]:
-    """ps in batches of at most 64 rows per grid evaluation."""
-    return np.array_split(ps, range(64, len(ps), 64))
-
 
 def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
     """Grid values of log sup_t |D^p f| for each p in ps, unrefined.
@@ -309,44 +298,50 @@ def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
 class DerivativeRows:
     """The rows log sup_t |D^p f| of one polynomial, shared by every scale and h.
 
-    Grid rows (_log_sup_rows) are kept for p = 0, 1, ... as far as any
-    reduction needed them.  A row is refined by golden section once, when
-    a reduction first finds it within log 1.05 of its maximum: by the grid
-    bound no other row can become a maximum, so every value is the one a
-    fresh table gives.  Updates publish a new array in one assignment and
-    a reduction reads its own snapshot, so unsynchronized use is safe.
+    rows[0, p] is the grid value of row p (_log_sup_rows), kept for p = 0,
+    1, ... as far as any reduction read; rows[1, p] is the row refined by
+    golden section, nan until a reduction first finds it within log 1.05
+    of its maximum.  By the grid bound no other row can become a maximum,
+    so every value is the one a fresh table gives.  A reduction works on
+    its own snapshot and publishes its new rows in one assignment, so
+    unsynchronized use is safe.
     """
 
     def __init__(self, f: TrigPoly):
         self.poly = f.trimmed()
-        self.rows = np.empty((2, 0))  # grid rows; refined rows, nan until refined
+        self.rows = np.empty((2, 0))
 
-    def _grown(self, rows: np.ndarray, p_end: int) -> np.ndarray:
-        if p_end > rows.shape[1]:
-            blocks = _row_blocks(np.arange(rows.shape[1], p_end))
-            grid = np.concatenate([_log_sup_rows(self.poly, ps)[0] for ps in blocks])
-            self.rows = rows = np.concatenate([rows, [grid, np.full(len(grid), np.nan)]], axis=1)
-        return rows
+    def _refined(self, rows: np.ndarray, ps: np.ndarray, held: dict) -> np.ndarray:
+        """rows with the rows ps refined, all in one golden-section batch.
 
-    def _refined(self, rows: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        rows, ks = rows.copy(), self.poly.support().astype(float)
-        rows[1, ps] = rows[0, ps]
-        for block in _row_blocks(ps):
+        held[p] = (w, scale, brackets) of a row p this reduction evaluated;
+        a row that an earlier reduction evaluated is evaluated again here.
+        """
+        again = np.array([p for p in ps if p not in held], dtype=int)
+        for i in range(0, len(again), 64):
+            block = again[i : i + 64]
             _, w, scale, vals = _log_sup_rows(self.poly, block)
-            for v, _, i in zip(*_refine_peaks(w, ks, vals)):
-                if v > 0:
-                    rows[1, block[i]] = max(rows[1, block[i]], scale[i] + math.log(v))
-        self.rows = rows
+            held.update((p, (w[j], scale[j], _peak_brackets(vals[j]))) for j, p in enumerate(block))
+        w, scale, brackets = zip(*(held[p] for p in ps))
+        counts = [len(lo) for lo, _ in brackets]
+        lo, hi = (np.concatenate(x) for x in zip(*brackets))
+        ref_v, _ = _golden_max_rows(np.repeat(w, counts, axis=0), self.poly.support().astype(float), lo, hi)
+        rows = rows.copy()
+        rows[1, ps] = rows[0, ps]
+        for i, v in zip(np.repeat(np.arange(len(ps)), counts), ref_v):
+            if v > 0:
+                rows[1, ps[i]] = max(rows[1, ps[i]], scale[i] + math.log(v))
         return rows
 
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
-        """log sup_p h^p ||D^p f||_inf / M_p for every h in hs.
+        """log sup_p h^p ||D^p f||_inf / M_p for every h in hs, in one pass over p.
 
-        Each h reads the rows up to its bound peak + 16, then 8 more at a
-        time, until the bound h^p ||D^p f|| <= (h k_eff)^p sum|c_k|,
-        decreasing past its peak, falls below the running maximum of the
-        grid rows, or the table ends (a TruncationWarning).  Then the
-        rows within log 1.05 of some h's maximum are refined.
+        The rows are read in blocks and evaluated on the grid where the
+        table ends.  An h stops once the bound h^p ||D^p f|| <= (h k_eff)^p
+        sum|c_k|, decreasing past its peak, falls below its running grid
+        maximum, or warns at the table end.  Then the rows within log 1.05
+        of some h's grid maximum are refined; a new row near its block's
+        running maximum keeps what refining it needs from its evaluation.
         """
         if any(h <= 0 for h in hs):
             raise ValueError("h must be positive")
@@ -360,33 +355,50 @@ class DerivativeRows:
         table_cap = None if ws.gevrey_s is not None else ws.p_max
         peaks = np.array([ws._p_star(h * g.degree, table_cap)[0] for h in hs])
         caps = peaks + 4096 if table_cap is None else np.full(len(hs), table_cap)
-        ends = np.minimum(peaks + 17, caps + 1)  # h reads the rows p < ends[h]
-        rows = self.rows
-        while True:
-            rows = self._grown(rows, ends.max())
-            ps = np.arange(ends.max())
+
+        table, grown, held = self.rows, [], {}
+        best, ends = np.full(len(hs), -np.inf), np.zeros(len(hs), dtype=int)
+        live, p0 = np.ones(len(hs), dtype=bool), 0
+        while live.any():
+            # reach just past the largest live bound peak, then step in short blocks
+            block = min(64, max(8, peaks[live].max() + 17 - p0))
+            ps = np.arange(p0, min(p0 + block, caps[live].max() + 1))
+            new = ps[ps >= table.shape[1]]
+            grid = table[0, ps[ps < table.shape[1]]]
+            if len(new):
+                out, w, scale, vals = _log_sup_rows(g, new)
+                grown.append(out)
+                grid = np.concatenate([grid, out])
             logM = np.asarray(ws.logM_at(ps), dtype=float)
-            reads = ps < ends[:, None]
-            terms = np.where(reads, rows[0, : len(ps)] + (ps * log_h - logM), -np.inf)
+            reads = live[:, None] & (ps <= caps[:, None])
+            terms = np.where(reads, grid + (ps * log_h - logM), -np.inf)
+            best = np.maximum(best, terms.max(axis=1))
             bounds = ps * log_hk + log_sum_c - logM
-            stops = reads & (ps > peaks[:, None]) & (bounds < np.maximum.accumulate(terms, axis=1))
-            more = ~stops.any(axis=1) & (ends <= caps)
-            if not more.any():
-                break
-            ends = np.where(more, np.minimum(ends + 8, caps + 1), ends)
-        for _ in range(np.count_nonzero(~stops.any(axis=1))):
-            msg = "ud norm termination not met by p_max; raise p_max"
-            warnings.warn(msg, TruncationWarning, stacklevel=2)
+            done = np.any(reads & (ps > peaks[:, None]) & (bounds < best[:, None]), axis=1)
+            for _ in range(np.count_nonzero(live & ~done & (ps[-1] >= caps))):
+                msg = "ud norm termination not met by p_max; raise p_max"
+                warnings.warn(msg, TruncationWarning, stacklevel=2)
+            ends = np.where(live, ps[-1] + 1, ends)  # h reads the rows p < ends[h]
+            live &= ~done & (ps[-1] < caps)
+            near = np.any(terms >= best[:, None] - _REFINE_LOG, axis=0)[len(ps) - len(new) :]
+            for i in np.nonzero(near)[0]:  # a copy, so the block is freed before the next
+                held[new[i]] = (w[i].copy(), scale[i], _peak_brackets(vals[i]))
+            w = vals = None
+            p0 = ps[-1] + 1
 
-        def refined_terms(rows):
-            return np.where(reads, np.fmax(*rows[:, : len(ps)]) + (ps * log_h - logM), -np.inf)
-
-        terms = refined_terms(rows)
-        near = np.any(terms >= terms.max(axis=1)[:, None] - _REFINE_LOG, axis=0)
+        rows = table
+        if grown:
+            grid = np.concatenate(grown)
+            rows = np.concatenate([table, [grid, np.full(len(grid), np.nan)]], axis=1)
+        ps = np.arange(ends.max())
+        gain = np.where(ps < ends[:, None], ps * log_h - np.asarray(ws.logM_at(ps), dtype=float), -np.inf)
+        near = np.any(rows[0, : len(ps)] + gain >= best[:, None] - _REFINE_LOG, axis=0)
         fresh = np.nonzero(near & np.isnan(rows[1, : len(ps)]))[0]
         if len(fresh):
-            terms = refined_terms(self._refined(rows, fresh))
-        return terms.max(axis=1)
+            rows = self._refined(rows, fresh, held)
+        if rows is not table:
+            self.rows = rows
+        return np.max(np.fmax(*rows[:, : len(ps)]) + gain, axis=1)
 
 
 def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:

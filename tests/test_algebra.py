@@ -405,10 +405,22 @@ def count_rows(monkeypatch):
     return rows
 
 
-def held_rows(net):
-    """Grid rows held for every f_n of the net, plus the refined ones."""
-    tables = (net.derivative_rows(n).rows for n in range(net.n_max + 1))
-    return sum(rows.shape[1] + int(np.count_nonzero(~np.isnan(rows[1]))) for rows in tables)
+def row_tables(net):
+    """The (grid, refined) row table held for every f_n of the net."""
+    return [net.derivative_rows(n).rows for n in range(net.n_max + 1)]
+
+
+def evaluated_since(before, net):
+    """Rows evaluated to reach the net's tables from before, if each is evaluated once.
+
+    A new row is evaluated once and refined from that evaluation; a row
+    held before is evaluated again only when it is refined for the first time.
+    """
+    total = 0
+    for old, new in zip(before, row_tables(net)):
+        k = old.shape[1]
+        total += new.shape[1] - k + int(np.count_nonzero(np.isnan(old[1]) & ~np.isnan(new[1, :k])))
+    return total
 
 
 class TestMemoKeys:
@@ -444,10 +456,11 @@ class TestMemoKeys:
     def test_ud_tables_share_one_pass_per_representative(self, ws_p1, monkeypatch):
         rows = count_rows(monkeypatch)
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        before = row_tables(net)
         mod = A.classify_moderate(net, ws_p1, "beurling")
         h_grid = [float(h) for h in V.DEFAULTS.h_grid]
-        # every grid row of each f_n is evaluated once for all h, and once more if refined
-        assert sum(rows) == held_rows(net) > 0
+        # every grid row of each f_n is evaluated once for all h, refined rows included
+        assert sum(rows) == evaluated_since(before, net) > 0
         assert [k for k in net._norms if k[0] == "ud"] == [("ud", ws_p1.memo_key, h) for h in h_grid]
 
         rows.clear()
@@ -455,12 +468,23 @@ class TestMemoKeys:
         net._norms.clear()
         assert A.classify_moderate(net, ws_p1, "beurling") == mod
         assert rows == []  # warm rows: nothing is evaluated or refined again
-        held = held_rows(net)
+
+        calls = []
+        reduce_rows = S.DerivativeRows.log_ud_norms
+
+        def reducing(self, ws, hs):
+            calls.append(list(hs))
+            return reduce_rows(self, ws, hs)
+
+        monkeypatch.setattr(S.DerivativeRows, "log_ud_norms", reducing)
+        before = row_tables(net)
         h_reg = 4.0 * max(V.DEFAULTS.lambda_grid)
         R.classify_regular(net, ws_p1, "beurling", moderate=mod)
-        # the stretched h reads the rows there and only grows them
-        assert sum(rows) == held_rows(net) - held > 0
+        # only the stretched h is reduced; it reads the rows there and grows them
+        assert calls == [[h_reg]] * (NMAX + 1)
+        assert sum(rows) == evaluated_since(before, net) > 0
         assert ("ud", ws_p1.memo_key, h_reg) in net._norms
+        assert sum(k[0] == "ud" for k in net._norms) == len(h_grid) + 1
 
     def test_coef_tables_share_one_call_per_representative(self, ws_p1, monkeypatch):
         calls = []
@@ -493,14 +517,14 @@ class TestMemoKeys:
         rows = count_rows(monkeypatch)
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
         A.classify_moderate(net, ws_p1, "roumieu")
-        held, rows[:] = held_rows(net), []
+        before, rows[:] = row_tables(net), []
         r = W.linear_rsequence(256)
         s = W.build_rsequence(np.maximum(1.0, np.arange(0, 257) / 16.0), label="slow")
         A.roumieu_rj_classify(net, ws_p1, [(r, s)], "moderate")
         # once for the r table, once for the s gauge
         assert sorted(built) == sorted([r.label, s.label])
-        # the r table reads the gevrey:1 rows: nothing below them is evaluated again
-        assert sum(rows) == held_rows(net) - held
+        # the r table reads the gevrey:1 rows: one of them is evaluated again only to be refined
+        assert sum(rows) == evaluated_since(before, net)
 
 
 class TestSharedRowTable:
