@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .series import (
+    GRID_SLACK,
     DerivativeRows,
     TrigPoly,
     evaluate,
@@ -74,7 +75,7 @@ class Net:
         return self._cache[n]
 
     def derivative_rows(self, n: int) -> DerivativeRows:
-        """The D^p rows of f_n, shared by every ud table of this net."""
+        """The D^p rows of f_n, shared by every ud table and the sup table of this net."""
         if n not in self._rows:
             self._rows.setdefault(n, DerivativeRows(self.at(n)))
         return self._rows[n]
@@ -134,7 +135,8 @@ def net_scale(f: Net, a: complex, label: str | None = None) -> Net:
 
 # ---------------------------------------------------------------------------
 # norm tables (memoized per net, keyed by the content of the scale); every
-# ud table, for any scale and h, reduces the D^p rows of Net.derivative_rows
+# ud table, for any scale and h, and the sup table (row p = 0) read the grid
+# rows of Net.derivative_rows
 # ---------------------------------------------------------------------------
 
 def _memo_rows(net: Net, keys: list, norms: Callable[[int, list], list]) -> list[np.ndarray]:
@@ -154,11 +156,7 @@ def _ud_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
 
 
 def _sup_table(net: Net) -> np.ndarray:
-    def log_sup(n, _):
-        v = sup_norm_argmax(net.at(n))[0]
-        return [math.log(v) if v > 0 else -np.inf]
-
-    return _memo_rows(net, [("sup",)], log_sup)[0]
+    return _memo_rows(net, [("sup",)], lambda n, _: [net.derivative_rows(n).log_sup()])[0]
 
 
 def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
@@ -203,7 +201,10 @@ def _decide_pattern(
     cells = [[r + sign * g for g in gauges] for r in rows]
     if axis == "lambda":
         cells = [list(col) for col in zip(*cells)]
-    return decide(cells, outer_q, inner_q, tau, grid, method)
+    # grid-row tables: each entry is short of its norm by at most GRID_SLACK,
+    # and every reduction is monotone, so the margin is too
+    slack = GRID_SLACK if method in ("full_norm", "sup_norm", "rj_family") else 0.0
+    return decide(cells, outer_q, inner_q, tau, grid, method, slack=slack)
 
 
 def _require_mode(mode: str):

@@ -173,22 +173,24 @@ def derivative(f: TrigPoly, p: int = 1) -> TrigPoly:
 
 
 # ---------------------------------------------------------------------------
-# sup norms: oversampled grid plus golden-section refinement
+# sup norms of D^p f: grid rows, refined by golden section for point values
 #
 # On m >= 16N + 1 points the grid maximum of a degree-N polynomial is at
 # least sqrt(1 - 2 pi^2 N^2 / m^2) times its sup (Ehlich and Zeller, Math. Z.
-# 86, 1964): refinement raises a log sup by at most 0.0401 < log 1.05.
+# 86, 1964).  With N / m < 1/16 a grid row of log sup_t |D^p f| is therefore
+# short of its sup by at most GRID_SLACK.
 # ---------------------------------------------------------------------------
 
-_REFINE_LOG = math.log(1.05)
+GRID_SLACK = -0.5 * math.log(1.0 - 2.0 * math.pi**2 / 256.0)  # 0.0401
 
 
-def _golden_max_rows(w: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int = 40):
+def _golden_max_rows(w: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int = 39):
     """Golden-section maximization of |sum_k w[i,k] e^{ikt}| per row.
 
     Rows iterate in lockstep, in batches of at most 2^16 row coefficients;
-    each step evaluates both interior points with one outer-product
-    exponential.  Returns (values, ts).
+    each step keeps the better interior point and evaluates one new one.
+    The midpoint, a grid peak, stands unless beaten, so a bracket costs
+    iters + 3 evaluations.  Returns (values, ts).
     """
     chunk = max(1, (1 << 16) // max(len(ks), 1))
     if len(w) > chunk:
@@ -198,74 +200,37 @@ def _golden_max_rows(w: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarr
         ]
         return tuple(np.concatenate(x) for x in zip(*parts))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = lo.astype(float).copy()
-    b = hi.astype(float).copy()
 
     def val(ts):
         return np.abs(np.einsum("ik,ik->i", w, np.exp(1j * np.outer(ts, ks))))
 
-    best_v = val((a + b) / 2.0)
-    best_t = (a + b) / 2.0
+    a, b = lo.astype(float), hi.astype(float)
+    mid = (a + b) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    gc, gd = val(c), val(d)
     for _ in range(iters):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        gc, gd = val(c), val(d)
-        for g, t in ((gc, c), (gd, d)):
-            upd = g > best_v
-            best_v = np.where(upd, g, best_v)
-            best_t = np.where(upd, t, best_t)
-        left = gc > gd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-    return best_v, best_t
+        left = gc > gd  # keep [a, d], whose upper interior point is c
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        gx = val(x)
+        c, d, gc, gd = (
+            np.where(left, x, d), np.where(left, c, x), np.where(left, gx, gd), np.where(left, gc, gx)
+        )
+    top, t = np.maximum(gc, gd), np.where(gd > gc, d, c)  # the best point evaluated
+    g0 = val(mid)
+    return np.where(top > g0, top, g0), np.where(top > g0, t, mid)
 
 
-def _local_peaks(vals: np.ndarray, rel: float = 0.975, cap: int = 4) -> np.ndarray:
-    """Indices of circular local maxima within rel of the global max."""
+def _local_peaks(vals: np.ndarray, rel: float = 0.975) -> np.ndarray:
+    """Indices of circular local maxima within rel of the global max; only the
+    maximum of a row flat to rounding (|f| constant), whose grid maximum is its sup."""
+    top = np.max(vals)
+    if np.min(vals) >= top * (1.0 - 1e-12):
+        return np.array([np.argmax(vals)])
     up = vals >= np.roll(vals, 1)
     down = vals >= np.roll(vals, -1)
-    js = np.nonzero(up & down & (vals >= rel * np.max(vals)))[0]
-    if len(js) > cap:
-        js = js[np.argsort(vals[js])[-cap:]]
-    return js
+    return np.nonzero(up & down & (vals >= rel * top))[0]
 
-
-def _peak_brackets(vals: np.ndarray):
-    """Golden-section brackets (lo, hi) around the _local_peaks of vals, a uniform grid on [0, 2 pi)."""
-    m = len(vals)
-    ts = TWO_PI * _local_peaks(vals) / m
-    return ts - TWO_PI / m, ts + TWO_PI / m
-
-
-def sup_norm_argmax(f: TrigPoly):
-    """(max_t |f(t)|, argmax t) on an oversampled grid, locally refined.
-
-    Every near-winning local maximum of the grid profile is refined by
-    golden section, so ties between peaks cannot hide the true sup.
-    """
-    if f.degree == 0:
-        return abs(f.coef[0]), 0.0
-    m = next_fast_len(max(4096, 16 * f.degree + 1))
-    buf = np.zeros(m, dtype=complex)
-    np.add.at(buf, f.support() % m, f.coef)
-    vals = np.abs(ifft(buf) * m)  # f(2 pi j / m) by a zero-padded inverse DFT
-    lo, hi = _peak_brackets(vals)
-    ref_v, ref_t = _golden_max_rows(np.tile(f.coef, (len(lo), 1)), f.support().astype(float), lo, hi)
-    i = int(np.argmax(ref_v))
-    if ref_v[i] >= np.max(vals):
-        return float(ref_v[i]), float(ref_t[i] % TWO_PI)
-    j = int(np.argmax(vals))
-    return float(vals[j]), float(TWO_PI * j / m)
-
-
-def sup_norm(f: TrigPoly) -> float:
-    """max_t |f(t)|, accurate to 1e-6 relative for degree <= 512."""
-    return sup_norm_argmax(f)[0]
-
-
-# ---------------------------------------------------------------------------
-# ultradifferentiable norms, in log scale, from one row table per polynomial
-# ---------------------------------------------------------------------------
 
 def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
     """Grid values of log sup_t |D^p f| for each p in ps, unrefined.
@@ -291,57 +256,76 @@ def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
     buf = np.zeros((len(ps), m), dtype=complex)
     cols = (f.support() % m).astype(int)
     buf[:, cols] = w  # distinct columns since m > 2*degree
-    vals = np.abs(ifft(buf, axis=1) * m)
+    spec = ifft(buf, axis=1, overwrite_x=True)  # in place: a block holds one complex array
+    vals = np.abs(np.multiply(spec, m, out=spec))
     return scale + np.log(np.max(vals, axis=1)), w, scale, vals
 
 
-class DerivativeRows:
-    """The rows log sup_t |D^p f| of one polynomial, shared by every scale and h.
+def _refined_rows(g: TrigPoly, ps: np.ndarray):
+    """Refined log sup_t |D^p g| and its argmax t for each p in ps.
 
-    rows[0, p] is the grid value of row p (_log_sup_rows), kept for p = 0,
-    1, ... as far as any reduction read; rows[1, p] is the row refined by
-    golden section, nan until a reduction first finds it within log 1.05
-    of its maximum.  By the grid bound no other row can become a maximum,
-    so every value is the one a fresh table gives.  A reduction works on
-    its own snapshot and publishes its new rows in one assignment, so
-    unsynchronized use is safe.
+    g is trimmed with degree >= 1.  Every near-top grid peak of a row is
+    refined by golden section, so ties between peaks cannot hide the sup.
+    """
+    out, w, scale, vals = _log_sup_rows(g, ps)
+    m = vals.shape[1]
+    peaks = [_local_peaks(row) for row in vals]
+    counts = [len(js) for js in peaks]
+    rows = np.repeat(np.arange(len(ps)), counts)
+    ts = TWO_PI * np.concatenate(peaks) / m
+    v, t = _golden_max_rows(w[rows], g.support().astype(float), ts - TWO_PI / m, ts + TWO_PI / m)
+    lv = scale[rows] + log_abs(v)
+    top = np.lexsort((lv, rows))[np.cumsum(counts) - 1]  # each row's best peak
+    return np.fmax(out, lv[top]), t[top] % TWO_PI
+
+
+def sup_norm_argmax(f: TrigPoly):
+    """(max_t |f(t)|, argmax t): row p = 0 of _refined_rows."""
+    g = f.trimmed()
+    if g.degree == 0:
+        return abs(g.coef[0]), 0.0
+    v, t = _refined_rows(g, np.zeros(1, dtype=int))
+    return math.exp(v[0]), float(t[0])
+
+
+def sup_norm(f: TrigPoly) -> float:
+    """max_t |f(t)|, accurate to 1e-6 relative for degree <= 512."""
+    return sup_norm_argmax(f)[0]
+
+
+# ---------------------------------------------------------------------------
+# ultradifferentiable norms, in log scale, from one row table per polynomial
+# ---------------------------------------------------------------------------
+
+class DerivativeRows:
+    """The grid rows log sup_t |D^p f| of one polynomial, shared by every scale and h.
+
+    rows[p] is the grid value of row p (_log_sup_rows), kept for p = 0,
+    1, ... as far as any reduction read; the sup lies in [rows[p],
+    rows[p] + GRID_SLACK].  A reduction works on its own snapshot and
+    publishes its new rows in one assignment, so unsynchronized use is safe.
     """
 
     def __init__(self, f: TrigPoly):
         self.poly = f.trimmed()
-        self.rows = np.empty((2, 0))
+        self.rows = np.empty(0)
 
-    def _refined(self, rows: np.ndarray, ps: np.ndarray, held: dict) -> np.ndarray:
-        """rows with the rows ps refined, all in one golden-section batch.
-
-        held[p] = (w, scale, brackets) of a row p this reduction evaluated;
-        a row that an earlier reduction evaluated is evaluated again here.
-        """
-        again = np.array([p for p in ps if p not in held], dtype=int)
-        for i in range(0, len(again), 64):
-            block = again[i : i + 64]
-            _, w, scale, vals = _log_sup_rows(self.poly, block)
-            held.update((p, (w[j], scale[j], _peak_brackets(vals[j]))) for j, p in enumerate(block))
-        w, scale, brackets = zip(*(held[p] for p in ps))
-        counts = [len(lo) for lo, _ in brackets]
-        lo, hi = (np.concatenate(x) for x in zip(*brackets))
-        ref_v, _ = _golden_max_rows(np.repeat(w, counts, axis=0), self.poly.support().astype(float), lo, hi)
-        rows = rows.copy()
-        rows[1, ps] = rows[0, ps]
-        for i, v in zip(np.repeat(np.arange(len(ps)), counts), ref_v):
-            if v > 0:
-                rows[1, ps[i]] = max(rows[1, ps[i]], scale[i] + math.log(v))
-        return rows
+    def log_sup(self) -> float:
+        """Grid value of log sup_t |f|, row p = 0, evaluated only if absent."""
+        if self.poly.degree == 0:
+            return float(log_abs(self.poly.coef)[0])
+        if len(self.rows) == 0:
+            self.rows = _log_sup_rows(self.poly, np.zeros(1, dtype=int))[0]
+        return float(self.rows[0])
 
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
-        """log sup_p h^p ||D^p f||_inf / M_p for every h in hs, in one pass over p.
+        """Grid value of log sup_p h^p ||D^p f||_inf / M_p for every h in hs, in one pass over p.
 
         The rows are read in blocks and evaluated on the grid where the
         table ends.  An h stops once the bound h^p ||D^p f|| <= (h k_eff)^p
-        sum|c_k|, decreasing past its peak, falls below its running grid
-        maximum, or warns at the table end.  Then the rows within log 1.05
-        of some h's grid maximum are refined; a new row near its block's
-        running maximum keeps what refining it needs from its evaluation.
+        sum|c_k|, decreasing past its peak, falls below its running
+        maximum, or warns at the table end.  Each value is short of the
+        norm by at most GRID_SLACK.
         """
         if any(h <= 0 for h in hs):
             raise ValueError("h must be positive")
@@ -356,19 +340,17 @@ class DerivativeRows:
         peaks = np.array([ws._p_star(h * g.degree, table_cap)[0] for h in hs])
         caps = peaks + 4096 if table_cap is None else np.full(len(hs), table_cap)
 
-        table, grown, held = self.rows, [], {}
-        best, ends = np.full(len(hs), -np.inf), np.zeros(len(hs), dtype=int)
+        table, grown = self.rows, []
+        best = np.full(len(hs), -np.inf)
         live, p0 = np.ones(len(hs), dtype=bool), 0
         while live.any():
             # reach just past the largest live bound peak, then step in short blocks
             block = min(64, max(8, peaks[live].max() + 17 - p0))
             ps = np.arange(p0, min(p0 + block, caps[live].max() + 1))
-            new = ps[ps >= table.shape[1]]
-            grid = table[0, ps[ps < table.shape[1]]]
-            if len(new):
-                out, w, scale, vals = _log_sup_rows(g, new)
-                grown.append(out)
-                grid = np.concatenate([grid, out])
+            grid = table[ps[ps < len(table)]]
+            if ps[-1] >= len(table):
+                grown.append(_log_sup_rows(g, ps[ps >= len(table)])[0])
+                grid = np.concatenate([grid, grown[-1]])
             logM = np.asarray(ws.logM_at(ps), dtype=float)
             reads = live[:, None] & (ps <= caps[:, None])
             terms = np.where(reads, grid + (ps * log_h - logM), -np.inf)
@@ -378,32 +360,28 @@ class DerivativeRows:
             for _ in range(np.count_nonzero(live & ~done & (ps[-1] >= caps))):
                 msg = "ud norm termination not met by p_max; raise p_max"
                 warnings.warn(msg, TruncationWarning, stacklevel=2)
-            ends = np.where(live, ps[-1] + 1, ends)  # h reads the rows p < ends[h]
             live &= ~done & (ps[-1] < caps)
-            near = np.any(terms >= best[:, None] - _REFINE_LOG, axis=0)[len(ps) - len(new) :]
-            for i in np.nonzero(near)[0]:  # a copy, so the block is freed before the next
-                held[new[i]] = (w[i].copy(), scale[i], _peak_brackets(vals[i]))
-            w = vals = None
             p0 = ps[-1] + 1
-
-        rows = table
         if grown:
-            grid = np.concatenate(grown)
-            rows = np.concatenate([table, [grid, np.full(len(grid), np.nan)]], axis=1)
-        ps = np.arange(ends.max())
-        gain = np.where(ps < ends[:, None], ps * log_h - np.asarray(ws.logM_at(ps), dtype=float), -np.inf)
-        near = np.any(rows[0, : len(ps)] + gain >= best[:, None] - _REFINE_LOG, axis=0)
-        fresh = np.nonzero(near & np.isnan(rows[1, : len(ps)]))[0]
-        if len(fresh):
-            rows = self._refined(rows, fresh, held)
-        if rows is not table:
-            self.rows = rows
-        return np.max(np.fmax(*rows[:, : len(ps)]) + gain, axis=1)
+            self.rows = np.concatenate([table, *grown])
+        return best
 
 
 def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
-    """log sup_p h^p ||D^p f||_inf / M_p for every h in hs; see DerivativeRows."""
-    return DerivativeRows(f).log_ud_norms(ws, hs)
+    """log sup_p h^p ||D^p f||_inf / M_p for every h in hs.
+
+    The grid values of a fresh DerivativeRows, with the rows within
+    GRID_SLACK of some h's grid value refined by _refined_rows: no other
+    row can become a maximum.
+    """
+    table = DerivativeRows(f)
+    best = table.log_ud_norms(ws, hs)
+    ps = np.arange(len(table.rows))
+    gain = ps * np.array([[math.log(h)] for h in hs]) - np.asarray(ws.logM_at(ps), dtype=float)
+    near = np.nonzero(np.any(table.rows + gain >= best[:, None] - GRID_SLACK, axis=0))[0]
+    if len(near):
+        best = np.maximum(best, np.max(_refined_rows(table.poly, near)[0] + gain[:, near], axis=1))
+    return best
 
 
 def log_ud_norm(f: TrigPoly, ws: WeightSequence, h: float = 1.0) -> float:

@@ -70,6 +70,8 @@ class GrowthVerdict:
     margin is the tail excess over the head baseline in log scale,
     combined across the grid according to the quantifier pattern; the
     invariant margin <= tau iff bounded holds by construction.
+    margin_bracket contains the margin that exact norms would give; it
+    is (margin, margin) unless the profiles carry a numerical bound.
     """
 
     bounded: bool
@@ -80,11 +82,17 @@ class GrowthVerdict:
     tau: float = DEFAULTS.tau
     details: dict[str, Any] = field(default_factory=dict, repr=False)
     desk_scale: bool = True
+    margin_bracket: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.margin_bracket is None:
+            object.__setattr__(self, "margin_bracket", (self.margin, self.margin))
 
     def to_json(self) -> dict[str, Any]:
         return {
             "bounded": self.bounded,
             "margin": json_float(self.margin),
+            "margin_bracket": [json_float(x) for x in self.margin_bracket],
             "witness_n": self.witness_n,
             "grid": self.grid,
             "method": self.method,
@@ -105,7 +113,8 @@ _QUANTIFIERS = {"forall": (np.max, np.argmax), "exists": (np.min, np.argmin)}
 
 
 def decide(
-    profiles, outer_q: str, inner_q: str, tau: float, grid: dict, method: str, ks=None
+    profiles, outer_q: str, inner_q: str, tau: float, grid: dict, method: str, ks=None,
+    slack: float = 0.0,
 ) -> GrowthVerdict:
     """The quantifier engine: one verdict from a grid of log profiles.
 
@@ -115,7 +124,9 @@ def decide(
     must pass) and 'exists' with min (one witness suffices).  Ties go to
     the first grid point, so the axis order fixes the witness.  Given
     ks, each profile is indexed by the frequencies ks, folded to |k|
-    ascending, and the witness is reported as a frequency |k|.
+    ascending, and the witness is reported as a frequency |k|.  Given
+    slack, each profile entry is short of its value by at most slack,
+    and so is the margin: margin_bracket is margin -/+ slack.
     """
     if ks is not None:
         freqs = np.abs(np.asarray(ks))
@@ -144,4 +155,5 @@ def decide(
         method=method,
         tau=tau,
         details={"margins": margins.tolist(), "decisive_outer": i_star, "decisive_inner": j_star},
+        margin_bracket=(margin - slack, margin + slack),
     )

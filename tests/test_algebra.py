@@ -406,21 +406,13 @@ def count_rows(monkeypatch):
 
 
 def row_tables(net):
-    """The (grid, refined) row table held for every f_n of the net."""
+    """The grid rows held for every f_n of the net."""
     return [net.derivative_rows(n).rows for n in range(net.n_max + 1)]
 
 
 def evaluated_since(before, net):
-    """Rows evaluated to reach the net's tables from before, if each is evaluated once.
-
-    A new row is evaluated once and refined from that evaluation; a row
-    held before is evaluated again only when it is refined for the first time.
-    """
-    total = 0
-    for old, new in zip(before, row_tables(net)):
-        k = old.shape[1]
-        total += new.shape[1] - k + int(np.count_nonzero(np.isnan(old[1]) & ~np.isnan(new[1, :k])))
-    return total
+    """Rows the net's tables grew by since before: what evaluating each row once costs."""
+    return sum(len(new) - len(old) for old, new in zip(before, row_tables(net)))
 
 
 class TestMemoKeys:
@@ -459,7 +451,7 @@ class TestMemoKeys:
         before = row_tables(net)
         mod = A.classify_moderate(net, ws_p1, "beurling")
         h_grid = [float(h) for h in V.DEFAULTS.h_grid]
-        # every grid row of each f_n is evaluated once for all h, refined rows included
+        # every grid row of each f_n is evaluated once for all h
         assert sum(rows) == evaluated_since(before, net) > 0
         assert [k for k in net._norms if k[0] == "ud"] == [("ud", ws_p1.memo_key, h) for h in h_grid]
 
@@ -467,7 +459,7 @@ class TestMemoKeys:
         A.classify_negligible(net, ws_p1, "beurling")
         net._norms.clear()
         assert A.classify_moderate(net, ws_p1, "beurling") == mod
-        assert rows == []  # warm rows: nothing is evaluated or refined again
+        assert rows == []  # warm rows: nothing is evaluated again
 
         calls = []
         reduce_rows = S.DerivativeRows.log_ud_norms
@@ -523,8 +515,98 @@ class TestMemoKeys:
         A.roumieu_rj_classify(net, ws_p1, [(r, s)], "moderate")
         # once for the r table, once for the s gauge
         assert sorted(built) == sorted([r.label, s.label])
-        # the r table reads the gevrey:1 rows: one of them is evaluated again only to be refined
+        # the r table reads the gevrey:1 rows and evaluates only rows past them
         assert sum(rows) == evaluated_since(before, net)
+
+
+class TestGridRows:
+    """Classifier tables reduce grid rows only: each is evaluated once and none is refined."""
+
+    @pytest.mark.parametrize("i", [3, 8])
+    def test_each_row_evaluated_once(self, ws_p1, monkeypatch, i):
+        evaluated = []
+        inner = S._log_sup_rows
+
+        def recording(f, ps):
+            evaluated.append((f, ps.tolist()))
+            return inner(f, ps)
+
+        monkeypatch.setattr(S, "_log_sup_rows", recording)
+        r, s = W.linear_rsequence(256), W.build_rsequence(np.maximum(1.0, np.arange(257) / 16.0))
+        net = battery.full_battery(ws_p1, NMAX)[i][0]
+        mod = A.classify_moderate(net, ws_p1, "beurling")
+        steps = [
+            lambda: A.classify_negligible(net, ws_p1, "roumieu"),
+            lambda: R.classify_regular(net, ws_p1, "beurling", moderate=mod),
+            lambda: A.roumieu_rj_classify(net, ws_p1, [(r, s), (s, r)]),
+            lambda: A.classify_moderate(net, W.gevrey(2.0, 512), "roumieu"),
+            lambda: A.classify_negligible_supnorm(net, ws_p1, "beurling", moderate=mod),
+        ]
+        for step in steps:
+            before, start = row_tables(net), len(evaluated)
+            step()
+            assert sum(len(ps) for _, ps in evaluated[start:]) == evaluated_since(before, net)
+        for n in range(NMAX + 1):
+            table = net.derivative_rows(n)
+            ps = [p for f, qs in evaluated if f is table.poly for p in qs]
+            assert sorted(ps) == list(range(len(table.rows)))
+
+    def test_sup_table_is_row_zero(self, ws_p1, monkeypatch):
+        rows = count_rows(monkeypatch)
+        golden = []
+        inner = S._golden_max_rows
+
+        def spying(*args, **kwargs):
+            golden.append(len(args[0]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(S, "_golden_max_rows", spying)
+        net = battery.full_battery(ws_p1, NMAX)[8][0]
+        mod = A.classify_moderate(net, ws_p1, "roumieu")
+        assert sum(rows) > 0
+        rows.clear()
+        for cls in ("roumieu", "beurling"):
+            A.classify_negligible_supnorm(net, ws_p1, cls, moderate=mod)
+        assert rows == [] and golden == []
+        assert A._sup_table(net).tolist() == [net.derivative_rows(n).rows[0] for n in range(NMAX + 1)]
+        # the public point value is refined by golden section
+        A.find_witness(net, ws_p1, 8.0)
+        assert golden
+
+
+class TestMarginBracket:
+    """Margins from grid tables carry GRID_SLACK both ways; refined tables land inside."""
+
+    @pytest.mark.parametrize("i", [3, 8])
+    def test_refined_margin_lies_in_the_bracket(self, ws_p1, i):
+        net = battery.full_battery(ws_p1, NMAX)[i][0]
+        h_grid, lam_grid = V.DEFAULTS.h_grid, V.DEFAULTS.lambda_grid
+        refined = np.array([S.log_ud_norms(net.at(n), ws_p1, h_grid) for n in range(NMAX + 1)]).T
+        log_sup = np.array([math.log(S.sup_norm(net.at(n))) for n in range(NMAX + 1)])
+        gauges = [A._gauge_table(ws_p1, lam, NMAX) for lam in lam_grid]
+        for cls in ("roumieu", "beurling"):
+            mod = A.classify_moderate(net, ws_p1, cls)
+            cases = [
+                (mod, A._decide_pattern(refined, gauges, "moderate", cls, 0.5, {}, "refined")),
+                (A.classify_negligible(net, ws_p1, cls),
+                 A._decide_pattern(refined, gauges, "negligible", cls, 0.5, {}, "refined")),
+                (A.classify_negligible_supnorm(net, ws_p1, cls, moderate=mod),
+                 A._decide_pattern([log_sup], gauges, "negligible", cls, 0.5, {}, "refined")),
+            ]
+            for grid_v, refined_v in cases:
+                lo, hi = grid_v.margin_bracket
+                assert hi - lo == pytest.approx(2 * S.GRID_SLACK)
+                assert lo <= refined_v.margin <= hi
+                assert refined_v.margin_bracket == (refined_v.margin, refined_v.margin)
+                assert grid_v.to_json()["margin_bracket"] == [lo, hi]
+
+    def test_bracket_follows_the_method(self, ws_p1):
+        net = battery.full_battery(ws_p1, NMAX)[5][0]
+        v = A.coef_classify(net, ws_p1, "roumieu", "moderate")
+        assert v.margin_bracket == (v.margin, v.margin)
+        r = W.linear_rsequence(256)
+        v = A.roumieu_rj_classify(net, ws_p1, [(r, r)])
+        assert v.margin_bracket == (v.margin - S.GRID_SLACK, v.margin + S.GRID_SLACK)
 
 
 class TestSharedRowTable:
@@ -560,7 +642,7 @@ class TestSharedRowTable:
         for step in steps:
             fresh = battery.full_battery(ws_p1, NMAX)[i][0]
             assert self.recorded(step, shared) == self.recorded(step, fresh)
-        assert max(shared.derivative_rows(n).rows.shape[1] for n in range(NMAX + 1)) > 13
+        assert max(len(shared.derivative_rows(n).rows) for n in range(NMAX + 1)) > 13
 
     @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
     def test_threads_equal_serial(self, ws_p1):
@@ -573,13 +655,14 @@ class TestSharedRowTable:
             lambda net: A.classify_moderate(net, ws_p1, "roumieu", h_grid=battery.WIDE_H).to_json(),
             lambda net: A.classify_negligible(net, W.gevrey(2.0, 512), "beurling").to_json(),
             lambda net: A.roumieu_rj_classify(net, ws_p1, [(rs, rs)]).to_json(),
+            lambda net: A.classify_negligible_supnorm(net, ws_p1, "roumieu").to_json(),
         ]
         serial = [task(make()) for task in tasks]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(2):
-                net = make()  # every task grows and refines the same row tables
+                net = make()  # every task grows the same row tables
                 with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
                     futures = [pool.submit(task, net) for task in tasks]
                     assert [f.result(timeout=300) for f in futures] == serial

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -108,6 +109,19 @@ class TestSupNorm:
         oracle = max(float(np.max(vals)), -res.fun)
         assert S.sup_norm(f) >= oracle * (1 - 1e-9)
         assert S.sup_norm(f) == pytest.approx(oracle, rel=1e-6)
+
+    def test_single_frequency_refines_one_peak(self, monkeypatch):
+        brackets = []
+        inner = S._golden_max_rows
+
+        def spying(w, *args, **kwargs):
+            brackets.append(len(w))
+            return inner(w, *args, **kwargs)
+
+        monkeypatch.setattr(S, "_golden_max_rows", spying)
+        # |f| is constant, so rounding alone makes local maxima of the grid row
+        assert S.sup_norm(S.TrigPoly.basis(-384, 2.0)) == pytest.approx(2.0, rel=1e-12)
+        assert brackets == [1]
 
 
 def oracle_ud_norm(f, s, h, p_cap=120, grid=8192):
@@ -342,29 +356,20 @@ class TestMpmathOracle:
     CASES = [(1.0, 0.5), (1.0, 2.0), (1.0, 8.0), (2.0, 1.0), (2.0, 8.0)]
 
     @staticmethod
-    def values(s, h):
+    @functools.cache
+    def oracle(s, h):
+        """[(f, ws, 30-digit log ud norm)] for three random polynomials."""
         rng = np.random.default_rng(15)
         ws = W.gevrey(s, 512)
-        for degree in (1, 4, 8):
-            f = random_poly(rng, degree)
-            yield S.log_ud_norm(f, ws, h), float(mp_log_ud_norm(f.coef, s, h))
+        polys = [random_poly(rng, degree) for degree in (1, 4, 8)]
+        return [(f, ws, float(mp_log_ud_norm(f.coef, s, h))) for f in polys]
 
-    @pytest.mark.parametrize(
-        "s, h",
-        [
-            pytest.param(
-                *case,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="degree 8: the winning rows have 16 near-equal grid peaks and "
-                    "_local_peaks refines only 4, so the sup of D^p f is short by 5e-6",
-                ),
-            )
-            if case == (1.0, 8.0)
-            else case
-            for case in CASES
-        ],
-    )
+    @classmethod
+    def values(cls, s, h):
+        for f, ws, want in cls.oracle(s, h):
+            yield S.log_ud_norm(f, ws, h), want
+
+    @pytest.mark.parametrize("s, h", CASES)
     def test_log_ud_norm(self, s, h):
         for got, want in self.values(s, h):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -375,6 +380,17 @@ class TestMpmathOracle:
         # peak is still within the 16x grid's loss of log(1 / cos(pi / 16))
         for got, want in self.values(s, h):
             assert want - math.log(1.0 / math.cos(math.pi / 16)) <= got <= want + 1e-9
+
+    @pytest.mark.parametrize("s, h", CASES)
+    def test_grid_rows_bracket_the_norms(self, s, h):
+        # a grid value is attained (up to float rounding), and Ehlich-Zeller
+        # bounds how far it falls short of the sup
+        for f, ws, want in self.oracle(s, h):
+            table = S.DerivativeRows(f)
+            entry = table.log_ud_norms(ws, [h])[0]
+            assert entry - 1e-12 <= want <= entry + S.GRID_SLACK
+            log_sup = float(mp.log(mp_sup(f.coef)))
+            assert table.log_sup() - 1e-12 <= log_sup <= table.log_sup() + S.GRID_SLACK
 
 
 class TestQuadrature:
