@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, embedding, operators, regularity, series, weights
+from .series import TWO_PI
 from .verdict import DEFAULTS, json_float
-
-TWO_PI = 2.0 * math.pi
 
 # ValueError covers InvalidSpec, the *Fail input errors and JSONDecodeError
 _USAGE_ERRORS = (

@@ -26,6 +26,7 @@ import numpy as np
 
 from .algebra import Net, classify_negligible, constant_net, make_net, net_mul
 from .series import (
+    TWO_PI,
     CoefDistribution,
     TrigPoly,
     coefficient_verdict,
@@ -36,8 +37,6 @@ from .series import (
 )
 from .verdict import DEFAULTS, GrowthVerdict, json_float
 from .weights import WeightSequence, associated_gauge
-
-TWO_PI = 2.0 * math.pi
 
 
 class MollifierFail(ValueError):
@@ -60,6 +59,10 @@ class Mollifier:
     label: str = ""
     meta: dict[str, Any] = field(default_factory=dict)
 
+    def degree(self, n: int) -> int:
+        """Degree ceil(R n) of the n-th embedded polynomial."""
+        return max(int(math.ceil(self.R * n)), 0)
+
     def coefficients(self, ks, n: int) -> np.ndarray:
         ks = np.atleast_1d(np.asarray(ks))
         if n == 0:
@@ -68,27 +71,21 @@ class Mollifier:
 
 
 def _validate_mollifier(m: Mollifier, n_probe: int):
-    k_hi = int(math.ceil(m.R * n_probe)) + 1
+    k_hi = m.degree(n_probe) + 1
     ks = np.arange(-k_hi, k_hi + 1)
     for n in range(1, n_probe + 1):
         vals = m.coefficients(ks, n)
         mags = np.abs(vals)
-        bad = mags > m.C_bound + 1e-12
-        if np.any(bad):
-            k = int(ks[np.argmax(bad)])
-            raise MollifierFail(f"bound clause |c| <= {m.C_bound} fails at (k={k}, n={n})")
-        outside = np.abs(ks) >= m.R * n - 1e-9
-        bad = outside & (mags > 1e-15)
-        if np.any(bad):
-            k = int(ks[np.argmax(bad)])
-            raise MollifierFail(f"support clause c = 0 for |k| >= R n fails at (k={k}, n={n})")
-        plateau = np.abs(ks) <= m.r * n + 1e-9
-        bad = plateau & (np.abs(vals - 1.0 / TWO_PI) > 1e-12)
-        if np.any(bad):
-            k = int(ks[np.argmax(bad)])
-            raise MollifierFail(
-                f"plateau clause c = 1/(2 pi) for |k| <= r n fails at (k={k}, n={n})"
-            )
+        clauses = [
+            (f"bound clause |c| <= {m.C_bound}", mags > m.C_bound + 1e-12),
+            ("support clause c = 0 for |k| >= R n",
+             (np.abs(ks) >= m.R * n - 1e-9) & (mags > 1e-15)),
+            ("plateau clause c = 1/(2 pi) for |k| <= r n",
+             (np.abs(ks) <= m.r * n + 1e-9) & (np.abs(vals - 1.0 / TWO_PI) > 1e-12)),
+        ]
+        for clause, bad in clauses:
+            if np.any(bad):
+                raise MollifierFail(f"{clause} fails at (k={int(ks[np.argmax(bad)])}, n={n})")
 
 
 def build_mollifier(kind: str, n_probe: int = 64, **params) -> Mollifier:
@@ -175,7 +172,7 @@ def embed(f: CoefDistribution, m: Mollifier, n_max: int = DEFAULTS.n_max) -> Net
     """
 
     def gen(n: int) -> TrigPoly:
-        deg = max(int(math.ceil(m.R * n)), 0) if n >= 1 else 0
+        deg = m.degree(n)
         ks = np.arange(-deg, deg + 1)
         coef = TWO_PI * f.coefficients(ks) * m.coefficients(ks, n)
         return TrigPoly(coef, deg)
@@ -343,7 +340,7 @@ def check_operator_commutes(P, f: CoefDistribution, m: Mollifier, n_max: int = 1
 
     worst = 0.0
     for n in range(n_max + 1):
-        deg = max(int(math.ceil(m.R * n)), 0) if n >= 1 else 0
+        deg = m.degree(n)
         ks = np.arange(-deg, deg + 1)
         pk = multiplier_values(P, ks)
         lhs = pk * (TWO_PI * f.coefficients(ks) * m.coefficients(ks, n))

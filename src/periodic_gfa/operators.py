@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .algebra import Net
-from .series import CoefDistribution, TrigPoly, coefficient_verdict, log_abs
+from .series import _LOG_HUGE, CoefDistribution, TrigPoly, coefficient_verdict, log_abs
 from .verdict import DEFAULTS, GrowthVerdict, bounded_test, json_float
 from .weights import (
     RSequence,
@@ -38,7 +38,6 @@ from .weights import (
 )
 
 _LOG_TINY = math.log(1e-16)
-_LOG_HUGE = 706.0
 
 
 class ClassFail(ValueError):
@@ -217,7 +216,6 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
         return out
     with np.errstate(divide="ignore"):
         loglx = logL + np.log(np.where(live, x, 1.0))
-    table_cap = None if ws.gevrey_s is not None else ws.p_max
     logprod = rs.log_prod() if rs is not None else None
 
     running = np.full(len(x), -np.inf)
@@ -228,8 +226,8 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
     while np.any(live):
         p1 = p0 + block
         two_p = np.arange(2 * p0, 2 * p1, 2)
-        if table_cap is not None and two_p[-1] > table_cap:
-            two_p = two_p[two_p <= table_cap]
+        if ws.p_cap is not None and two_p[-1] > ws.p_cap:
+            two_p = two_p[two_p <= ws.p_cap]
             if len(two_p) == 0:
                 raise NoConverge("series terms still growing at the end of the weight table")
         if logprod is not None and two_p[-1] >= len(logprod):
@@ -246,7 +244,7 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
             prev = t
         if not np.any(live):
             break
-        if table_cap is not None and two_p[-1] >= table_cap:
+        if ws.p_cap is not None and two_p[-1] >= ws.p_cap:
             raise NoConverge("series terms still growing at the end of the weight table")
         p0 = p1
         if 2 * p0 > hard:

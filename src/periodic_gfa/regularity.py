@@ -42,6 +42,7 @@ class RegularityVerdict:
     margin: float
     witness: dict[str, Any]
     moderate: GrowthVerdict
+    margin_bracket: tuple[float, float]  # that of the full-norm verdict deciding it
     coefficient_decay: GrowthVerdict | None = None
     tau: float = DEFAULTS.tau
     details: dict[str, Any] = field(default_factory=dict, repr=False)
@@ -51,6 +52,7 @@ class RegularityVerdict:
             "regular": self.regular,
             "pattern": self.pattern,
             "margin": json_float(self.margin),
+            "margin_bracket": [json_float(x) for x in self.margin_bracket],
             "witness": self.witness,
             "moderate": self.moderate.to_json(),
             "coefficient_decay": None
@@ -111,6 +113,7 @@ def classify_regular(
         margin=v.margin,
         witness={axis: rates[v.details["decisive_outer"]]},
         moderate=moderate,
+        margin_bracket=v.margin_bracket,
         tau=tau,
         details={"margins": v.details["margins"]},
     )

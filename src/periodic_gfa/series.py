@@ -300,9 +300,9 @@ def sup_norm(f: TrigPoly) -> float:
 class DerivativeRows:
     """The grid rows log sup_t |D^p f| of one polynomial, shared by every scale and h.
 
-    rows[p] is the grid value of row p (_log_sup_rows), kept for p = 0,
-    1, ... as far as any reduction read; the sup lies in [rows[p],
-    rows[p] + GRID_SLACK].  A reduction works on its own snapshot and
+    rows[p] is the grid value of row p (_log_sup_rows) for every row a
+    reduction read, and nan for a row none read; the sup lies in
+    [rows[p], rows[p] + GRID_SLACK].  Each read works on one snapshot and
     publishes its new rows in one assignment, so unsynchronized use is safe.
     """
 
@@ -310,22 +310,30 @@ class DerivativeRows:
         self.poly = f.trimmed()
         self.rows = np.empty(0)
 
+    def _read(self, ps: np.ndarray) -> np.ndarray:
+        """Grid rows ps (distinct), evaluating those not held in blocks of at most 64."""
+        held = self.rows  # one snapshot; a grown copy is published whole
+        rows = np.concatenate([held, np.full(max(0, ps.max() + 1 - len(held)), np.nan)])
+        miss = ps[np.isnan(rows[ps])]
+        for i in range(0, len(miss), 64):
+            rows[miss[i : i + 64]] = _log_sup_rows(self.poly, miss[i : i + 64])[0]
+        if len(miss):
+            self.rows = rows
+        return rows[ps]
+
     def log_sup(self) -> float:
         """Grid value of log sup_t |f|, row p = 0, evaluated only if absent."""
         if self.poly.degree == 0:
             return float(log_abs(self.poly.coef)[0])
-        if len(self.rows) == 0:
-            self.rows = _log_sup_rows(self.poly, np.zeros(1, dtype=int))[0]
-        return float(self.rows[0])
+        return float(self._read(np.zeros(1, dtype=int))[0])
 
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
-        """Grid value of log sup_p h^p ||D^p f||_inf / M_p for every h in hs, in one pass over p.
+        """Grid value of log sup_p h^p ||D^p f||_inf / M_p for every h in hs, from selected rows.
 
-        The rows are read in blocks and evaluated on the grid where the
-        table ends.  An h stops once the bound h^p ||D^p f|| <= (h k_eff)^p
-        sum|c_k|, decreasing past its peak, falls below its running
-        maximum, or warns at the table end.  Each value is short of the
-        norm by at most GRID_SLACK.
+        Row p's term for h is at most its bound p log(hN) + log sum|c_k| - log M_p,
+        which decreases past the peak p*(hN).  Rows 0 and every peak seed each h's
+        value; then only the rows within an h's cap whose bound reaches its seed
+        are read.  An h warns when no row past its peak has a bound below its value.
         """
         if any(h <= 0 for h in hs):
             raise ValueError("h must be positive")
@@ -335,44 +343,33 @@ class DerivativeRows:
             return np.full(len(hs), float(lc[0]))
         log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
         log_h = np.array([[math.log(h)] for h in hs])
-        log_hk = np.array([[math.log(h) + math.log(g.degree)] for h in hs])
-        table_cap = None if ws.gevrey_s is not None else ws.p_max
-        peaks = np.array([ws._p_star(h * g.degree, table_cap)[0] for h in hs])
-        caps = peaks + 4096 if table_cap is None else np.full(len(hs), table_cap)
+        peaks = np.array([ws._p_star(h * g.degree, ws.p_cap)[0] for h in hs])
+        caps = peaks + 4096 if ws.p_cap is None else np.full(len(hs), ws.p_cap)
+        ps = np.arange(caps.max() + 1)
+        logM = np.asarray(ws.logM_at(ps), dtype=float)
+        within = ps <= caps[:, None]
+        bounds = ps * (log_h + math.log(g.degree)) + log_sum_c - logM
 
-        table, grown = self.rows, []
-        best = np.full(len(hs), -np.inf)
-        live, p0 = np.ones(len(hs), dtype=bool), 0
-        while live.any():
-            # reach just past the largest live bound peak, then step in short blocks
-            block = min(64, max(8, peaks[live].max() + 17 - p0))
-            ps = np.arange(p0, min(p0 + block, caps[live].max() + 1))
-            grid = table[ps[ps < len(table)]]
-            if ps[-1] >= len(table):
-                grown.append(_log_sup_rows(g, ps[ps >= len(table)])[0])
-                grid = np.concatenate([grid, grown[-1]])
-            logM = np.asarray(ws.logM_at(ps), dtype=float)
-            reads = live[:, None] & (ps <= caps[:, None])
-            terms = np.where(reads, grid + (ps * log_h - logM), -np.inf)
-            best = np.maximum(best, terms.max(axis=1))
-            bounds = ps * log_hk + log_sum_c - logM
-            done = np.any(reads & (ps > peaks[:, None]) & (bounds < best[:, None]), axis=1)
-            for _ in range(np.count_nonzero(live & ~done & (ps[-1] >= caps))):
-                msg = "ud norm termination not met by p_max; raise p_max"
-                warnings.warn(msg, TruncationWarning, stacklevel=2)
-            live &= ~done & (ps[-1] < caps)
-            p0 = ps[-1] + 1
-        if grown:
-            self.rows = np.concatenate([table, *grown])
-        return best
+        def best(qs):  # each h's largest term over the rows qs within its cap
+            terms = self._read(qs) + (qs * log_h - logM[qs])
+            return np.where(within[:, qs], terms, -np.inf).max(axis=1)
+
+        seeds = np.unique(np.append(peaks, 0))
+        floor = best(seeds)[:, None] - 1e-9  # a row may exceed its bound by rounding
+        out = best(np.union1d(seeds, np.nonzero(np.any(within & (bounds >= floor), axis=0))[0]))
+        done = np.any(within & (ps > peaks[:, None]) & (bounds < out[:, None]), axis=1)
+        for _ in range(np.count_nonzero(~done)):
+            msg = "ud norm termination not met by p_max; raise p_max"
+            warnings.warn(msg, TruncationWarning, stacklevel=2)
+        return out
 
 
 def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
     """log sup_p h^p ||D^p f||_inf / M_p for every h in hs.
 
-    The grid values of a fresh DerivativeRows, with the rows within
-    GRID_SLACK of some h's grid value refined by _refined_rows: no other
-    row can become a maximum.
+    The grid values of a fresh DerivativeRows, with the rows read there
+    within GRID_SLACK of some h's grid value refined by _refined_rows: no
+    other row can become a maximum, and an unread row's bound lies below.
     """
     table = DerivativeRows(f)
     best = table.log_ud_norms(ws, hs)

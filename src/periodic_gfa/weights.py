@@ -91,6 +91,11 @@ class WeightSequence:
         return len(self.logM) - 1
 
     @property
+    def p_cap(self) -> int | None:
+        """Last p a supremum over p may reach: None for presets (closed form), else p_max."""
+        return None if self.gevrey_s is not None else self.p_max
+
+    @property
     def kind(self) -> str:
         return self.spec.get("kind", "table")
 
@@ -179,8 +184,7 @@ def associated_gauge(ws: WeightSequence, t):
     are evaluated in closed form without a table cap, so the gauge never
     truncates for them.
     """
-    cap = None if ws.gevrey_s is not None else ws.p_max
-    return _assoc_value(ws, t, cap, "associated_gauge")
+    return _assoc_value(ws, t, ws.p_cap, "associated_gauge")
 
 
 @dataclass(frozen=True)

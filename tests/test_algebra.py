@@ -406,13 +406,18 @@ def count_rows(monkeypatch):
 
 
 def row_tables(net):
-    """The grid rows held for every f_n of the net."""
+    """The grid rows of every f_n of the net, nan where no reduction read a row."""
     return [net.derivative_rows(n).rows for n in range(net.n_max + 1)]
 
 
+def held(rows):
+    """The indices of the rows a table holds."""
+    return np.flatnonzero(~np.isnan(rows))
+
+
 def evaluated_since(before, net):
-    """Rows the net's tables grew by since before: what evaluating each row once costs."""
-    return sum(len(new) - len(old) for old, new in zip(before, row_tables(net)))
+    """Rows the net's tables gained since before: what evaluating each row once costs."""
+    return sum(len(held(new)) - len(held(old)) for old, new in zip(before, row_tables(net)))
 
 
 class TestMemoKeys:
@@ -549,7 +554,7 @@ class TestGridRows:
         for n in range(NMAX + 1):
             table = net.derivative_rows(n)
             ps = [p for f, qs in evaluated if f is table.poly for p in qs]
-            assert sorted(ps) == list(range(len(table.rows)))
+            assert sorted(ps) == held(table.rows).tolist()
 
     def test_sup_table_is_row_zero(self, ws_p1, monkeypatch):
         rows = count_rows(monkeypatch)
@@ -607,6 +612,10 @@ class TestMarginBracket:
         r = W.linear_rsequence(256)
         v = A.roumieu_rj_classify(net, ws_p1, [(r, r)])
         assert v.margin_bracket == (v.margin - S.GRID_SLACK, v.margin + S.GRID_SLACK)
+        # regularity is decided from the full-norm tables and carries their bracket
+        v = R.classify_regular(net, ws_p1, "roumieu")
+        assert v.margin_bracket == (v.margin - S.GRID_SLACK, v.margin + S.GRID_SLACK)
+        assert v.to_json()["margin_bracket"] == list(v.margin_bracket)
 
 
 class TestSharedRowTable:

@@ -290,6 +290,95 @@ class TestSharedRows:
             S.log_ud_norms(S.TrigPoly.basis(1), ws_p1, [1.0, 0.0])
 
 
+def blocked_log_ud_norms(f, ws, hs):
+    """DerivativeRows.log_ud_norms as a scan upward from p = 0 in blocks.
+
+    This is the scan that the bound-selected rows replaced.  Blocks reach
+    just past the largest live bound peak, then step in short blocks; an h
+    stops once a row past its peak has a bound below its running maximum,
+    or warns at its cap.  The selection must reproduce it bit for bit,
+    warnings included.
+    """
+    g = f.trimmed()
+    lc = S.log_abs(g.coef)
+    if g.degree == 0 or len(hs) == 0:
+        return np.full(len(hs), float(lc[0]))
+    log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
+    log_h = np.array([[math.log(h)] for h in hs])
+    log_hk = np.array([[math.log(h) + math.log(g.degree)] for h in hs])
+    table_cap = None if ws.gevrey_s is not None else ws.p_max
+    peaks = np.array([ws._p_star(h * g.degree, table_cap)[0] for h in hs])
+    caps = peaks + 4096 if table_cap is None else np.full(len(hs), table_cap)
+    best = np.full(len(hs), -np.inf)
+    live, p0 = np.ones(len(hs), dtype=bool), 0
+    while live.any():
+        block = min(64, max(8, peaks[live].max() + 17 - p0))
+        ps = np.arange(p0, min(p0 + block, caps[live].max() + 1))
+        grid = S._log_sup_rows(g, ps)[0]
+        logM = np.asarray(ws.logM_at(ps), dtype=float)
+        reads = live[:, None] & (ps <= caps[:, None])
+        terms = np.where(reads, grid + (ps * log_h - logM), -np.inf)
+        best = np.maximum(best, terms.max(axis=1))
+        bounds = ps * log_hk + log_sum_c - logM
+        done = np.any(reads & (ps > peaks[:, None]) & (bounds < best[:, None]), axis=1)
+        for _ in range(np.count_nonzero(live & ~done & (ps[-1] >= caps))):
+            warnings.warn("ud norm termination not met by p_max; raise p_max", W.TruncationWarning)
+        live &= ~done & (ps[-1] < caps)
+        p0 = ps[-1] + 1
+    return best
+
+
+def recorded(fn, *args):
+    """fn(*args) and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        v = fn(*args)
+    return v.tolist(), [(w.category, str(w.message)) for w in seen]
+
+
+class TestSelectedRows:
+    """DerivativeRows.log_ud_norms reads only the rows whose bound can reach a maximum."""
+
+    HS = (1 / 16, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
+    @staticmethod
+    def polys(rng, degrees):
+        # random, tight-bound (one frequency, alone or over 1e-9 noise) and Dirichlet
+        for d in degrees:
+            noisy = 1e-9 * rng.standard_normal(2 * d + 1).astype(complex)
+            noisy[-1] = 1.3
+            yield from (random_poly(rng, d), S.TrigPoly.basis(d, 0.7 - 0.2j),
+                        S.TrigPoly(noisy, d), S.TrigPoly.dirichlet(d))
+
+    @pytest.mark.parametrize("degrees, s_list", [
+        ((1, 2, 5, 16, 64), (1.0, 1.5, 2.0)),
+        ((384,), (1.5, 2.0)),
+    ], ids=["low-degree", "degree-384"])
+    def test_equals_the_blocked_scan(self, degrees, s_list):
+        table_scale = W.build_weight_sequence(
+            {"kind": "table", "logM": 1.2 * gammaln(np.arange(41) + 1.0)}, p_max=40
+        )
+        scales = [W.gevrey(s, 64) for s in s_list] + [table_scale]
+        warned = 0
+        for f in self.polys(np.random.default_rng(15), degrees):
+            table = S.DerivativeRows(f)  # every scale in turn reads one table, holes included
+            for ws in scales:
+                want = recorded(blocked_log_ud_norms, f, ws, self.HS)
+                assert recorded(table.log_ud_norms, ws, self.HS) == want
+                warned += len(want[1])
+        assert warned > 0
+
+    def test_rows_below_the_selection_stay_unread(self):
+        table = S.DerivativeRows(random_poly(np.random.default_rng(16), 384))
+        table.log_ud_norms(W.gevrey(1.0, 64), [8.0])
+        held = np.flatnonzero(~np.isnan(table.rows))
+        # row 0 (the sup table) and one interval around the bound peak p* = 8 * 384
+        assert held[0] == 0 and held[1] > 2000
+        assert held[1:].tolist() == list(range(held[1], held[-1] + 1))
+        assert held[1] < 8 * 384 < held[-1]
+        assert table.log_sup() == table.rows[0]
+
+
 def mp_sup(coef, p=0):
     """max_t |sum_k k^p c_k e^{ikt}| in 30-digit arithmetic.
 
