@@ -149,10 +149,14 @@ def _memo_rows(net: Net, keys: list, norms: Callable[[int, list], list]) -> list
 
 
 def _ud_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
+    """The ud tables per h, with their TruncationWarnings raised on every call, memo hit or not."""
     keys = [("ud", ws.memo_key, float(h)) for h in hs]
-    return _memo_rows(
+    tables = _memo_rows(
         net, keys, lambda n, miss: net.derivative_rows(n).log_ud_norms(ws, [k[2] for k in miss])
     )
+    for n in range(net.n_max + 1):
+        net.derivative_rows(n).warn_truncated(ws, hs, [t[n] for t in tables])
+    return tables
 
 
 def _sup_table(net: Net) -> np.ndarray:

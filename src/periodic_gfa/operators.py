@@ -118,18 +118,10 @@ def build_ultrapolynomial(spec, ws: WeightSequence, cls: str = "beurling") -> Ul
             if cls != "roumieu":
                 raise ClassFail("the two-factor dominating series is Roumieu class only")
             r, k = spec["r"], spec["k"]
-            poly = Ultrapolynomial(
-                form="structure_roumieu",
-                ws=ws,
-                cls="roumieu",
-                r_seq=r,
-                k_seq=k,
-                label=f"structure_roumieu({r.label},{k.label},{ws.label})",
-            )
-            cert = _certify_roumieu_product(poly)
             return Ultrapolynomial(
-                form="structure_roumieu", ws=ws, cls="roumieu",
-                r_seq=r, k_seq=k, cert=cert, label=poly.label,
+                form="structure_roumieu", ws=ws, cls="roumieu", r_seq=r, k_seq=k,
+                cert=_certify_roumieu_product(ws, r, k),
+                label=f"structure_roumieu({r.label},{k.label},{ws.label})",
             )
         raise ValueError(f"unknown ultrapolynomial form {form!r}")
 
@@ -156,33 +148,27 @@ def build_ultrapolynomial(spec, ws: WeightSequence, cls: str = "beurling") -> Ul
     )
 
 
-def _certify_roumieu_product(poly: Ultrapolynomial, tau: float = DEFAULTS.tau):
+def _certify_roumieu_product(ws: WeightSequence, r: RSequence, k: RSequence, tau: float = DEFAULTS.tau):
     """Desk certification |c_n| <= C_L L^n / M_n for the two-factor product.
 
     Product coefficients are assembled in log scale from the factors'
     even terms.  The bound profile for small L rises until roughly
     p ~ 4H/L before the growing r, k products win, so the probe range is
     doubled until the head/tail rule can see past that bump (capped by
-    the supplied sequence tables).
+    the supplied sequence tables).  Each doubling adds only the new
+    coefficients: c_p depends on the terms up to p alone.
     """
-    ws, r, k = poly.ws, poly.r_seq, poly.k_seq
     probe_cap = min(r.j_max, k.j_max)
     n_probe = 64
-    last_fail = None
+    log2H = math.log(2.0 * ws.H)
+    logc = np.empty(0)
     while True:
         p_hi = min(n_probe, probe_cap) // 2
-        q = np.arange(0, p_hi + 1)
-        log2H = math.log(2.0 * ws.H)
-        logM2q = np.asarray(ws.logM_at(2 * q), dtype=float)
-        lr = r.log_prod()[2 * q]
-        lk = k.log_prod()[2 * q]
-        b1 = 2 * q * log2H - lr - logM2q
-        b2 = 2 * q * log2H - lk - logM2q
-        logc = np.full(p_hi + 1, -np.inf)
-        for p in range(p_hi + 1):
-            logc[p] = logsumexp(b1[: p + 1] + b2[p::-1])
         n = 2 * np.arange(0, p_hi + 1)
-        logMn = np.asarray(poly.ws.logM_at(n), dtype=float)
+        logMn = np.asarray(ws.logM_at(n), dtype=float)
+        b1 = n * log2H - r.log_prod()[n] - logMn
+        b2 = n * log2H - k.log_prod()[n] - logMn
+        logc = np.append(logc, [logsumexp(b1[: p + 1] + b2[p::-1]) for p in range(len(logc), p_hi + 1)])
         C_of_L = {}
         last_fail = None
         for L in _L_GRID:
@@ -219,8 +205,6 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
     logprod = rs.log_prod() if rs is not None else None
 
     running = np.full(len(x), -np.inf)
-    prev = np.full(len(x), np.inf)
-    decreasing = np.zeros(len(x), dtype=bool)
     block, p0 = 64, 0
     hard = 1 << 22
     while np.any(live):
@@ -238,10 +222,7 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
         for j in range(terms.shape[1]):
             t = terms[:, j]
             running = np.logaddexp(running, np.where(live, t, -np.inf))
-            decreasing |= t < prev
-            done = live & decreasing & (t < running + _LOG_TINY)
-            live &= ~done
-            prev = t
+            live &= ~(t < running + _LOG_TINY)
         if not np.any(live):
             break
         if ws.p_cap is not None and two_p[-1] >= ws.p_cap:

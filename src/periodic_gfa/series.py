@@ -20,7 +20,6 @@ from typing import Any, Callable
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.special import logsumexp
 
 from .verdict import DEFAULTS, GrowthVerdict, decide
 from .weights import RSequence, TruncationWarning, WeightSequence, associated_gauge, modified_weights
@@ -327,41 +326,55 @@ class DerivativeRows:
             return float(log_abs(self.poly.coef)[0])
         return float(self._read(np.zeros(1, dtype=int))[0])
 
+    def _bounds(self, ws: WeightSequence, hs, ps: np.ndarray) -> np.ndarray:
+        """Each h's bound p log(hN) + log sum|c_k| - log M_p on row p's term, concave in p."""
+        log_hn = np.array([[math.log(h)] for h in hs]) + math.log(self.poly.degree)
+        log_sum_c = math.log(np.sum(np.abs(self.poly.coef)))
+        return ps * log_hn + log_sum_c - np.asarray(ws.logM_at(ps), dtype=float)
+
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
         """Grid value of log sup_p h^p ||D^p f||_inf / M_p for every h in hs, from selected rows.
 
-        Row p's term for h is at most its bound p log(hN) + log sum|c_k| - log M_p,
-        which decreases past the peak p*(hN).  Rows 0 and every peak seed each h's
-        value; then only the rows within an h's cap whose bound reaches its seed
-        are read.  An h warns when no row past its peak has a bound below its value.
+        Rows 0 and every bound peak p*(hN) seed each h's value; then only the
+        rows up to ws.p_cap whose bound (_bounds) reaches some h's seed are
+        read.  A preset has no cap: p log(e hN) - log M_p <= M(e hN) puts every
+        bound past p = log sum|c_k| - seed + M(e hN) below the seed.  Warns of
+        nothing; see warn_truncated.
         """
         if any(h <= 0 for h in hs):
             raise ValueError("h must be positive")
         g = self.poly
-        lc = log_abs(g.coef)
         if g.degree == 0 or len(hs) == 0:
-            return np.full(len(hs), float(lc[0]))
-        log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
+            return np.full(len(hs), float(log_abs(g.coef)[0]))
         log_h = np.array([[math.log(h)] for h in hs])
-        peaks = np.array([ws._p_star(h * g.degree, ws.p_cap)[0] for h in hs])
-        caps = peaks + 4096 if ws.p_cap is None else np.full(len(hs), ws.p_cap)
-        ps = np.arange(caps.max() + 1)
-        logM = np.asarray(ws.logM_at(ps), dtype=float)
-        within = ps <= caps[:, None]
-        bounds = ps * (log_h + math.log(g.degree)) + log_sum_c - logM
+        hn = np.asarray(hs, dtype=float) * g.degree
 
-        def best(qs):  # each h's largest term over the rows qs within its cap
-            terms = self._read(qs) + (qs * log_h - logM[qs])
-            return np.where(within[:, qs], terms, -np.inf).max(axis=1)
+        def best(qs):  # each h's largest term over the rows qs
+            return (self._read(qs) + (qs * log_h - np.asarray(ws.logM_at(qs), dtype=float))).max(axis=1)
 
-        seeds = np.unique(np.append(peaks, 0))
-        floor = best(seeds)[:, None] - 1e-9  # a row may exceed its bound by rounding
-        out = best(np.union1d(seeds, np.nonzero(np.any(within & (bounds >= floor), axis=0))[0]))
-        done = np.any(within & (ps > peaks[:, None]) & (bounds < out[:, None]), axis=1)
-        for _ in range(np.count_nonzero(~done)):
+        seeds = np.unique(np.append(ws._p_star(hn, ws.p_cap), 0))
+        floor = best(seeds) - 1e-9  # a row may exceed its bound by rounding
+        end = ws.p_cap
+        if end is None:
+            gap = math.log(np.sum(np.abs(g.coef))) - floor + associated_gauge(ws, math.e * hn)
+            end = max(int(np.max(gap)) + 1, seeds[-1])
+        bounds = self._bounds(ws, hs, np.arange(end + 1))
+        return best(np.union1d(seeds, np.nonzero(np.any(bounds >= floor[:, None], axis=0))[0]))
+
+    def warn_truncated(self, ws: WeightSequence, hs, values) -> None:
+        """A TruncationWarning for each h whose value may lie past the end of a table scale.
+
+        Past its peak the bound decreases, so a value is final once the peak
+        lies below p_max and the bound at p_max below the value.  Presets have
+        no table end and never warn.
+        """
+        if ws.p_cap is None or self.poly.degree == 0 or len(hs) == 0:
+            return
+        peaks = ws._p_star(np.asarray(hs, dtype=float) * self.poly.degree, ws.p_cap)
+        at_cap = self._bounds(ws, hs, np.array([ws.p_cap]))[:, 0]
+        for _ in range(np.count_nonzero((peaks >= ws.p_cap) | (at_cap >= values))):
             msg = "ud norm termination not met by p_max; raise p_max"
             warnings.warn(msg, TruncationWarning, stacklevel=2)
-        return out
 
 
 def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
@@ -373,6 +386,7 @@ def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
     """
     table = DerivativeRows(f)
     best = table.log_ud_norms(ws, hs)
+    table.warn_truncated(ws, hs, best)
     ps = np.arange(len(table.rows))
     gain = ps * np.array([[math.log(h)] for h in hs]) - np.asarray(ws.logM_at(ps), dtype=float)
     near = np.nonzero(np.any(table.rows + gain >= best[:, None] - GRID_SLACK, axis=0))[0]

@@ -307,8 +307,6 @@ def build_weight_sequence(spec, p_max: int | None = None) -> WeightSequence:
         )
     elif kind == "table":
         logM = np.asarray(spec["logM"], dtype=float)
-        if abs(logM[0]) > 1e-12:
-            raise InvalidSpec("table entry 0 must be 0 in log scale")
         declared = (float(spec["A"]), float(spec["H"])) if "A" in spec and "H" in spec else None
         ws = WeightSequence(logM=logM, label=spec.get("label", "table"), spec={"kind": "table"})
         A, H = _certify_m2(ws.logM, declared)

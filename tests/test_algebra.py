@@ -654,6 +654,23 @@ class TestSharedRowTable:
         assert max(len(shared.derivative_rows(n).rows) for n in range(NMAX + 1)) > 13
 
     @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
+    def test_memo_hit_raises_the_tables_warnings(self, ws_p1):
+        table = W.build_weight_sequence(
+            {"kind": "table", "logM": 1.5 * gammaln(np.arange(13) + 1.0)}, p_max=12
+        )
+        shared, fresh = (battery.full_battery(ws_p1, NMAX)[5][0] for _ in range(2))
+        assert shared.label == "dirichlet"
+        A.classify_moderate(shared, table, "roumieu")
+
+        def negligible(net):
+            return A.classify_negligible(net, table, "beurling")
+
+        memo, new = self.recorded(negligible, shared), self.recorded(negligible, fresh)
+        assert memo == new
+        ud_warnings = [w for w in memo[2] if "ud norm" in w[1]]
+        assert len(ud_warnings) == 89
+
+    @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
     def test_threads_equal_serial(self, ws_p1):
         def make():
             return A.make_net(lambda n: S.TrigPoly.dirichlet(n) * S.TrigPoly.cosine(), NMAX)

@@ -187,6 +187,8 @@ class TestApplyCommand:
     "argv, payload",
     [
         (["weights", "--weights"], [1, 2]),
+        (["weights", "--weights"], {"kind": "table", "logM": []}),
+        (["weights", "--weights"], {"kind": "table", "logM": 0.0}),
         (["apply", "--dist", "delta", "--op"], [1, 2]),
         (["apply", "--dist", "delta", "--op"], {"a": 3}),
         (["embed", "--dist"], {"coef": 5}),
@@ -194,8 +196,8 @@ class TestApplyCommand:
         (["embed", "--dist", "delta", "--mollifier"], [1, 2]),
         (["factorize", "--dist", "cot_reg", "--r"], [1, 2]),
     ],
-    ids=["weights-list", "op-list", "op-a-int", "dist-coef-int", "dist-list", "mollifier-list",
-         "rsequence-list"],
+    ids=["weights-list", "weights-logM-empty", "weights-logM-scalar", "op-list", "op-a-int",
+         "dist-coef-int", "dist-list", "mollifier-list", "rsequence-list"],
 )
 def test_malformed_file_payload_exits_2(capsys, tmp_path, argv, payload):
     path = tmp_path / "payload.json"

@@ -336,6 +336,13 @@ def recorded(fn, *args):
     return v.tolist(), [(w.category, str(w.message)) for w in seen]
 
 
+def selected_log_ud_norms(table, ws, hs):
+    """The reduction of table with the TruncationWarnings that its values raise."""
+    values = table.log_ud_norms(ws, hs)
+    table.warn_truncated(ws, hs, values)
+    return values
+
+
 class TestSelectedRows:
     """DerivativeRows.log_ud_norms reads only the rows whose bound can reach a maximum."""
 
@@ -364,9 +371,45 @@ class TestSelectedRows:
             table = S.DerivativeRows(f)  # every scale in turn reads one table, holes included
             for ws in scales:
                 want = recorded(blocked_log_ud_norms, f, ws, self.HS)
-                assert recorded(table.log_ud_norms, ws, self.HS) == want
+                assert recorded(selected_log_ud_norms, table, ws, self.HS) == want
                 warned += len(want[1])
         assert warned > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degree=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(["1", "1.5", "2", "table"]),
+        hs=st.lists(st.sampled_from(HS), min_size=1, max_size=8, unique=True),
+    )
+    def test_random_polys_equal_the_blocked_scan(self, degree, seed, scale, hs):
+        rng = np.random.default_rng(seed)
+        f = random_poly(rng, degree).scaled(rng.lognormal(0.0, 4.0))
+        if scale == "table":
+            ws = W.build_weight_sequence(
+                {"kind": "table", "logM": 1.5 * gammaln(np.arange(41) + 1.0)}, p_max=40
+            )
+        else:
+            ws = W.gevrey(float(scale), 64)
+        got = recorded(selected_log_ud_norms, S.DerivativeRows(f), ws, hs)
+        want = recorded(blocked_log_ud_norms, f, ws, hs)
+        assert got[0] == want[0]
+        assert len(got[1]) == len(want[1])
+
+    def test_warm_call_reads_no_weight_past_the_bound(self, monkeypatch):
+        table, ws = S.DerivativeRows(S.TrigPoly.dirichlet(32)), W.gevrey(1.0, 4096)
+        table.log_ud_norms(ws, DEFAULTS.h_grid)
+        asked = []
+        inner = W.WeightSequence.logM_at
+
+        def spying(self, p):
+            asked.append(int(np.max(p)))
+            return inner(self, p)
+
+        monkeypatch.setattr(W.WeightSequence, "logM_at", spying)
+        table.log_ud_norms(ws, DEFAULTS.h_grid)
+        # the largest bound peak is p* = 8 * 32 = 256; the concave bound ends the columns near 700
+        assert asked and max(asked) <= 1000
 
     def test_rows_below_the_selection_stay_unread(self):
         table = S.DerivativeRows(random_poly(np.random.default_rng(16), 384))
