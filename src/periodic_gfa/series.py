@@ -332,14 +332,36 @@ class DerivativeRows:
         log_sum_c = math.log(np.sum(np.abs(self.poly.coef)))
         return ps * log_hn + log_sum_c - np.asarray(ws.logM_at(ps), dtype=float)
 
+    def _bracket(self, ps: np.ndarray) -> np.ndarray:
+        """log sum_k |k|^p |c_k| for each p >= 1 in ps, above sup_t |D^p f| (triangle inequality).
+
+        Terms pair k with -k and skip zero pairs; logsumexp runs in blocks of
+        at most 2^16 (p, |k|) entries.
+        """
+        g = self.poly
+        pair = np.abs(g.coef[g.degree + 1 :]) + np.abs(g.coef[g.degree - 1 :: -1])  # |k| = 1..N
+        live = np.nonzero(pair)[0]
+        log_k, log_c = np.log(live + 1.0), np.log(pair[live])
+        out = np.empty(len(ps))
+        chunk = max(1, (1 << 16) // len(live))
+        for i in range(0, len(ps), chunk):
+            terms = ps[i : i + chunk, None] * log_k + log_c
+            top = terms.max(axis=1)
+            out[i : i + chunk] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        return out
+
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
         """Grid value of log sup_p h^p ||D^p f||_inf / M_p for every h in hs, from selected rows.
 
         Rows 0 and every bound peak p*(hN) seed each h's value; then only the
-        rows up to ws.p_cap whose bound (_bounds) reaches some h's seed are
-        read.  A preset has no cap: p log(e hN) - log M_p <= M(e hN) puts every
-        bound past p = log sum|c_k| - seed + M(e hN) below the seed.  Warns of
-        nothing; see warn_truncated.
+        rows up to ws.p_cap that can reach some h's seed are read: first the
+        cheap bound (_bounds) must reach it, then the bracket (_bracket).  A
+        row left unread lies below its bracket, so it cannot be a maximum; the
+        1e-9 slack on the seeds covers the rounding of both the bracket and
+        the grid row (each about eps |value|, under 1e-11 at degree 384 and
+        p <= 4096).  A preset has no cap: p log(e hN) - log M_p <= M(e hN)
+        puts every bound past p = log sum|c_k| - seed + M(e hN) below the
+        seed.  Warns of nothing; see warn_truncated.
         """
         if any(h <= 0 for h in hs):
             raise ValueError("h must be positive")
@@ -353,13 +375,16 @@ class DerivativeRows:
             return (self._read(qs) + (qs * log_h - np.asarray(ws.logM_at(qs), dtype=float))).max(axis=1)
 
         seeds = np.unique(np.append(ws._p_star(hn, ws.p_cap), 0))
-        floor = best(seeds) - 1e-9  # a row may exceed its bound by rounding
+        floor = best(seeds) - 1e-9  # a row may exceed its bracket by rounding
         end = ws.p_cap
         if end is None:
             gap = math.log(np.sum(np.abs(g.coef))) - floor + associated_gauge(ws, math.e * hn)
             end = max(int(np.max(gap)) + 1, seeds[-1])
-        bounds = self._bounds(ws, hs, np.arange(end + 1))
-        return best(np.union1d(seeds, np.nonzero(np.any(bounds >= floor[:, None], axis=0))[0]))
+        ps = np.arange(1, end + 1)
+        ps = ps[np.any(self._bounds(ws, hs, ps) >= floor[:, None], axis=0)]
+        gain = ps * log_h - np.asarray(ws.logM_at(ps), dtype=float)
+        ps = ps[np.any(self._bracket(ps) + gain >= floor[:, None], axis=0)]
+        return best(np.union1d(seeds, ps))
 
     def warn_truncated(self, ws: WeightSequence, hs, values) -> None:
         """A TruncationWarning for each h whose value may lie past the end of a table scale.
@@ -382,7 +407,7 @@ def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
 
     The grid values of a fresh DerivativeRows, with the rows read there
     within GRID_SLACK of some h's grid value refined by _refined_rows: no
-    other row can become a maximum, and an unread row's bound lies below.
+    other row can become a maximum, and an unread row's bracket lies below.
     """
     table = DerivativeRows(f)
     best = table.log_ud_norms(ws, hs)

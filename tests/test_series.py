@@ -412,14 +412,79 @@ class TestSelectedRows:
         assert asked and max(asked) <= 1000
 
     def test_rows_below_the_selection_stay_unread(self):
-        table = S.DerivativeRows(random_poly(np.random.default_rng(16), 384))
-        table.log_ud_norms(W.gevrey(1.0, 64), [8.0])
+        table, ws = S.DerivativeRows(random_poly(np.random.default_rng(16), 384)), W.gevrey(1.0, 64)
+        value = table.log_ud_norms(ws, [8.0])
         held = np.flatnonzero(~np.isnan(table.rows))
-        # row 0 (the sup table) and one interval around the bound peak p* = 8 * 384
-        assert held[0] == 0 and held[1] > 2000
-        assert held[1:].tolist() == list(range(held[1], held[-1] + 1))
-        assert held[1] < 8 * 384 < held[-1]
+        # row 0 (the sup table), then rows of the cheap-bound window up to the seed p* = 8 * 384
+        assert held[0] == 0 and held[1] > 2000 and held[-1] == 8 * 384
+        seeds = np.array([0, 8 * 384])
+        floor = np.max(table.rows[seeds] + seeds * math.log(8.0) - ws.logM_at(seeds)) - 1e-9
+        window = np.flatnonzero(table._bounds(ws, [8.0], np.arange(4 * 8 * 384))[0] >= floor)
+        assert value[0] >= floor and set(held[1:]) <= set(window)
+        unread = np.setdiff1d(window, held)
+        bracket = table._bracket(unread) + unread * math.log(8.0) - ws.logM_at(unread)
+        assert len(unread) > 0 and np.all(bracket < floor)
         assert table.log_sup() == table.rows[0]
+
+    def test_public_norms_read_few_rows_at_high_degree(self, monkeypatch):
+        rows = []
+        inner = S._log_sup_rows
+
+        def counting(f, ps):
+            rows.append(len(ps))
+            return inner(f, ps)
+
+        monkeypatch.setattr(S, "_log_sup_rows", counting)
+        f = random_poly(np.random.default_rng(16), 384)
+        # only rows read are refined, so the bracket bounds the golden-section work (54 rows today)
+        S.log_ud_norms(f, W.gevrey(1.0, 64), [0.25, 1.0, 8.0])
+        assert 0 < sum(rows) <= 100
+
+
+class TestMetamorphic:
+    """log_ud_norms, grid and refined, shift by log|c| under f -> c f and stay put under conjugation."""
+
+    @staticmethod
+    def norms(f, ws, hs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", W.TruncationWarning)
+            return np.concatenate([S.DerivativeRows(f).log_ud_norms(ws, hs), S.log_ud_norms(f, ws, hs)])
+
+    @staticmethod
+    def case(degree, seed, scale):
+        rng = np.random.default_rng(seed)
+        f = random_poly(rng, degree).scaled(rng.lognormal(0.0, 4.0))
+        if scale == "table":
+            return f, W.build_weight_sequence(
+                {"kind": "table", "logM": 1.5 * gammaln(np.arange(41) + 1.0)}, p_max=40
+            )
+        return f, W.gevrey(float(scale), 64)
+
+    @staticmethod
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    cases = dict(
+        degree=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(["1", "1.5", "2", "table"]),
+        hs=st.lists(st.sampled_from(TestSelectedRows.HS), min_size=1, max_size=8, unique=True),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(log10_c=st.floats(-8.0, 8.0), angle=st.floats(0.0, TWO_PI), **cases)
+    def test_scaling_shifts_by_log_abs_c(self, log10_c, angle, degree, seed, scale, hs):
+        f, ws = self.case(degree, seed, scale)
+        c = 10.0**log10_c * complex(math.cos(angle), math.sin(angle))
+        want = self.norms(f, ws, hs) + math.log(abs(c))
+        assert self.close(self.norms(f.scaled(c), ws, hs), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**cases)
+    def test_conjugation_leaves_values(self, degree, seed, scale, hs):
+        f, ws = self.case(degree, seed, scale)
+        g = S.TrigPoly(np.conj(f.coef[::-1]), f.degree)  # c_k -> conj(c_-k): g = conj(f)
+        assert self.close(self.norms(g, ws, hs), self.norms(f, ws, hs))
 
 
 def mp_sup(coef, p=0):
@@ -523,6 +588,16 @@ class TestMpmathOracle:
             assert entry - 1e-12 <= want <= entry + S.GRID_SLACK
             log_sup = float(mp.log(mp_sup(f.coef)))
             assert table.log_sup() - 1e-12 <= log_sup <= table.log_sup() + S.GRID_SLACK
+
+    def test_bracket_lies_above_every_row(self):
+        # sup_t |D^p f| <= sum_k |k|^p |c_k|, with equality for a Dirichlet kernel at even p
+        rng = np.random.default_rng(17)
+        ps = np.arange(1, 41)
+        for f in [random_poly(rng, d) for d in (1, 3, 8)] + [S.TrigPoly.dirichlet(4)]:
+            bracket = S.DerivativeRows(f)._bracket(ps)
+            for p in (1, 2, 3, 5, 8, 13, 21, 34, 40):  # 30-digit sups are slow; every row on the grid
+                assert mp_sup(f.coef, p) <= mp.exp(bracket[p - 1]) * (1 + 1e-12)
+            assert np.all(S._log_sup_rows(f, ps)[0] <= bracket + 1e-9)
 
 
 class TestQuadrature:
