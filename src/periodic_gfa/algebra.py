@@ -32,7 +32,6 @@ from .series import (
     TrigPoly,
     evaluate,
     log_abs,
-    log_coef_seminorms,
     multiply,
     sup_norm_argmax,
 )
@@ -139,39 +138,54 @@ def net_scale(f: Net, a: complex, label: str | None = None) -> Net:
 # rows of Net.derivative_rows
 # ---------------------------------------------------------------------------
 
-def _memo_rows(net: Net, keys: list, norms: Callable[[int, list], list]) -> list[np.ndarray]:
-    """Tables over n under keys, memoized on the net; norms(n, missing) fills all missing keys."""
+def _memo_rows(net: Net, keys: list, fill: Callable[[list], np.ndarray]) -> list[np.ndarray]:
+    """Tables over n under keys, memoized on the net; fill(missing) gives one row per missing key."""
     missing = list(dict.fromkeys(k for k in keys if k not in net._norms))
     if missing:
-        cols = np.array([norms(n, missing) for n in range(net.n_max + 1)])
-        net._norms.update(zip(missing, cols.T.copy()))
+        net._norms.update(zip(missing, np.array(fill(missing), dtype=float)))
     return [net._norms[k] for k in keys]
 
 
 def _ud_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
     """The ud tables per h, with their TruncationWarnings raised on every call, memo hit or not."""
-    keys = [("ud", ws.memo_key, float(h)) for h in hs]
-    tables = _memo_rows(
-        net, keys, lambda n, miss: net.derivative_rows(n).log_ud_norms(ws, [k[2] for k in miss])
-    )
-    for n in range(net.n_max + 1):
-        net.derivative_rows(n).warn_truncated(ws, hs, [t[n] for t in tables])
+    rows = [net.derivative_rows(n) for n in range(net.n_max + 1)]
+    tables = _memo_rows(net, [("ud", ws.memo_key, float(h)) for h in hs], lambda miss: np.transpose(
+        [r.log_ud_norms(ws, [k[2] for k in miss]) for r in rows]))
+    for n, r in enumerate(rows):
+        r.warn_truncated(ws, hs, [t[n] for t in tables])
     return tables
 
 
 def _sup_table(net: Net) -> np.ndarray:
-    return _memo_rows(net, [("sup",)], lambda n, _: [net.derivative_rows(n).log_sup()])[0]
+    ns = range(net.n_max + 1)
+    return _memo_rows(net, [("sup",)], lambda _: [[net.derivative_rows(n).log_sup() for n in ns]])[0]
 
 
 def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
-    keys = [("coef", ws.memo_key, float(h)) for h in hs]
-    return _memo_rows(
-        net, keys, lambda n, miss: log_coef_seminorms(net.at(n), ws, [k[2] for k in miss])
-    )
+    """The tables log sup_k |c_k| e^{M(lambda k)} over n, one per lambda in hs, from one tensor.
+
+    Each f_n is folded to |k| (the larger of |c_k| and |c_-k|) and padded
+    with -inf to the net's largest degree; one gauge call serves every
+    lambda not memoized.  Row maxima run in blocks of 2^16 (lambda, n, |k|).
+    """
+    def fill(missing):
+        polys = [net.at(n) for n in range(net.n_max + 1)]
+        logc = np.full((len(polys), 1 + max(f.degree for f in polys)), -np.inf)
+        for row, f in zip(logc, polys):
+            c = log_abs(f.coef)
+            row[: f.degree + 1] = np.maximum(c[f.degree :], c[f.degree :: -1])
+        lams = np.array([k[2] for k in missing])
+        gauges = np.asarray(associated_gauge(ws, np.multiply.outer(lams, np.arange(logc.shape[1]))))
+        step = max(1, (1 << 16) // gauges.size)
+        blocks = [np.max(logc[i : i + step] + gauges[:, None], axis=2) for i in range(0, len(logc), step)]
+        return np.concatenate(blocks, axis=1)
+
+    return _memo_rows(net, [("coef", ws.memo_key, float(h)) for h in hs], fill)
 
 
-def _gauge_table(ws: WeightSequence, lam: float, n_max: int) -> np.ndarray:
-    return np.asarray(associated_gauge(ws, lam * np.arange(n_max + 1, dtype=float)))
+def _gauge_table(ws: WeightSequence, lams, n_max: int) -> np.ndarray:
+    """M(lambda n) for n = 0..n_max: one row per lambda of a grid, from one gauge call, or one row."""
+    return np.asarray(associated_gauge(ws, np.multiply.outer(lams, np.arange(n_max + 1, dtype=float))))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +216,9 @@ def _decide_pattern(
     if (mode, cls) not in PATTERNS:
         raise ValueError("cls must be 'beurling' or 'roumieu'")
     axis, outer_q, inner_q, sign = PATTERNS[mode, cls]
-    cells = [[r + sign * g for g in gauges] for r in rows]
+    cells = np.asarray(rows, dtype=float)[:, None] + sign * np.asarray(gauges, dtype=float)
     if axis == "lambda":
-        cells = [list(col) for col in zip(*cells)]
+        cells = cells.transpose(1, 0, 2)
     # grid-row tables: each entry is short of its norm by at most GRID_SLACK,
     # and every reduction is monotone, so the margin is too
     slack = GRID_SLACK if method in ("full_norm", "sup_norm", "rj_family") else 0.0
@@ -228,8 +242,7 @@ def _classify_row(row: np.ndarray, ws: WeightSequence, mode, cls, lam_grid, tau,
     """Decide a single row against the gauges: only the lambda quantifiers remain."""
     _, lam_grid = _grids(None, lam_grid)
     grid = {"lambda_grid": list(lam_grid), "class": cls, "mode": mode}
-    gauges = [_gauge_table(ws, lam, len(row) - 1) for lam in lam_grid]
-    return _decide_pattern([row], gauges, mode, cls, tau, grid, method)
+    return _decide_pattern([row], _gauge_table(ws, lam_grid, len(row) - 1), mode, cls, tau, grid, method)
 
 
 def _classify(net: Net, ws: WeightSequence, tables, mode, cls, h_grid, lam_grid, tau, method):
@@ -238,7 +251,7 @@ def _classify(net: Net, ws: WeightSequence, tables, mode, cls, h_grid, lam_grid,
     grid = {"h_grid": list(h_grid), "lambda_grid": list(lam_grid), "class": cls, "mode": mode}
     return _decide_pattern(
         tables(net, ws, h_grid),
-        [_gauge_table(ws, lam, net.n_max) for lam in lam_grid],
+        _gauge_table(ws, lam_grid, net.n_max),
         mode, cls, tau, grid, method,
     )
 
@@ -415,8 +428,7 @@ def find_witness(
     the sup-norm argmax points, whose induced generalized point value is
     non-negligible.
     """
-    S = _sup_table(net)
-    prof = S + _gauge_table(ws, lam, net.n_max)
+    prof = _sup_table(net) + _gauge_table(ws, lam, net.n_max)
     bounded, _, _, baseline = bounded_test(prof, tau)
     if bounded:
         raise NoWitness(f"net {net.label!r} is negligible at lambda={lam}")

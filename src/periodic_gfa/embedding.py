@@ -287,16 +287,9 @@ def check_product_preservation(
     diff = make_net(diff.gen, n_max, label=diff.label)
     verdict = classify_negligible(diff, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau)
 
-    sups = []
-    exact_from = None
-    for n in range(n_max + 1):
-        s = float(np.max(np.abs(diff.at(n).coef)))
-        sups.append(s)
-        if s == 0.0:
-            if exact_from is None:
-                exact_from = n
-        else:
-            exact_from = None
+    sups = [float(np.max(np.abs(diff.at(n).coef))) for n in range(n_max + 1)]
+    last = max((n for n, s in enumerate(sups) if s != 0.0), default=-1)
+    exact_from = last + 1 if last < n_max else None  # the final run of exact zeros
 
     # residual bound at the smallest grid rate whose plus-seminorm profile
     # is genuinely bounded (larger rates satisfy the bound vacuously)

@@ -98,7 +98,7 @@ def classify_regular(
         raise ValueError("cls must be 'beurling' or 'roumieu'")
     v = _decide_pattern(
         _ud_tables(net, ws, h_eff),
-        [_gauge_table(ws, lam, net.n_max) for lam in lam_eff],
+        _gauge_table(ws, lam_eff, net.n_max),
         "regular", cls, tau,
         {"h_grid": list(h_eff), "lambda_grid": list(lam_eff), "class": cls},
         "full_norm",

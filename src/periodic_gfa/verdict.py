@@ -33,34 +33,33 @@ class DeskParams:
 DEFAULTS = DeskParams()
 
 
+def _head_tail(e: np.ndarray):
+    """The rule of bounded_test along the last axis of e: margins, witnesses (-1: none), baselines."""
+    n0 = max(8, (e.shape[-1] - 1) // 8)
+    baseline = np.max(e[..., : n0 + 1], axis=-1, initial=NEG_INF)
+    tail = e[..., n0 + 1 :]
+    if tail.shape[-1] == 0:
+        return np.full_like(baseline, NEG_INF), np.full(baseline.shape, -1), baseline
+    tail_max = np.max(tail, axis=-1)
+    none = tail_max == NEG_INF
+    with np.errstate(invalid="ignore"):
+        grows = np.where(np.isinf(baseline) | (tail_max == math.inf), math.inf, tail_max - baseline)
+    return np.where(none, NEG_INF, grows), np.where(none, -1, n0 + 1 + np.argmax(tail, axis=-1)), baseline
+
+
 def bounded_test(log_values, tau: float = DEFAULTS.tau):
     """Head-versus-tail boundedness decision on a sequence of log magnitudes.
 
     The head is n <= n0 with n0 = max(8, n_max // 8); the sequence is
     declared bounded iff max over the tail does not exceed the head
     maximum by more than tau.  Entries equal to -inf (zero magnitudes)
-    satisfy every bound.  Returns (bounded, margin, witness_n, baseline).
+    satisfy every bound; +inf anywhere, or a finite tail over an all
+    -inf head, gives margin +inf.  The one-row case of decide.  Returns
+    (bounded, margin, witness_n, baseline).
     """
-    e = np.asarray(log_values, dtype=float)
-    n_max = len(e) - 1
-    n0 = max(8, n_max // 8)
-    head = e[: min(n0, n_max) + 1]
-    tail = e[n0 + 1 :]
-    baseline = float(np.max(head)) if head.size else NEG_INF
-    if tail.size == 0:
-        return True, NEG_INF, None, baseline
-    tail_max = float(np.max(tail))
-    if tail_max == NEG_INF:
-        return True, NEG_INF, None, baseline
-    witness = int(n0 + 1 + int(np.argmax(tail)))
-    if tail_max == math.inf or baseline == math.inf:
-        # an overflowed entry anywhere is never evidence of boundedness
-        return False, math.inf, witness, baseline
-    if baseline == NEG_INF:
-        # finite tail over an identically-zero head is unbounded growth
-        return False, math.inf, witness, baseline
-    margin = tail_max - baseline
-    return margin <= tau, margin, witness, baseline
+    margin, witness, baseline = _head_tail(np.asarray(log_values, dtype=float))
+    margin = float(margin)
+    return margin <= tau, margin, (int(witness) if witness >= 0 else None), float(baseline)
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,9 @@ def decide(
 ) -> GrowthVerdict:
     """The quantifier engine: one verdict from a grid of log profiles.
 
-    profiles[outer][inner] is a sequence of log magnitudes; each cell is
-    judged by bounded_test and the cell margins are reduced over the
+    profiles[outer][inner] is a sequence of log magnitudes, all of one
+    length; the stacked profiles are judged at once by the rule of
+    bounded_test (_head_tail) and the cell margins are reduced over the
     inner axis, then the outer one, 'forall' with max (every grid point
     must pass) and 'exists' with min (one witness suffices).  Ties go to
     the first grid point, so the axis order fixes the witness.  Given
@@ -128,29 +128,22 @@ def decide(
     slack, each profile entry is short of its value by at most slack,
     and so is the margin: margin_bracket is margin -/+ slack.
     """
+    e = np.asarray(profiles, dtype=float)
     if ks is not None:
-        freqs = np.abs(np.asarray(ks))
-        order = np.argsort(freqs, kind="stable")
-        freqs = freqs[order]
-    margins = np.empty((len(profiles), len(profiles[0])))
-    witnesses = {}
-    for i, row in enumerate(profiles):
-        for j, prof in enumerate(row):
-            if ks is not None:
-                prof = np.asarray(prof)[order]
-            _, m, w, _ = bounded_test(prof, tau)
-            margins[i, j] = m
-            witnesses[i, j] = int(freqs[w]) if ks is not None and w is not None else w
+        order = np.argsort(np.abs(ks), kind="stable")
+        freqs, e = np.abs(ks)[order], e[..., order]
+    margins, witnesses, _ = _head_tail(e)
     inner_red, inner_arg = _QUANTIFIERS[inner_q]
     outer_red, outer_arg = _QUANTIFIERS[outer_q]
     per_outer = inner_red(margins, axis=1)
     margin = float(outer_red(per_outer))
     i_star = int(outer_arg(per_outer))
     j_star = int(inner_arg(margins[i_star]))
+    w = int(witnesses[i_star, j_star])
     return GrowthVerdict(
         bounded=margin <= tau,
         margin=margin,
-        witness_n=witnesses[i_star, j_star],
+        witness_n=None if w < 0 else int(freqs[w]) if ks is not None else w,
         grid=grid,
         method=method,
         tau=tau,
