@@ -174,8 +174,7 @@ def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
         for row, f in zip(logc, polys):
             c = log_abs(f.coef)
             row[: f.degree + 1] = np.maximum(c[f.degree :], c[f.degree :: -1])
-        lams = np.array([k[2] for k in missing])
-        gauges = np.asarray(associated_gauge(ws, np.multiply.outer(lams, np.arange(logc.shape[1]))))
+        gauges = _gauge_table(ws, [k[2] for k in missing], logc.shape[1] - 1)
         step = max(1, (1 << 16) // gauges.size)
         blocks = [np.max(logc[i : i + step] + gauges[:, None], axis=2) for i in range(0, len(logc), step)]
         return np.concatenate(blocks, axis=1)

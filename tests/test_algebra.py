@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import battery
@@ -484,24 +486,56 @@ class TestMemoKeys:
         assert sum(k[0] == "ud" for k in net._norms) == len(h_grid) + 1
 
     def test_coef_tables_share_one_call_per_representative(self, ws_p1, monkeypatch):
+        """One gauge build serves every lambda a net lacks; a memo hit builds none."""
         calls = []
 
-        def counting(f, ws, lams, *args):
-            calls.append(list(lams))
-            return S.log_coef_seminorms(f, ws, lams, *args)
+        def counting(ws, t):
+            t = np.asarray(t)
+            calls.append((t[:, 1].tolist(), t.shape[1]))  # t = outer(lambdas, 0..K): (lambdas, K + 1)
+            return W.associated_gauge(ws, t)
 
-        monkeypatch.setattr(A, "log_coef_seminorms", counting)
-        net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
-        A.coef_classify(net, ws_p1, "beurling", "moderate")
+        monkeypatch.setattr(A, "associated_gauge", counting)
+        # degree 2n: the |k| axis (0..2 NMAX) and the n axis of the M(lambda n) gauges differ
+        net = A.make_net(lambda n: S.TrigPoly.dirichlet(2 * n), NMAX)
         h_grid = [float(h) for h in V.DEFAULTS.h_grid]
-        assert calls == [h_grid] * (NMAX + 1)
+        lam_gauges = (list(V.DEFAULTS.lambda_grid), NMAX + 1)
+        A.coef_classify(net, ws_p1, "beurling", "moderate")
+        assert calls == [(h_grid, 2 * NMAX + 1), lam_gauges]
         assert [k for k in net._norms if k[0] == "coef"] == [("coef", ws_p1.memo_key, h) for h in h_grid]
 
         calls.clear()
         A.coef_classify(net, ws_p1, "roumieu", "negligible")
-        assert calls == []
+        assert calls == [lam_gauges]
+        calls.clear()
         A.coef_classify(net, ws_p1, "roumieu", "moderate", h_grid=(0.5, 3.0))
-        assert calls == [[3.0]] * (NMAX + 1)
+        assert calls == [([3.0], 2 * NMAX + 1), lam_gauges]
+
+    @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coef_tables_equal_per_n_seminorms(self, ws_p1, ws_p2, seed):
+        """The folded, padded tensor gives each log_coef_seminorms value bit for bit."""
+        rng = np.random.default_rng(seed)
+        members = []
+        for n in range(NMAX + 1):
+            d = int(rng.integers(0, 40))
+            coef = rng.normal(size=2 * d + 1) * np.exp(1j * rng.uniform(0, TWO_PI, 2 * d + 1))
+            coef *= np.exp(rng.uniform(-30, 30, 2 * d + 1))  # |c_k| != |c_-k|
+            coef[rng.random(2 * d + 1) < 0.3] = 0.0
+            members.append(S.TrigPoly(coef, d))
+        members[3] = S.TrigPoly.zero(7)  # a zero member of positive degree
+        members[4] = S.TrigPoly.const(2.5)  # degree 0
+        members[5] = S.TrigPoly.zero()
+        members[6] = S.TrigPoly.basis(-11, 3.0)  # one-sided support
+        members[7] = S.TrigPoly.basis(23, 1e-200)
+        table = W.build_weight_sequence(
+            {"kind": "table", "logM": 1.5 * gammaln(np.arange(41) + 1.0)}, p_max=40
+        )
+        for ws in (ws_p1, ws_p2, table):
+            net = A.make_net(lambda n: members[n], NMAX)
+            for hs in (V.DEFAULTS.h_grid, battery.WIDE_H, (0.1, 16.0, 2.0)):
+                got = np.array(A._coef_tables(net, ws, hs))
+                want = np.array([S.log_coef_seminorms(f, ws, hs) for f in members]).T
+                assert got.tobytes() == want.tobytes()
 
     def test_rj_table_builds_its_scale_once(self, ws_p1, monkeypatch):
         built = []
@@ -694,3 +728,38 @@ class TestSharedRowTable:
                     assert [f.result(timeout=300) for f in futures] == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestScaling:
+    """f_n -> c f_n shifts every log norm and coefficient by log|c|: verdicts and margins stay."""
+
+    @staticmethod
+    def verdicts(net, ws):
+        mod = A.classify_moderate(net, ws, "roumieu")
+        return [
+            mod,
+            A.classify_moderate(net, ws, "beurling"),
+            *(A.classify_negligible(net, ws, cls) for cls in ("roumieu", "beurling")),
+            A.classify_negligible_supnorm(net, ws, "roumieu", moderate=mod),
+            *(
+                A.coef_classify(net, ws, cls, mode)
+                for cls in ("roumieu", "beurling")
+                for mode in ("moderate", "negligible")
+            ),
+        ]
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, nets, ws_p1):
+        return [self.verdicts(net, ws_p1) for net, _ in nets]
+
+    @settings(max_examples=6, deadline=None)
+    @example(log10_c=-6.0, angle=0.0)
+    @example(log10_c=6.0, angle=math.pi)
+    @given(log10_c=st.floats(-6.0, 6.0), angle=st.floats(0.0, TWO_PI))
+    def test_scaled_battery_keeps_verdicts(self, nets, ws_p1, unscaled, log10_c, angle):
+        c = 10.0**log10_c * complex(math.cos(angle), math.sin(angle))
+        for (net, _), want in zip(nets, unscaled):
+            for got, v in zip(self.verdicts(A.net_scale(net, c), ws_p1), want):
+                assert got.bounded == v.bounded, (net.label, v.method, c)
+                tol = 1e-9 * max(1.0, abs(v.margin))
+                assert got.margin == v.margin or abs(got.margin - v.margin) <= tol, (net.label, v.method, c)
