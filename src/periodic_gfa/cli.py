@@ -234,7 +234,7 @@ def cmd_weights(args) -> tuple[int, dict]:
         with open(args.csv, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["t", "2M(t)", "M(Ht)"])
-            wr.writerows(doubling.table)
+            wr.writerows(doubling.table.tolist())
     code = 1 if args.assert_ and not doubling.passed else 0
     return code, report
 

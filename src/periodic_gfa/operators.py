@@ -168,7 +168,9 @@ def _certify_roumieu_product(ws: WeightSequence, r: RSequence, k: RSequence, tau
         logMn = np.asarray(ws.logM_at(n), dtype=float)
         b1 = n * log2H - r.log_prod()[n] - logMn
         b2 = n * log2H - k.log_prod()[n] - logMn
-        logc = np.append(logc, [logsumexp(b1[: p + 1] + b2[p::-1]) for p in range(len(logc), p_hi + 1)])
+        ps, j = np.arange(len(logc), p_hi + 1)[:, None], np.arange(p_hi + 1)
+        terms = np.where(j <= ps, b1 + b2[np.abs(ps - j)], -np.inf)  # b1[j] + b2[p - j] for j <= p
+        logc = np.append(logc, logsumexp(terms, axis=1))
         C_of_L = {}
         last_fail = None
         for L in _L_GRID:

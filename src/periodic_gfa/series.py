@@ -172,7 +172,7 @@ def derivative(f: TrigPoly, p: int = 1) -> TrigPoly:
 
 
 # ---------------------------------------------------------------------------
-# sup norms of D^p f: grid rows, refined by golden section for point values
+# sup norms of D^p f: grid rows, refined by Newton steps for point values
 #
 # On m >= 16N + 1 points the grid maximum of a degree-N polynomial is at
 # least sqrt(1 - 2 pi^2 N^2 / m^2) times its sup (Ehlich and Zeller, Math. Z.
@@ -183,41 +183,33 @@ def derivative(f: TrigPoly, p: int = 1) -> TrigPoly:
 GRID_SLACK = -0.5 * math.log(1.0 - 2.0 * math.pi**2 / 256.0)  # 0.0401
 
 
-def _golden_max_rows(w: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int = 39):
-    """Golden-section maximization of |sum_k w[i,k] e^{ikt}| per row.
+def _newton_max_rows(w: np.ndarray, ks: np.ndarray, ts: np.ndarray, half: float):
+    """Newton maximization of |g_i(t)|, g_i(t) = sum_k w[i,k] e^{ikt}, from each t0 = ts[i].
 
-    Rows iterate in lockstep, in batches of at most 2^16 row coefficients;
-    each step keeps the better interior point and evaluates one new one.
-    The midpoint, a grid peak, stands unless beaten, so a bracket costs
-    iters + 3 evaluations.  Returns (values, ts).
+    With phi = |g|^2, phi' = 2 Re(conj(g) g') and phi'' = 2 (|g'|^2 + Re(conj(g) g'')),
+    where g' and g'' are the coefficient multipliers ik and -k^2.  A step
+    t <- t - phi'/phi'' is taken only where phi'' < 0 and is clamped to
+    [t0 - half, t0 + half]; the best |g| evaluated, t0's included, stands.
+    Rows run in batches of at most 2^16 row coefficients.  Returns (values, ts).
     """
     chunk = max(1, (1 << 16) // max(len(ks), 1))
     if len(w) > chunk:
         parts = [
-            _golden_max_rows(w[i : i + chunk], ks, lo[i : i + chunk], hi[i : i + chunk], iters)
-            for i in range(0, len(w), chunk)
+            _newton_max_rows(w[i : i + chunk], ks, ts[i : i + chunk], half) for i in range(0, len(w), chunk)
         ]
         return tuple(np.concatenate(x) for x in zip(*parts))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def val(ts):
-        return np.abs(np.einsum("ik,ik->i", w, np.exp(1j * np.outer(ts, ks))))
-
-    a, b = lo.astype(float), hi.astype(float)
-    mid = (a + b) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    gc, gd = val(c), val(d)
-    for _ in range(iters):
-        left = gc > gd  # keep [a, d], whose upper interior point is c
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        gx = val(x)
-        c, d, gc, gd = (
-            np.where(left, x, d), np.where(left, c, x), np.where(left, gx, gd), np.where(left, gc, gx)
-        )
-    top, t = np.maximum(gc, gd), np.where(gd > gc, d, c)  # the best point evaluated
-    g0 = val(mid)
-    return np.where(top > g0, top, g0), np.where(top > g0, t, mid)
+    mults = np.stack([np.ones_like(ks), 1j * ks, -ks * ks])
+    t = arg = ts
+    best = np.full(len(ts), -1.0)
+    for _ in range(7):  # t0 and six steps
+        g, g1, g2 = np.einsum("ik,jk->ji", w * np.exp(1j * np.outer(t, ks)), mults)
+        v = np.abs(g)
+        up = v > best
+        best, arg = np.where(up, v, best), np.where(up, t, arg)
+        d1 = np.real(np.conj(g) * g1)  # phi'/2 and phi''/2
+        d2 = np.abs(g1) ** 2 + np.real(np.conj(g) * g2)
+        t = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0), ts - half, ts + half)
+    return best, arg
 
 
 def _local_peaks(vals: np.ndarray, rel: float = 0.975) -> np.ndarray:
@@ -264,7 +256,7 @@ def _refined_rows(g: TrigPoly, ps: np.ndarray):
     """Refined log sup_t |D^p g| and its argmax t for each p in ps.
 
     g is trimmed with degree >= 1.  Every near-top grid peak of a row is
-    refined by golden section, so ties between peaks cannot hide the sup.
+    refined by _newton_max_rows, so ties between peaks cannot hide the sup.
     """
     out, w, scale, vals = _log_sup_rows(g, ps)
     m = vals.shape[1]
@@ -272,7 +264,7 @@ def _refined_rows(g: TrigPoly, ps: np.ndarray):
     counts = [len(js) for js in peaks]
     rows = np.repeat(np.arange(len(ps)), counts)
     ts = TWO_PI * np.concatenate(peaks) / m
-    v, t = _golden_max_rows(w[rows], g.support().astype(float), ts - TWO_PI / m, ts + TWO_PI / m)
+    v, t = _newton_max_rows(w[rows], g.support().astype(float), ts, TWO_PI / m)
     lv = scale[rows] + log_abs(v)
     top = np.lexsort((lv, rows))[np.cumsum(counts) - 1]  # each row's best peak
     return np.fmax(out, lv[top]), t[top] % TWO_PI

@@ -336,7 +336,7 @@ class DoublingReport:
     worst_t: float
     H: float
     logA: float
-    table: list[tuple[float, float, float]]
+    table: np.ndarray  # rows (t, 2 M(t), M(H t))
 
     def to_json(self):
         return {
@@ -347,7 +347,7 @@ class DoublingReport:
             "logA": json_float(self.logA),
             "grid": [
                 {"t": t, "2M(t)": json_float(a), "M(Ht)": json_float(b)}
-                for t, a, b in self.table
+                for t, a, b in self.table.tolist()
             ],
             "desk_scale": True,
         }
@@ -370,7 +370,7 @@ def check_doubling_inequality(ws: WeightSequence, t_grid) -> DoublingReport:
         worst_t=float(t_grid[i]),
         H=ws.H,
         logA=float(np.log(ws.A)),
-        table=list(zip(t_grid.tolist(), lhs.tolist(), rhs.tolist())),
+        table=np.column_stack([t_grid, lhs, rhs]),
     )
 
 

@@ -592,25 +592,25 @@ class TestGridRows:
 
     def test_sup_table_is_row_zero(self, ws_p1, monkeypatch):
         rows = count_rows(monkeypatch)
-        golden = []
-        inner = S._golden_max_rows
+        refined = []
+        inner = S._newton_max_rows
 
         def spying(*args, **kwargs):
-            golden.append(len(args[0]))
+            refined.append(len(args[0]))
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(S, "_golden_max_rows", spying)
+        monkeypatch.setattr(S, "_newton_max_rows", spying)
         net = battery.full_battery(ws_p1, NMAX)[8][0]
         mod = A.classify_moderate(net, ws_p1, "roumieu")
         assert sum(rows) > 0
         rows.clear()
         for cls in ("roumieu", "beurling"):
             A.classify_negligible_supnorm(net, ws_p1, cls, moderate=mod)
-        assert rows == [] and golden == []
+        assert rows == [] and refined == []
         assert A._sup_table(net).tolist() == [net.derivative_rows(n).rows[0] for n in range(NMAX + 1)]
-        # the public point value is refined by golden section
+        # the public point value is refined by Newton steps
         A.find_witness(net, ws_p1, 8.0)
-        assert golden
+        assert refined
 
 
 class TestMarginBracket:

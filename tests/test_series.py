@@ -112,16 +112,94 @@ class TestSupNorm:
 
     def test_single_frequency_refines_one_peak(self, monkeypatch):
         brackets = []
-        inner = S._golden_max_rows
+        inner = S._newton_max_rows
 
         def spying(w, *args, **kwargs):
             brackets.append(len(w))
             return inner(w, *args, **kwargs)
 
-        monkeypatch.setattr(S, "_golden_max_rows", spying)
+        monkeypatch.setattr(S, "_newton_max_rows", spying)
         # |f| is constant, so rounding alone makes local maxima of the grid row
         assert S.sup_norm(S.TrigPoly.basis(-384, 2.0)) == pytest.approx(2.0, rel=1e-12)
         assert brackets == [1]
+
+
+def _golden_max_rows(w: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int = 39):
+    """Golden-section maximization of |sum_k w[i,k] e^{ikt}| per row.
+
+    Rows iterate in lockstep, in batches of at most 2^16 row coefficients;
+    each step keeps the better interior point and evaluates one new one.
+    The midpoint, a grid peak, stands unless beaten, so a bracket costs
+    iters + 3 evaluations.  Returns (values, ts).
+    """
+    chunk = max(1, (1 << 16) // max(len(ks), 1))
+    if len(w) > chunk:
+        parts = [
+            _golden_max_rows(w[i : i + chunk], ks, lo[i : i + chunk], hi[i : i + chunk], iters)
+            for i in range(0, len(w), chunk)
+        ]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def val(ts):
+        return np.abs(np.einsum("ik,ik->i", w, np.exp(1j * np.outer(ts, ks))))
+
+    a, b = lo.astype(float), hi.astype(float)
+    mid = (a + b) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    gc, gd = val(c), val(d)
+    for _ in range(iters):
+        left = gc > gd  # keep [a, d], whose upper interior point is c
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        gx = val(x)
+        c, d, gc, gd = (
+            np.where(left, x, d), np.where(left, c, x), np.where(left, gx, gd), np.where(left, gc, gx)
+        )
+    top, t = np.maximum(gc, gd), np.where(gd > gc, d, c)  # the best point evaluated
+    g0 = val(mid)
+    return np.where(top > g0, top, g0), np.where(top > g0, t, mid)
+
+
+def golden_sup_norm(f):
+    """sup_norm_argmax's value with golden section, the refinement it replaced, on the same peaks."""
+    g = f.trimmed()
+    if g.degree == 0:
+        return abs(g.coef[0])
+    out, w, scale, vals = S._log_sup_rows(g, np.zeros(1, dtype=int))
+    m = vals.shape[1]
+    ts = TWO_PI * S._local_peaks(vals[0]) / m
+    rows = np.zeros(len(ts), dtype=int)
+    v, _ = _golden_max_rows(w[rows], g.support().astype(float), ts - TWO_PI / m, ts + TWO_PI / m)
+    return max(math.exp(out[0]), math.exp(scale[0]) * float(np.max(v)))
+
+
+def demo_u_polys(n_max=64):
+    """u.at(n), n <= n_max, of pgfa demo: iota(sin) * iota(delta) under the Dirichlet mollifier."""
+    from periodic_gfa import algebra as A
+    from periodic_gfa import embedding as E
+
+    mol = E.build_mollifier("dirichlet")
+    sin = S.from_trigpoly(S.TrigPoly.sine(), label="sin")
+    u = A.net_mul(E.embed(sin, mol, n_max), E.embed(S.delta(), mol, n_max))
+    return [u.at(n) for n in range(n_max + 1)]
+
+
+class TestNewtonRefinement:
+    """Newton steps from each near-top grid peak match golden section, the refinement they replaced."""
+
+    def test_matches_golden_section(self):
+        rng = np.random.default_rng(17)
+        polys = [random_poly(rng, d) for d in (1, 2, 3, 5, 8, 17, 40, 64, 128, 256, 384, 512)]
+        polys += [S.TrigPoly.dirichlet(n) for n in (1, 4, 16, 100, 300)]
+        polys += [S.TrigPoly.basis(k, 2.0) for k in (1, -7, 64, -384)]
+        polys += demo_u_polys()
+        for f in polys:
+            got, t = S.sup_norm_argmax(f)
+            ref = golden_sup_norm(f)
+            assert got >= ref * (1 - 1e-13)
+            assert got == pytest.approx(ref, rel=1e-12)
+            assert abs(S.evaluate(f, t)) == pytest.approx(got, rel=1e-12)
 
 
 def oracle_ud_norm(f, s, h, p_cap=120, grid=8192):
@@ -213,7 +291,7 @@ def per_h_log_ud_norm(f, ws, h):
                 ts.append(TWO_PI * j / m)
         ts = np.array(ts)
         step = TWO_PI / m
-        ref_v, _ = S._golden_max_rows(w[rows], g.support().astype(float), ts - step, ts + step)
+        ref_v, _ = S._newton_max_rows(w[rows], g.support().astype(float), ts, step)
         for i, v in zip(rows, ref_v):
             if v > 0:
                 out[i] = max(out[i], scale[i] + math.log(v))
@@ -436,7 +514,7 @@ class TestSelectedRows:
 
         monkeypatch.setattr(S, "_log_sup_rows", counting)
         f = random_poly(np.random.default_rng(16), 384)
-        # only rows read are refined, so the bracket bounds the golden-section work (54 rows today)
+        # only rows read are refined, so the bracket bounds the Newton work (54 rows today)
         S.log_ud_norms(f, W.gevrey(1.0, 64), [0.25, 1.0, 8.0])
         assert 0 < sum(rows) <= 100
 
@@ -485,6 +563,23 @@ class TestMetamorphic:
         f, ws = self.case(degree, seed, scale)
         g = S.TrigPoly(np.conj(f.coef[::-1]), f.degree)  # c_k -> conj(c_-k): g = conj(f)
         assert self.close(self.norms(g, ws, hs), self.norms(f, ws, hs))
+
+
+class TestTranslation:
+    """c_k -> c_k e^{ika} translates f by a: point values stay, grid values move within GRID_SLACK."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degree=st.integers(1, 200), seed=st.integers(0, 2**32 - 1), a=st.floats(0.0, TWO_PI, exclude_max=True)
+    )
+    def test_translation_leaves_values(self, degree, seed, a):
+        f = random_poly(np.random.default_rng(seed), degree)
+        g = S.TrigPoly(f.coef * np.exp(1j * a * f.support()), degree)
+        assert S.sup_norm(g) == pytest.approx(S.sup_norm(f), rel=1e-12)
+        ws, hs = W.gevrey(1.0, 2048), [0.25, 1.0, 8.0]
+        want = S.log_ud_norms(f, ws, hs)
+        assert np.all(np.abs(S.log_ud_norms(g, ws, hs) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert abs(S.DerivativeRows(g).log_sup() - S.DerivativeRows(f).log_sup()) <= S.GRID_SLACK
 
 
 def mp_sup(coef, p=0):
