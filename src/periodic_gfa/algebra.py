@@ -33,9 +33,8 @@ from .series import (
     evaluate,
     log_abs,
     multiply,
-    sup_norm_argmax,
 )
-from .verdict import DEFAULTS, GrowthVerdict, bounded_test, decide
+from .verdict import DEFAULTS, GrowthVerdict, bounded_test, decide, desk_grid, head_end
 from .weights import WeightSequence, associated_gauge, modified_weights
 
 
@@ -229,24 +228,16 @@ def _require_mode(mode: str):
         raise ValueError("mode must be 'moderate' or 'negligible'")
 
 
-def _grids(h_grid, lam_grid):
-    h = tuple(h_grid) if h_grid is not None else DEFAULTS.h_grid
-    lam = tuple(lam_grid) if lam_grid is not None else DEFAULTS.lambda_grid
-    if len(h) == 0 or len(lam) == 0 or min(h) <= 0 or min(lam) <= 0:
-        raise ValueError("grids must be nonempty with positive entries")
-    return h, lam
-
-
 def _classify_row(row: np.ndarray, ws: WeightSequence, mode, cls, lam_grid, tau, method):
     """Decide a single row against the gauges: only the lambda quantifiers remain."""
-    _, lam_grid = _grids(None, lam_grid)
+    lam_grid = desk_grid(lam_grid, DEFAULTS.lambda_grid)
     grid = {"lambda_grid": list(lam_grid), "class": cls, "mode": mode}
     return _decide_pattern([row], _gauge_table(ws, lam_grid, len(row) - 1), mode, cls, tau, grid, method)
 
 
 def _classify(net: Net, ws: WeightSequence, tables, mode, cls, h_grid, lam_grid, tau, method):
     """Decide the per-h norm tables of a net against the gauges by the pattern."""
-    h_grid, lam_grid = _grids(h_grid, lam_grid)
+    h_grid, lam_grid = desk_grid(h_grid, DEFAULTS.h_grid), desk_grid(lam_grid, DEFAULTS.lambda_grid)
     grid = {"h_grid": list(h_grid), "lambda_grid": list(lam_grid), "class": cls, "mode": mode}
     return _decide_pattern(
         tables(net, ws, h_grid),
@@ -431,7 +422,6 @@ def find_witness(
     bounded, _, _, baseline = bounded_test(prof, tau)
     if bounded:
         raise NoWitness(f"net {net.label!r} is negligible at lambda={lam}")
-    n0 = max(8, net.n_max // 8)
-    idx = [n for n in range(n0 + 1, net.n_max + 1) if prof[n] > baseline + tau]
-    points = np.array([sup_norm_argmax(net.at(n))[1] for n in idx])
+    idx = [n for n in range(head_end(net.n_max) + 1, net.n_max + 1) if prof[n] > baseline + tau]
+    points = np.array([net.derivative_rows(n).sup_norm_argmax()[1] for n in idx])
     return np.array(idx, dtype=int), points

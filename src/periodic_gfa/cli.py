@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, embedding, operators, regularity, series, weights
-from .series import TWO_PI
 from .verdict import DEFAULTS, json_float
 
 # ValueError covers InvalidSpec, the *Fail input errors and JSONDecodeError
@@ -375,7 +374,7 @@ def cmd_demo(args) -> tuple[int, dict]:
         n_max, label="iota(cos)*iota(delta)",
     )
 
-    sups = [series.sup_norm(u.at(n)) for n in range(n_max + 1)]
+    sups = [u.derivative_rows(n).sup_norm_argmax()[0] for n in range(n_max + 1)]
     u_neg = algebra.classify_negligible(u, ws, cls, tau=args.tau)
     vw_neg = algebra.classify_negligible(algebra.make_net((v - w).at, n_max, "v-w"), ws, cls, tau=args.tau)
     w_delta_net = algebra.make_net((w - iota_delta).at, n_max, "w-iota(delta)")
@@ -512,25 +511,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return json_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _sanitize(obj):
+    """A report in plain JSON types: string keys, lists, non-finite floats as strings."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
         return json_float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": json_float(obj.real), "im": json_float(obj.imag)}
     return obj
 
 
@@ -541,7 +535,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(_sanitize(report), indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(_sanitize(report), indent=2, sort_keys=True)
     print(text)
     if args.out is not None:
         args.out.write_text(text + "\n")

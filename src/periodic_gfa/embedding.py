@@ -19,7 +19,7 @@ clause checks run for n >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -55,9 +55,7 @@ class Mollifier:
     C_bound: float
     R: float
     r: float
-    kind: str
     label: str = ""
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def degree(self, n: int) -> int:
         """Degree ceil(R n) of the n-th embedded polynomial."""
@@ -103,7 +101,6 @@ def build_mollifier(kind: str, n_probe: int = 64, **params) -> Mollifier:
             C_bound=1.0 / TWO_PI,
             R=2.0,
             r=1.0,
-            kind="dirichlet",
             label="dirichlet",
         )
     elif kind == "cutoff":
@@ -135,7 +132,6 @@ def build_mollifier(kind: str, n_probe: int = 64, **params) -> Mollifier:
             C_bound=C,
             R=R,
             r=r,
-            kind="cutoff",
             label=label,
         )
     elif kind == "table":
@@ -153,7 +149,7 @@ def build_mollifier(kind: str, n_probe: int = 64, **params) -> Mollifier:
                 raise MollifierFail(f"table mollifier has no row for n = {n}")
             return np.array([row.get(int(k), 0.0) for k in np.atleast_1d(ks)], dtype=complex)
 
-        m = Mollifier(c=c, C_bound=C, R=R, r=r, kind="table", label=params.get("label", "table"))
+        m = Mollifier(c=c, C_bound=C, R=R, r=r, label=params.get("label", "table"))
     else:
         raise MollifierFail(f"unknown mollifier kind {kind!r}")
     _validate_mollifier(m, n_probe)
@@ -224,7 +220,6 @@ def modulate(f, k: int):
             cls=f.cls,
             growth_lambda=f.growth_lambda,
             label=f"e^(i{k}t)*{f.label}",
-            params=dict(f.params),
         )
     if isinstance(f, Net):
         return f.map(lambda tp: multiply(tp, TrigPoly.basis(k)), label=f"e^(i{k}t)*{f.label}")

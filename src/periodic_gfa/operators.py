@@ -236,6 +236,14 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
     return out
 
 
+def _times_exp(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """z e^{logs}; where e^{|logs|} leaves double range, as e^{log|z| + logs} times the phase of z."""
+    far = np.abs(logs) > _LOG_HUGE
+    out = z * np.exp(np.where(far, 0.0, logs))
+    out[far] = np.exp(log_abs(z[far]) + logs[far]) * np.exp(1j * np.angle(z[far]))
+    return out
+
+
 def log_eval_ultrapoly(P: Ultrapolynomial, x) -> np.ndarray:
     """log P(x) for real x (structure forms only; always positive there)."""
     x = np.atleast_1d(np.abs(np.asarray(x, dtype=float)))
@@ -290,7 +298,6 @@ def apply_operator(P: Ultrapolynomial, f):
             cls=f.cls,
             growth_lambda=_applied_growth_lambda(P, f.growth_lambda),
             label=f"{P.label}({f.label})",
-            params=dict(f.params),
         )
     if isinstance(f, Net):
         return f.map(lambda tp: apply_operator(P, tp), label=f"{P.label}({f.label})")
@@ -475,8 +482,7 @@ def structure_factorize(
 
     def g_oracle(kk, _c=c, _P=P):
         kk = np.asarray(kk)
-        vals = np.asarray(_c.coefficients(kk))
-        return vals * np.exp(-log_eval_ultrapoly(_P, kk.astype(float)))
+        return _times_exp(np.asarray(_c.coefficients(kk)), -log_eval_ultrapoly(_P, kk.astype(float)))
 
     g = CoefDistribution(
         oracle=g_oracle,
@@ -487,7 +493,7 @@ def structure_factorize(
     )
 
     gvals = g.coefficients(ks)
-    recon = np.exp(logP) * gvals
+    recon = _times_exp(gvals, logP)
     residual = float(np.max(np.abs(recon - cvals) / (1.0 + np.abs(cvals))))
 
     logg = logc - logP

@@ -17,19 +17,10 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import (
-    PATTERNS,
-    HypothesisFail,
-    Net,
-    _decide_pattern,
-    _gauge_table,
-    _grids,
-    _ud_tables,
-    classify_moderate,
-)
+from .algebra import PATTERNS, HypothesisFail, Net, _classify, _ud_tables, classify_moderate
 from .embedding import Mollifier, MollifierFail, embed
 from .series import CoefDistribution, coefficient_verdict, gauge_profiles, log_abs, log_coef_seminorm
-from .verdict import DEFAULTS, GrowthVerdict, decide, json_float
+from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, json_float
 from .weights import WeightSequence, associated_gauge
 
 
@@ -81,7 +72,7 @@ def classify_regular(
     A not-regular verdict means no grid witness exists; it is a
     statement about the supplied grids, recorded in the result.
     """
-    h_grid, lam_grid = _grids(h_grid, lam_grid)
+    h_grid, lam_grid = desk_grid(h_grid, DEFAULTS.h_grid), desk_grid(lam_grid, DEFAULTS.lambda_grid)
     if moderate is None:
         moderate = classify_moderate(net, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau)
     if not moderate.bounded:
@@ -96,13 +87,7 @@ def classify_regular(
         lam_eff = tuple(sorted(set(lam_grid) | {min(h_grid) / 4.0}))
     else:
         raise ValueError("cls must be 'beurling' or 'roumieu'")
-    v = _decide_pattern(
-        _ud_tables(net, ws, h_eff),
-        _gauge_table(ws, lam_eff, net.n_max),
-        "regular", cls, tau,
-        {"h_grid": list(h_eff), "lambda_grid": list(lam_eff), "class": cls},
-        "full_norm",
-    )
+    v = _classify(net, ws, _ud_tables, "regular", cls, h_eff, lam_eff, tau, "full_norm")
     # the witness is the outer ("exists") grid point of the pattern
     axis = PATTERNS["regular", cls][0]
     rates = lam_eff if axis == "lambda" else h_eff
@@ -133,7 +118,7 @@ def coefficient_decay_class(
     grid mu, Roumieu for some mu.  This is the coefficient side of the
     regularity equivalence.
     """
-    mu_grid = tuple(mu_grid) if mu_grid is not None else DEFAULTS.lambda_grid
+    mu_grid = desk_grid(mu_grid, DEFAULTS.lambda_grid)
     ks = np.arange(-k_max, k_max + 1)
     q = "forall" if cls == "beurling" else "exists"
     v = coefficient_verdict(ks, log_abs(c.coefficients(ks)), ws, mu_grid, q, 1.0, tau, None)
@@ -151,8 +136,8 @@ def _moderate_lambda_grid(ws: WeightSequence, m: Mollifier, f: CoefDistribution,
     The embedding bound needs rates up to H R max(lambda_f, h), so those
     points are appended to the gauge grid.
     """
-    lam_grid = tuple(lam_grid) if lam_grid is not None else DEFAULTS.lambda_grid
-    h_grid = tuple(h_grid) if h_grid is not None else DEFAULTS.h_grid
+    lam_grid = desk_grid(lam_grid, DEFAULTS.lambda_grid)
+    h_grid = desk_grid(h_grid, DEFAULTS.h_grid)
     extra = ws.H * m.R * max(max(h_grid), f.growth_lambda)
     return tuple(sorted(set(lam_grid) | {extra}))
 
@@ -199,7 +184,7 @@ def check_embedding_residual(
     """
     if abs(m.r - 1.0) > 1e-12:
         raise MollifierFail("the residual bound assumes a mollifier with r = 1")
-    lam_grid = tuple(lam_grid) if lam_grid is not None else DEFAULTS.lambda_grid
+    lam_grid = desk_grid(lam_grid, DEFAULTS.lambda_grid)
     ks = np.arange(-k_max, k_max + 1)
     fvals = f.coefficients(ks)
     lams = np.asarray(lam_grid, dtype=float)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -252,38 +252,6 @@ def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
     return scale + np.log(np.max(vals, axis=1)), w, scale, vals
 
 
-def _refined_rows(g: TrigPoly, ps: np.ndarray):
-    """Refined log sup_t |D^p g| and its argmax t for each p in ps.
-
-    g is trimmed with degree >= 1.  Every near-top grid peak of a row is
-    refined by _newton_max_rows, so ties between peaks cannot hide the sup.
-    """
-    out, w, scale, vals = _log_sup_rows(g, ps)
-    m = vals.shape[1]
-    peaks = [_local_peaks(row) for row in vals]
-    counts = [len(js) for js in peaks]
-    rows = np.repeat(np.arange(len(ps)), counts)
-    ts = TWO_PI * np.concatenate(peaks) / m
-    v, t = _newton_max_rows(w[rows], g.support().astype(float), ts, TWO_PI / m)
-    lv = scale[rows] + log_abs(v)
-    top = np.lexsort((lv, rows))[np.cumsum(counts) - 1]  # each row's best peak
-    return np.fmax(out, lv[top]), t[top] % TWO_PI
-
-
-def sup_norm_argmax(f: TrigPoly):
-    """(max_t |f(t)|, argmax t): row p = 0 of _refined_rows."""
-    g = f.trimmed()
-    if g.degree == 0:
-        return abs(g.coef[0]), 0.0
-    v, t = _refined_rows(g, np.zeros(1, dtype=int))
-    return math.exp(v[0]), float(t[0])
-
-
-def sup_norm(f: TrigPoly) -> float:
-    """max_t |f(t)|, accurate to 1e-6 relative for degree <= 512."""
-    return sup_norm_argmax(f)[0]
-
-
 # ---------------------------------------------------------------------------
 # ultradifferentiable norms, in log scale, from one row table per polynomial
 # ---------------------------------------------------------------------------
@@ -301,16 +269,48 @@ class DerivativeRows:
         self.poly = f.trimmed()
         self.rows = np.empty(0)
 
-    def _read(self, ps: np.ndarray) -> np.ndarray:
-        """Grid rows ps (distinct), evaluating those not held in blocks of at most 64."""
+    def _read(self, ps: np.ndarray, fresh: np.ndarray | None = None) -> np.ndarray:
+        """Grid rows ps (distinct), evaluating those not held in blocks of at most 64.
+
+        fresh, when given, holds the grid values of every row ps, already evaluated.
+        """
         held = self.rows  # one snapshot; a grown copy is published whole
         rows = np.concatenate([held, np.full(max(0, ps.max() + 1 - len(held)), np.nan)])
-        miss = ps[np.isnan(rows[ps])]
+        miss = np.flatnonzero(np.isnan(rows[ps]))
         for i in range(0, len(miss), 64):
-            rows[miss[i : i + 64]] = _log_sup_rows(self.poly, miss[i : i + 64])[0]
+            block = miss[i : i + 64]
+            rows[ps[block]] = _log_sup_rows(self.poly, ps[block])[0] if fresh is None else fresh[block]
         if len(miss):
             self.rows = rows
         return rows[ps]
+
+    def refined(self, ps: np.ndarray):
+        """Refined log sup_t |D^p f| and its argmax t for each p in ps (distinct).
+
+        The degree is at least 1.  Every near-top grid peak of a row is
+        refined by _newton_max_rows, so ties between peaks cannot hide the
+        sup; a refined value is never below the grid value, and the grid
+        rows evaluated here are published as _read publishes them.
+        """
+        out, w, scale, vals = _log_sup_rows(self.poly, ps)
+        self._read(ps, out)
+        m = vals.shape[1]
+        peaks = [_local_peaks(row) for row in vals]
+        counts = [len(js) for js in peaks]
+        rows = np.repeat(np.arange(len(ps)), counts)
+        ts = TWO_PI * np.concatenate(peaks) / m
+        v, t = _newton_max_rows(w[rows], self.poly.support().astype(float), ts, TWO_PI / m)
+        lv = scale[rows] + log_abs(v)
+        top = np.lexsort((lv, rows))[np.cumsum(counts) - 1]  # each row's best peak
+        return np.fmax(out, lv[top]), t[top] % TWO_PI
+
+    def sup_norm_argmax(self):
+        """(max_t |f(t)|, argmax t): row p = 0, refined."""
+        g = self.poly
+        if g.degree == 0:
+            return abs(g.coef[0]), 0.0
+        v, t = self.refined(np.zeros(1, dtype=int))
+        return math.exp(v[0]), float(t[0])
 
     def log_sup(self) -> float:
         """Grid value of log sup_t |f|, row p = 0, evaluated only if absent."""
@@ -394,11 +394,21 @@ class DerivativeRows:
             warnings.warn(msg, TruncationWarning, stacklevel=2)
 
 
+def sup_norm_argmax(f: TrigPoly):
+    """(max_t |f(t)|, argmax t); see DerivativeRows.sup_norm_argmax."""
+    return DerivativeRows(f).sup_norm_argmax()
+
+
+def sup_norm(f: TrigPoly) -> float:
+    """max_t |f(t)|, accurate to 1e-6 relative for degree <= 512."""
+    return DerivativeRows(f).sup_norm_argmax()[0]
+
+
 def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
     """log sup_p h^p ||D^p f||_inf / M_p for every h in hs.
 
     The grid values of a fresh DerivativeRows, with the rows read there
-    within GRID_SLACK of some h's grid value refined by _refined_rows: no
+    within GRID_SLACK of some h's grid value refined by DerivativeRows.refined: no
     other row can become a maximum, and an unread row's bracket lies below.
     """
     table = DerivativeRows(f)
@@ -408,7 +418,7 @@ def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
     gain = ps * np.array([[math.log(h)] for h in hs]) - np.asarray(ws.logM_at(ps), dtype=float)
     near = np.nonzero(np.any(table.rows + gain >= best[:, None] - GRID_SLACK, axis=0))[0]
     if len(near):
-        best = np.maximum(best, np.max(_refined_rows(table.poly, near)[0] + gain[:, near], axis=1))
+        best = np.maximum(best, np.max(table.refined(near)[0] + gain[:, near], axis=1))
     return best
 
 
@@ -482,7 +492,6 @@ class CoefDistribution:
     cls: str = "roumieu"
     growth_lambda: float = 1.0
     label: str = ""
-    params: dict[str, Any] = field(default_factory=dict)
 
     def coefficients(self, ks) -> np.ndarray:
         ks = np.atleast_1d(np.asarray(ks))
@@ -495,7 +504,6 @@ class CoefDistribution:
             cls=self.cls,
             growth_lambda=self.growth_lambda,
             label=f"{a}*{self.label}",
-            params=dict(self.params),
         )
 
 
@@ -533,7 +541,6 @@ def exp_decay(mu: float, cls: str = "roumieu") -> CoefDistribution:
         cls=cls,
         growth_lambda=1.0,
         label=f"exp_decay:{mu:g}",
-        params={"mu": mu},
     )
 
 
@@ -557,7 +564,6 @@ def exp_growth(lam: float, ws: WeightSequence, cls: str = "beurling") -> CoefDis
         cls=cls,
         growth_lambda=lam,
         label=f"exp_growth:{lam:g}",
-        params={"lambda": lam, "weights": ws.label},
     )
 
 
@@ -568,7 +574,6 @@ def from_trigpoly(f: TrigPoly, cls: str = "roumieu", label: str = "table") -> Co
         cls=cls,
         growth_lambda=1.0,
         label=label,
-        params={"degree": f.degree},
     )
 
 

@@ -33,9 +33,25 @@ class DeskParams:
 DEFAULTS = DeskParams()
 
 
+def desk_grid(values, default: tuple[float, ...]) -> tuple[float, ...]:
+    """A grid of norm parameters: values as a tuple, or default when values is None.
+
+    Raises ValueError on an empty grid or an entry that is not positive.
+    """
+    grid = default if values is None else tuple(values)
+    if len(grid) == 0 or not all(v > 0 for v in grid):
+        raise ValueError("grids must be nonempty with positive entries")
+    return grid
+
+
+def head_end(n_max: int) -> int:
+    """n0: the head of a sequence over n = 0..n_max is n <= n0."""
+    return max(8, n_max // 8)
+
+
 def _head_tail(e: np.ndarray):
     """The rule of bounded_test along the last axis of e: margins, witnesses (-1: none), baselines."""
-    n0 = max(8, (e.shape[-1] - 1) // 8)
+    n0 = head_end(e.shape[-1] - 1)
     baseline = np.max(e[..., : n0 + 1], axis=-1, initial=NEG_INF)
     tail = e[..., n0 + 1 :]
     if tail.shape[-1] == 0:
@@ -50,7 +66,7 @@ def _head_tail(e: np.ndarray):
 def bounded_test(log_values, tau: float = DEFAULTS.tau):
     """Head-versus-tail boundedness decision on a sequence of log magnitudes.
 
-    The head is n <= n0 with n0 = max(8, n_max // 8); the sequence is
+    The head is n <= n0 with n0 = head_end(n_max); the sequence is
     declared bounded iff max over the tail does not exceed the head
     maximum by more than tau.  Entries equal to -inf (zero magnitudes)
     satisfy every bound; +inf anywhere, or a finite tail over an all

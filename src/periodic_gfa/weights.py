@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 from scipy.special import gammaln
 
-from .verdict import DEFAULTS, GrowthVerdict, decide, json_float
+from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, json_float
 
 _M1_TOL = 1e-9
 
@@ -202,10 +202,6 @@ class RSequence:
     @property
     def j_max(self) -> int:
         return len(self.r) - 1
-
-    @cached_property
-    def memo_key(self) -> str:
-        return _digest(self.r)
 
     def log_prod(self) -> np.ndarray:
         """log of the running products prod_{j<=p} r_j."""
@@ -391,7 +387,7 @@ def relation(
         raise ValueError("kind must be 'subset' or 'strict'")
     if p_max is None:
         p_max = min(wsM.p_max, wsN.p_max)
-    h_grid = tuple(h_grid) if h_grid is not None else DEFAULTS.h_grid
+    h_grid = desk_grid(h_grid, DEFAULTS.h_grid)
     p = np.arange(0, p_max + 1)
     diff = np.asarray(wsM.logM_at(p), dtype=float) - np.asarray(
         wsN.logM_at(p), dtype=float

@@ -763,3 +763,16 @@ class TestScaling:
                 assert got.bounded == v.bounded, (net.label, v.method, c)
                 tol = 1e-9 * max(1.0, abs(v.margin))
                 assert got.margin == v.margin or abs(got.margin - v.margin) <= tol, (net.label, v.method, c)
+
+
+class TestNegligibleSum:
+    """The negligible nets form an ideal of the moderate ones: adding one keeps a moderate verdict."""
+
+    @pytest.mark.parametrize("cls", ["roumieu", "beurling"])
+    def test_adding_a_negligible_net_keeps_moderate(self, nets, ws_p1, cls):
+        negligible = [net for net, is_negligible in nets if is_negligible]
+        for net, _ in nets:
+            want = A.classify_moderate(net, ws_p1, cls).bounded
+            for z in negligible:
+                # only the boolean: the margin of the zero net moves from -inf
+                assert A.classify_moderate(net + z, ws_p1, cls).bounded == want, (net.label, z.label)

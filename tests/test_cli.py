@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from periodic_gfa import cli
+from periodic_gfa import algebra, cli, series, weights
 
 TWO_PI = 2 * math.pi
 
@@ -89,6 +90,38 @@ class TestClassifyCommand:
     def test_unknown_descriptor_exits_2(self, capsys):
         assert cli.main(["classify", "--net", "mystery", "--mode", "moderate"]) == 2
 
+    def test_coefficient_method(self, capsys):
+        argv = ["classify", "--net", "dirichlet", "--mode", "moderate", "--nmax", "16"]
+        code, rep = run(capsys, argv + ["--method", "coefficient", "--assert"])
+        assert code == 0 and rep["bounded"] and rep["method"] == "coefficient"
+        net = algebra.make_net(series.TrigPoly.dirichlet, 16)
+        want = algebra.coef_classify(net, weights.gevrey(1.0, 2048), "roumieu", "moderate")
+        assert rep["margin"] == want.margin
+
+    def test_supnorm_method_decides_negligibility_only(self, capsys):
+        code = cli.main(["classify", "--net", "dirichlet", "--mode", "moderate",
+                         "--method", "sup_norm", "--nmax", "16"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "negligibility" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--weights", "mystery"],
+        ["embed", "--dist", "mystery"],
+        ["factorize", "--dist", "cot_reg", "--class", "roumieu", "--r", "mystery"],
+        ["embed", "--dist", "delta", "--mollifier", "mystery"],
+        ["apply", "--dist", "delta", "--op", "mystery"],
+    ],
+    ids=["weights", "distribution", "rsequence", "mollifier", "operator"],
+)
+def test_unknown_descriptor_exits_2(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: unknown") and "'mystery'" in captured.err
+
 
 class TestEmbedCommand:
     def test_delta_rows(self, capsys):
@@ -120,6 +153,20 @@ class TestEmbedCommand:
         code, rep = run(capsys, ["embed", "--dist", "delta",
                                  "--mollifier", f"file:{spec}", "--nmax", "8"])
         assert code == 0 and len(rep["rows"][8]["coef"]) == 17
+
+    def test_trapezoid_mollifier(self, capsys):
+        code, rep = run(capsys, ["embed", "--dist", "delta", "--mollifier", "cutoff:trapezoid:r=1:R=3",
+                                 "--nmax", "8"])
+        assert code == 0 and rep["mollifier"] == "cutoff:trapezoid:r=1:R=3"
+        # iota(delta)_8 has coefficients psi(k/8): 1/(2 pi) up to |k| = 8, ramping to 0 at 24
+        by_k = {c["k"]: c["re"] for c in rep["rows"][8]["coef"]}
+        assert sorted(by_k) == list(range(-23, 24))
+        assert by_k[8] == pytest.approx(1 / TWO_PI) and by_k[-16] == pytest.approx(0.5 / TWO_PI)
+
+    def test_constant_one(self, capsys):
+        code, rep = run(capsys, ["embed", "--dist", "one", "--nmax", "8"])
+        assert code == 0 and rep["distribution"] == "one"
+        assert [row["coef"] for row in rep["rows"]] == [[{"k": 0, "re": 1.0, "im": 0.0}]] * 9
 
     def test_weight_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "weights.json"
@@ -225,6 +272,22 @@ class TestFactorizeCommand:
         )
         assert code == 2
 
+    def test_beurling_past_double_range(self, capsys):
+        # at k = 200, log P(k) = 799 lies past the range of exp in double precision
+        code, rep = run(
+            capsys,
+            ["factorize", "--dist", "exp_growth:0.5", "--weights", "gevrey:1",
+             "--class", "beurling", "--kmax", "200", "--assert"],
+        )
+        assert code == 0 and rep["passed"] and rep["reconstruction_residual"] <= 1e-12
+
+    def test_roumieu_with_linear_rsequence(self, capsys):
+        argv = ["factorize", "--dist", "cot_reg", "--weights", "gevrey:1", "--class", "roumieu",
+                "--kmax", "128", "--assert"]
+        code, rep = run(capsys, argv + ["--r", "linear", "--k", "linear"])
+        assert code == 0 and rep["passed"]
+        assert rep["g_inclass"]["grid"]["k_sequence"] == "j+1"
+
     def test_roumieu_with_rsequence_file(self, capsys, tmp_path):
         rfile = tmp_path / "r.json"
         rfile.write_text(json.dumps({"r": list(range(1, 1026))}))
@@ -257,6 +320,31 @@ class TestDemoCommand:
         assert not rep["w_minus_iota_delta_negligible"]["bounded"]
         assert rep["iota_of_cos_delta_vs_iota_delta_max_gap"] == 0.0
         assert rep["chain_conclusion"]["chain_breaks_in_algebra"]
+
+    def test_csv_lists_the_reported_sups(self, capsys, tmp_path):
+        target = tmp_path / "sups.csv"
+        code, rep = run(capsys, ["demo", "--nmax", "16", "--csv", str(target)])
+        with open(target, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert code == 0 and rows[0] == ["n", "sup_norm_u"]
+        assert [int(n) for n, _ in rows[1:]] == list(range(17))
+        assert [float(s) for _, s in rows[1:]] == rep["sup_norms_u"]
+
+    def test_report_evaluates_row_zero_once_per_index(self, capsys, monkeypatch):
+        rows, zeros = [], []
+        inner = series._log_sup_rows
+
+        def counting(f, ps):
+            rows.append(len(ps))
+            zeros.append(0 in ps)
+            return inner(f, ps)
+
+        monkeypatch.setattr(series, "_log_sup_rows", counting)
+        assert cli.main(["demo", "--nmax", "64"]) == 0
+        capsys.readouterr()
+        # row 0 once for each n = 1..64 of u, v - w and w - iota(delta); the report's
+        # sups of u refine the rows u's verdict reads
+        assert (sum(rows), sum(zeros)) == (2459, 192)
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "report.json"

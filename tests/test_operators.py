@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 import battery
 from periodic_gfa import algebra as A
@@ -85,6 +86,16 @@ class TestEval:
             want = 2 * float(mp.log(tot))
         got = float(O.log_eval_ultrapoly(P, 7.0)[0])
         assert got == pytest.approx(want, abs=1e-10)
+
+    def test_even_series_past_its_first_block(self, ws_p1):
+        # at x = 200 the terms peak at 2p = 400 and about 240 of them matter
+        x, logL = 200.0, math.log(ws_p1.H**2)
+        two_p = np.arange(0, 4000, 2)
+        terms = two_p * (logL + math.log(x)) - ws_p1.logM_at(two_p)
+        assert np.argmax(terms) > 2 * 64
+        got = O._log_even_series(ws_p1, logL, np.array([0.0, x]), None)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(logsumexp(terms), rel=1e-14)
 
     def test_lower_bound_at_x(self, ws_p2):
         P = O.build_ultrapolynomial({"form": "structure_beurling", "lambda": 1.0}, ws_p2, "beurling")
@@ -213,6 +224,22 @@ class TestFactorize:
         assert fact.reconstruction_residual <= 1e-12
         assert fact.g_inclass.bounded
         assert fact.lower_bound.passed and fact.lower_bound.c_prime > 0
+
+    def test_beurling_past_double_range(self):
+        # log P(k) reaches 799 at k = 200: e^{-log P} underflows there and e^{log P} overflows
+        ws = W.gevrey(1.0, 2048)
+        c = S.exp_growth(0.5, ws, "beurling").scaled(1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fact = O.structure_factorize(c, ws, "beurling", lam=1.0, k_max=200)
+        ks = np.arange(-200, 201)
+        logP = O.log_eval_ultrapoly(fact.P, ks)
+        g = fact.g.coefficients(ks)
+        assert logP.max() > 745 and fact.reconstruction_residual <= 1e-12
+        assert np.all(np.abs(g) > 0) and np.allclose(np.angle(g), math.pi / 2)
+        # inside double range g is c e^{-log P}, evaluated as before
+        near = logP <= 706
+        assert np.array_equal(g[near], c.coefficients(ks[near]) * np.exp(-logP[near]))
 
     def test_delta_instance(self, ws_p2):
         fact = O.structure_factorize(S.delta(), ws_p2, "beurling", lam=1.0, k_max=128)

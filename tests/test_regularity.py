@@ -90,6 +90,21 @@ class TestEmbeddingResidual:
             resid = f.coefficients(ks) * (1 - 2 * math.pi * mol.coefficients(ks, n))
             assert np.max(np.abs(resid)) == 0.0
 
+    def test_fails_below_the_growth_rate(self, ws_p1, mol):
+        # coefficients e^{M(8k)} leave a residual no rate 1/4 can bound
+        f = S.exp_growth(8.0, ws_p1, "beurling")
+        rep = R.check_embedding_residual(f, mol, ws_p1, lam_grid=[0.25], n_max=NMAX)
+        assert not rep.passed and rep.best_lambda is None and rep.margin > DEFAULTS.tau
+        assert rep.to_json() == {
+            "passed": False,
+            "best_lambda": None,
+            "margin": rep.margin,
+            "fitted_constant": "inf",
+            "reference_constant": "inf",
+            "per_lambda_margins": {"0.25": rep.margin},
+            "desk_scale": True,
+        }
+
     def test_requires_unit_plateau_rate(self, ws_p1):
         wide = E.build_mollifier("cutoff", r=2.0, R=4.0)
         with pytest.raises(E.MollifierFail):
@@ -132,3 +147,26 @@ class TestInclusions:
             net = E.const_embed(f, NMAX, ws=ws_p1)
             v = R.classify_regular(net, ws_p1, "roumieu")
             assert v.regular and v.moderate.bounded, f.label
+
+
+class TestGridEntryPoints:
+    """Every public grid is defaulted and checked in one place: empty or non-positive grids raise."""
+
+    @pytest.mark.parametrize("grid", [[], [0.0], [-1.0]], ids=["empty", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ws, m, g: A.classify_moderate(A.constant_net(S.TrigPoly.sine(), 16), ws, h_grid=g),
+            lambda ws, m, g: A.classify_moderate(A.constant_net(S.TrigPoly.sine(), 16), ws, lam_grid=g),
+            lambda ws, m, g: R.coefficient_decay_class(S.delta(), ws, mu_grid=g),
+            lambda ws, m, g: R.check_regularity_equivalence(S.delta(), m, ws, n_max=16, h_grid=g),
+            lambda ws, m, g: R.check_regularity_equivalence(S.delta(), m, ws, n_max=16, lam_grid=g),
+            lambda ws, m, g: R.check_embedding_residual(S.delta(), m, ws, lam_grid=g, n_max=16),
+            lambda ws, m, g: W.relation(ws, W.gevrey(2.0, 512), h_grid=g),
+        ],
+        ids=["classify-h", "classify-lambda", "decay-mu", "equivalence-h", "equivalence-lambda",
+             "residual-lambda", "relation-h"],
+    )
+    def test_bad_grid_raises(self, ws_p1, mol, call, grid):
+        with pytest.raises(ValueError, match="grids must be nonempty with positive entries"):
+            call(ws_p1, mol, grid)
