@@ -60,7 +60,7 @@ class Net:
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
     _norms: dict = field(default_factory=dict, repr=False)
-    _rows: dict = field(default_factory=dict, repr=False)
+    _table: DerivativeRows | None = field(default=None, repr=False)
 
     def at(self, n: int) -> TrigPoly:
         if not 0 <= n <= self.n_max:
@@ -72,11 +72,11 @@ class Net:
                 raise GeneratorFail(f"generator of {self.label!r} failed at n={n}") from exc
         return self._cache[n]
 
-    def derivative_rows(self, n: int) -> DerivativeRows:
-        """The D^p rows of f_n, shared by every ud table and the sup table of this net."""
-        if n not in self._rows:
-            self._rows.setdefault(n, DerivativeRows(self.at(n)))
-        return self._rows[n]
+    def derivative_rows(self) -> DerivativeRows:
+        """The D^p rows of f_0..f_n_max: one table for every ud table, the sup table and point value."""
+        if self._table is None:
+            self._table = DerivativeRows([self.at(n) for n in range(self.n_max + 1)])
+        return self._table
 
     def map(self, fn: Callable[[TrigPoly], TrigPoly], label: str | None = None) -> "Net":
         return Net(
@@ -134,7 +134,7 @@ def net_scale(f: Net, a: complex, label: str | None = None) -> Net:
 # ---------------------------------------------------------------------------
 # norm tables (memoized per net, keyed by the content of the scale); every
 # ud table, for any scale and h, and the sup table (row p = 0) read the grid
-# rows of Net.derivative_rows
+# rows of the one table Net.derivative_rows
 # ---------------------------------------------------------------------------
 
 def _memo_rows(net: Net, keys: list, fill: Callable[[list], np.ndarray]) -> list[np.ndarray]:
@@ -147,17 +147,14 @@ def _memo_rows(net: Net, keys: list, fill: Callable[[list], np.ndarray]) -> list
 
 def _ud_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
     """The ud tables per h, with their TruncationWarnings raised on every call, memo hit or not."""
-    rows = [net.derivative_rows(n) for n in range(net.n_max + 1)]
-    tables = _memo_rows(net, [("ud", ws.memo_key, float(h)) for h in hs], lambda miss: np.transpose(
-        [r.log_ud_norms(ws, [k[2] for k in miss]) for r in rows]))
-    for n, r in enumerate(rows):
-        r.warn_truncated(ws, hs, [t[n] for t in tables])
+    tables = _memo_rows(net, [("ud", ws.memo_key, float(h)) for h in hs],
+                        lambda miss: net.derivative_rows().log_ud_norms(ws, [k[2] for k in miss]))
+    net.derivative_rows().warn_truncated(ws, hs, tables)
     return tables
 
 
 def _sup_table(net: Net) -> np.ndarray:
-    ns = range(net.n_max + 1)
-    return _memo_rows(net, [("sup",)], lambda _: [[net.derivative_rows(n).log_sup() for n in ns]])[0]
+    return _memo_rows(net, [("sup",)], lambda _: [net.derivative_rows().log_sups()])[0]
 
 
 def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
@@ -423,5 +420,5 @@ def find_witness(
     if bounded:
         raise NoWitness(f"net {net.label!r} is negligible at lambda={lam}")
     idx = [n for n in range(head_end(net.n_max) + 1, net.n_max + 1) if prof[n] > baseline + tau]
-    points = np.array([net.derivative_rows(n).sup_norm_argmax()[1] for n in idx])
+    points = np.array([net.derivative_rows().sup_norm_argmax(n)[1] for n in idx])
     return np.array(idx, dtype=int), points

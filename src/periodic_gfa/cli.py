@@ -12,6 +12,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -374,7 +375,7 @@ def cmd_demo(args) -> tuple[int, dict]:
         n_max, label="iota(cos)*iota(delta)",
     )
 
-    sups = [u.derivative_rows(n).sup_norm_argmax()[0] for n in range(n_max + 1)]
+    sups = [u.derivative_rows().sup_norm_argmax(n)[0] for n in range(n_max + 1)]
     u_neg = algebra.classify_negligible(u, ws, cls, tau=args.tau)
     vw_neg = algebra.classify_negligible(algebra.make_net((v - w).at, n_max, "v-w"), ws, cls, tau=args.tau)
     w_delta_net = algebra.make_net((w - iota_delta).at, n_max, "w-iota(delta)")
@@ -536,9 +537,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(_sanitize(report), indent=2, sort_keys=True)
-    print(text)
     if args.out is not None:
         args.out.write_text(text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left early: the flush at exit goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -223,202 +223,226 @@ def _local_peaks(vals: np.ndarray, rel: float = 0.975) -> np.ndarray:
     return np.nonzero(up & down & (vals >= rel * top))[0]
 
 
-def _log_sup_rows(f: TrigPoly, ps: np.ndarray):
-    """Grid values of log sup_t |D^p f| for each p in ps, unrefined.
+def _log_sup_rows(coef: np.ndarray, ps: np.ndarray, m: int, rows=0):
+    """Grid values of log sup_t |D^p f| on m points for each p in ps and f = coef[rows[i]], unrefined.
 
-    f is trimmed with degree >= 1, so no row vanishes.  Rows are
-    normalized by their largest coefficient magnitude so the batched grid
-    evaluation stays in range; the grid is 16x oversampled.  Returns the
-    log grid maxima and what refining a row needs: (out, w, scale, vals).
+    coef holds polynomials of degree >= 1 (so no row vanishes) over k = -D..D,
+    m > 2D; zero padding changes no value.  Rows are normalized by their
+    largest coefficient magnitude so the batched grid evaluation stays in
+    range.  Returns the log grid maxima and what refining a row needs:
+    (out, w, scale, vals).
     """
-    ks = f.support().astype(float)
+    half = coef.shape[1] // 2
+    ks = np.arange(-half, half + 1)
     # np.angle stays finite on denormals where c/|c| would not
-    phases = np.where(f.coef != 0, np.exp(1j * np.angle(f.coef)), 0)
+    phases = np.where(coef != 0, np.exp(1j * np.angle(coef)), 0)[rows]
     pcol = ps[:, None].astype(float)
     with np.errstate(invalid="ignore"):
-        term = pcol * log_abs(ks)[None, :]
+        term = pcol * log_abs(ks.astype(float))[None, :]
     term[ps == 0, :] = 0.0
-    logmat = log_abs(f.coef)[None, :] + term
+    logmat = log_abs(coef)[rows] + term
     scale = np.max(logmat, axis=1)
     signs = np.where(ks[None, :] < 0, (-1.0) ** pcol, 1.0)
-    w = np.exp(logmat - scale[:, None]) * phases[None, :] * signs
+    w = np.exp(logmat - scale[:, None]) * phases * signs
 
-    m = next_fast_len(max(64, 16 * f.degree + 1))
     buf = np.zeros((len(ps), m), dtype=complex)
-    cols = (f.support() % m).astype(int)
-    buf[:, cols] = w  # distinct columns since m > 2*degree
+    buf[:, ks % m] = w  # distinct columns since m > 2*half
     spec = ifft(buf, axis=1, overwrite_x=True)  # in place: a block holds one complex array
     vals = np.abs(np.multiply(spec, m, out=spec))
     return scale + np.log(np.max(vals, axis=1)), w, scale, vals
 
 
 # ---------------------------------------------------------------------------
-# ultradifferentiable norms, in log scale, from one row table per polynomial
+# ultradifferentiable norms, in log scale, from one row table per net
 # ---------------------------------------------------------------------------
 
-class DerivativeRows:
-    """The grid rows log sup_t |D^p f| of one polynomial, shared by every scale and h.
+_KEY = 1 << 32  # row p of member n is held under the key n * _KEY + p
 
-    rows[p] is the grid value of row p (_log_sup_rows) for every row a
-    reduction read, and nan for a row none read; the sup lies in
-    [rows[p], rows[p] + GRID_SLACK].  Each read works on one snapshot and
-    publishes its new rows in one assignment, so unsynchronized use is safe.
+
+class DerivativeRows:
+    """The grid rows log sup_t |D^p f_n| of a stack f_0, f_1, ..., shared by every scale and h.
+
+    f_n is read on m[n] = next_fast_len(max(64, 16 N_n + 1)) points.  rows holds the sorted
+    keys of the rows read, closed by a sentinel, and their grid values; the sup lies in
+    [value, value + GRID_SLACK].  Each read works on one snapshot and publishes its new rows
+    in one assignment, so unsynchronized use is safe.
     """
 
-    def __init__(self, f: TrigPoly):
-        self.poly = f.trimmed()
-        self.rows = np.empty(0)
+    def __init__(self, polys):
+        self.polys = [f.trimmed() for f in polys]
+        self.degree = np.array([g.degree for g in self.polys], dtype=np.int64)
+        self.m = np.array([next_fast_len(max(64, 16 * d + 1)) for d in self.degree])
+        self.log_c0 = log_abs(np.array([g.coef[0] for g in self.polys]))  # the value at degree 0
+        self.log_n = np.array([math.log(max(d, 1)) for d in self.degree])  # math.log, as for one f
+        self.log_sum_c = np.array([math.log(np.sum(np.abs(g.coef)) or 1.0) for g in self.polys])
+        self.rows = (np.array([np.iinfo(np.int64).max]), np.full(1, np.nan))
 
-    def _read(self, ps: np.ndarray, fresh: np.ndarray | None = None) -> np.ndarray:
-        """Grid rows ps (distinct), evaluating those not held in blocks of at most 64.
+    def _padded(self, ns: np.ndarray):
+        """Members ns (ascending, degree >= 1) once each, zero-padded to k = -D..D, and each one's row."""
+        new = np.concatenate([[True], ns[1:] != ns[:-1]])
+        uniq, big = ns[new], self.degree[ns].max()
+        pad = np.zeros((len(uniq), 2 * big + 1), dtype=complex)
+        for row, n in zip(pad, uniq):
+            row[big - self.degree[n] : big + self.degree[n] + 1] = self.polys[n].coef
+        return pad, np.cumsum(new) - 1
 
-        fresh, when given, holds the grid values of every row ps, already evaluated.
-        """
-        held = self.rows  # one snapshot; a grown copy is published whole
-        rows = np.concatenate([held, np.full(max(0, ps.max() + 1 - len(held)), np.nan)])
-        miss = np.flatnonzero(np.isnan(rows[ps]))
-        for i in range(0, len(miss), 64):
-            block = miss[i : i + 64]
-            rows[ps[block]] = _log_sup_rows(self.poly, ps[block])[0] if fresh is None else fresh[block]
+    def _read(self, ns: np.ndarray, ps: np.ndarray, fresh: np.ndarray | None = None) -> np.ndarray:
+        """Grid rows (ns[i], ps[i]) (distinct, ns ascending, degree >= 1); unless fresh holds them,
+        those not held run by grid length, in blocks of 64 rows or 2^16 points, whichever is more."""
+        keys, vals = self.rows  # one snapshot; a merged copy is published whole
+        want = ns * _KEY + ps
+        at = np.searchsorted(keys, want)
+        got, miss = vals[at], np.flatnonzero(keys[at] != want)
+        if fresh is not None:
+            got[miss] = fresh[miss]
+        ms = self.m[ns[miss]] if fresh is None else []
+        for m in np.unique(ms):
+            group, step = miss[ms == m], max(64, (1 << 16) // m)
+            for block in np.split(group, range(step, len(group), step)):
+                pad, rows = self._padded(ns[block])
+                got[block] = _log_sup_rows(pad, ps[block], m, rows)[0]
         if len(miss):
-            self.rows = rows
-        return rows[ps]
+            keys, vals = np.append(keys, want[miss]), np.append(vals, got[miss])
+            order = np.argsort(keys, kind="stable")
+            self.rows = (keys[order], vals[order])
+        return got
 
-    def refined(self, ps: np.ndarray):
-        """Refined log sup_t |D^p f| and its argmax t for each p in ps (distinct).
+    def refined(self, n: int, ps: np.ndarray):
+        """Refined log sup_t |D^p f_n| and its argmax t for each p in ps (distinct), degree >= 1.
 
-        The degree is at least 1.  Every near-top grid peak of a row is
-        refined by _newton_max_rows, so ties between peaks cannot hide the
-        sup; a refined value is never below the grid value, and the grid
-        rows evaluated here are published as _read publishes them.
-        """
-        out, w, scale, vals = _log_sup_rows(self.poly, ps)
-        self._read(ps, out)
-        m = vals.shape[1]
+        Every near-top grid peak of a row is refined by _newton_max_rows, so ties between peaks
+        cannot hide the sup; a value is never below the grid value, whose row is published."""
+        g, m = self.polys[n], self.m[n]
+        out, w, scale, vals = _log_sup_rows(g.coef[None, :], ps, m)
+        self._read(np.full(len(ps), n), ps, out)
         peaks = [_local_peaks(row) for row in vals]
         counts = [len(js) for js in peaks]
         rows = np.repeat(np.arange(len(ps)), counts)
         ts = TWO_PI * np.concatenate(peaks) / m
-        v, t = _newton_max_rows(w[rows], self.poly.support().astype(float), ts, TWO_PI / m)
+        v, t = _newton_max_rows(w[rows], g.support().astype(float), ts, TWO_PI / m)
         lv = scale[rows] + log_abs(v)
         top = np.lexsort((lv, rows))[np.cumsum(counts) - 1]  # each row's best peak
         return np.fmax(out, lv[top]), t[top] % TWO_PI
 
-    def sup_norm_argmax(self):
-        """(max_t |f(t)|, argmax t): row p = 0, refined."""
-        g = self.poly
+    def sup_norm_argmax(self, n: int):
+        """(max_t |f_n(t)|, argmax t): row p = 0, refined."""
+        g = self.polys[n]
         if g.degree == 0:
             return abs(g.coef[0]), 0.0
-        v, t = self.refined(np.zeros(1, dtype=int))
+        v, t = self.refined(n, np.zeros(1, dtype=int))
         return math.exp(v[0]), float(t[0])
 
-    def log_sup(self) -> float:
-        """Grid value of log sup_t |f|, row p = 0, evaluated only if absent."""
-        if self.poly.degree == 0:
-            return float(log_abs(self.poly.coef)[0])
-        return float(self._read(np.zeros(1, dtype=int))[0])
+    def log_sups(self) -> np.ndarray:
+        """Grid values of log sup_t |f_n| for every n: row p = 0, evaluated only where absent."""
+        live, out = np.flatnonzero(self.degree), self.log_c0.copy()
+        out[live] = self._read(live, np.zeros_like(live))
+        return out
 
-    def _bounds(self, ws: WeightSequence, hs, ps: np.ndarray) -> np.ndarray:
-        """Each h's bound p log(hN) + log sum|c_k| - log M_p on row p's term, concave in p."""
-        log_hn = np.array([[math.log(h)] for h in hs]) + math.log(self.poly.degree)
-        log_sum_c = math.log(np.sum(np.abs(self.poly.coef)))
-        return ps * log_hn + log_sum_c - np.asarray(ws.logM_at(ps), dtype=float)
+    def _bounds(self, ws: WeightSequence, log_h: np.ndarray, ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """Each h's bound p log(hN) + log sum|c_k| - log M_p on row (ns[i], ps[i])'s term, concave in p."""
+        return ps * (log_h + self.log_n[ns]) + self.log_sum_c[ns] - np.asarray(ws.logM_at(ps), dtype=float)
 
-    def _bracket(self, ps: np.ndarray) -> np.ndarray:
-        """log sum_k |k|^p |c_k| for each p >= 1 in ps, above sup_t |D^p f| (triangle inequality).
-
-        Terms pair k with -k and skip zero pairs; logsumexp runs in blocks of
-        at most 2^16 (p, |k|) entries.
-        """
-        g = self.poly
-        pair = np.abs(g.coef[g.degree + 1 :]) + np.abs(g.coef[g.degree - 1 :: -1])  # |k| = 1..N
-        live = np.nonzero(pair)[0]
-        log_k, log_c = np.log(live + 1.0), np.log(pair[live])
+    def _bracket(self, ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """log sum_k |k|^p |c_k| >= sup_t |D^p f_n| per row (ns[i], ps[i]), p >= 1, in 2^14-entry blocks."""
         out = np.empty(len(ps))
-        chunk = max(1, (1 << 16) // len(live))
+        log_k = np.log(np.arange(1.0, self.degree[ns].max(initial=1) + 1))
+        chunk = max(1, (1 << 14) // len(log_k))
         for i in range(0, len(ps), chunk):
-            terms = ps[i : i + chunk, None] * log_k + log_c
+            c, rows = self._padded(ns[i : i + chunk])
+            half = c.shape[1] // 2
+            pair = np.abs(c[:, half + 1 :]) + np.abs(c[:, half - 1 :: -1])  # |k| = 1..half
+            terms = ps[i : i + chunk, None] * log_k[:half] + log_abs(pair)[rows]
             top = terms.max(axis=1)
             out[i : i + chunk] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
         return out
 
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
-        """Grid value of log sup_p h^p ||D^p f||_inf / M_p for every h in hs, from selected rows.
+        """Grid value of log sup_p h^p ||D^p f_n||_inf / M_p for each h in hs (rows) and n (columns).
 
-        Rows 0 and every bound peak p*(hN) seed each h's value; then only the
-        rows up to ws.p_cap that can reach some h's seed are read: first the
-        cheap bound (_bounds) must reach it, then the bracket (_bracket).  A
-        row left unread lies below its bracket, so it cannot be a maximum; the
-        1e-9 slack on the seeds covers the rounding of both the bracket and
-        the grid row (each about eps |value|, under 1e-11 at degree 384 and
-        p <= 4096).  A preset has no cap: p log(e hN) - log M_p <= M(e hN)
-        puts every bound past p = log sum|c_k| - seed + M(e hN) below the
-        seed.  Warns of nothing; see warn_truncated.
+        Per f_n, rows 0 and every bound peak p*(hN) seed each h's value; then only the rows
+        up to ws.p_cap that can reach some h's seed are read: first the cheap bound (_bounds)
+        must reach it, then the bracket (_bracket), which lies above the row.  The 1e-9 slack
+        on the seeds covers the rounding of both (each about eps |value|, under 1e-11 at
+        degree 384 and p <= 4096).  A preset has no cap: p log(e hN) - log M_p <= M(e hN)
+        puts every bound past p = log sum|c_k| - seed + M(e hN) below the seed.  All seeds
+        are read at once, then all selected rows; candidates are filtered in chunks of about
+        2^14 (row, h) cells.  Warns of nothing; see warn_truncated.
         """
         if any(h <= 0 for h in hs):
             raise ValueError("h must be positive")
-        g = self.poly
-        if g.degree == 0 or len(hs) == 0:
-            return np.full(len(hs), float(log_abs(g.coef)[0]))
+        out, live = np.tile(self.log_c0, (len(hs), 1)), np.flatnonzero(self.degree)
+        if len(live) == 0 or len(hs) == 0:
+            return out
         log_h = np.array([[math.log(h)] for h in hs])
-        hn = np.asarray(hs, dtype=float) * g.degree
+        hn = np.multiply.outer(np.asarray(hs, dtype=float), self.degree[live])
 
-        def best(qs):  # each h's largest term over the rows qs
-            return (self._read(qs) + (qs * log_h - np.asarray(ws.logM_at(qs), dtype=float))).max(axis=1)
+        def best(keys):  # each h's largest term over the rows keys, per member
+            ns, ps = np.divmod(keys, _KEY)
+            terms = self._read(ns, ps) + (ps * log_h - np.asarray(ws.logM_at(ps), dtype=float))
+            return np.maximum.reduceat(terms, np.flatnonzero(np.diff(ns, prepend=-1)), axis=1)
 
-        seeds = np.unique(np.append(ws._p_star(hn, ws.p_cap), 0))
+        seeds = np.unique(np.append(live * _KEY + ws._p_star(hn, ws.p_cap), live * _KEY))
         floor = best(seeds) - 1e-9  # a row may exceed its bracket by rounding
-        end = ws.p_cap
-        if end is None:
-            gap = math.log(np.sum(np.abs(g.coef))) - floor + associated_gauge(ws, math.e * hn)
-            end = max(int(np.max(gap)) + 1, seeds[-1])
-        ps = np.arange(1, end + 1)
-        ps = ps[np.any(self._bounds(ws, hs, ps) >= floor[:, None], axis=0)]
-        gain = ps * log_h - np.asarray(ws.logM_at(ps), dtype=float)
-        ps = ps[np.any(self._bracket(ps) + gain >= floor[:, None], axis=0)]
-        return best(np.union1d(seeds, ps))
+        end = np.full(len(live), ws.p_cap or 0)
+        if ws.p_cap is None:
+            gap = self.log_sum_c[live] - floor + associated_gauge(ws, math.e * hn)
+            end = np.maximum(np.max(gap, axis=0).astype(np.int64) + 1, np.max(ws._p_star(hn, None), axis=0))
+        first, keep = np.cumsum(end) - end, [seeds]
+        total, step = int(end.sum()), max(1, (1 << 14) // len(hs))
+        for i in range(0, total, step):
+            at = np.arange(i, min(i + step, total))
+            j = np.searchsorted(first, at, side="right") - 1
+            ps = at - first[j] + 1
+            ok = np.any(self._bounds(ws, log_h, live[j], ps) >= floor[:, j], axis=0)
+            j, ps = j[ok], ps[ok]
+            gain = ps * log_h - np.asarray(ws.logM_at(ps), dtype=float)
+            ok = np.any(self._bracket(live[j], ps) + gain >= floor[:, j], axis=0)
+            keep.append(live[j[ok]] * _KEY + ps[ok])
+        out[:, live] = best(np.unique(np.concatenate(keep)))
+        return out
 
     def warn_truncated(self, ws: WeightSequence, hs, values) -> None:
-        """A TruncationWarning for each h whose value may lie past the end of a table scale.
+        """A TruncationWarning for each value[i][n] (of hs[i] and f_n) that may lie past a table end.
 
-        Past its peak the bound decreases, so a value is final once the peak
-        lies below p_max and the bound at p_max below the value.  Presets have
-        no table end and never warn.
+        Past its peak the bound decreases, so a value is final once the peak lies below p_max
+        and the bound at p_max below the value.  Presets have no table end and never warn.
         """
-        if ws.p_cap is None or self.poly.degree == 0 or len(hs) == 0:
+        live = np.flatnonzero(self.degree)
+        if ws.p_cap is None or len(hs) == 0:
             return
-        peaks = ws._p_star(np.asarray(hs, dtype=float) * self.poly.degree, ws.p_cap)
-        at_cap = self._bounds(ws, hs, np.array([ws.p_cap]))[:, 0]
-        for _ in range(np.count_nonzero((peaks >= ws.p_cap) | (at_cap >= values))):
+        peaks = ws._p_star(np.multiply.outer(np.asarray(hs, dtype=float), self.degree[live]), ws.p_cap)
+        log_h = np.array([[math.log(h)] for h in hs])
+        at_cap = self._bounds(ws, log_h, live, np.full(len(live), ws.p_cap))
+        for _ in range(np.count_nonzero((peaks >= ws.p_cap) | (at_cap >= np.asarray(values)[:, live]))):
             msg = "ud norm termination not met by p_max; raise p_max"
             warnings.warn(msg, TruncationWarning, stacklevel=2)
 
 
 def sup_norm_argmax(f: TrigPoly):
     """(max_t |f(t)|, argmax t); see DerivativeRows.sup_norm_argmax."""
-    return DerivativeRows(f).sup_norm_argmax()
+    return DerivativeRows([f]).sup_norm_argmax(0)
 
 
 def sup_norm(f: TrigPoly) -> float:
     """max_t |f(t)|, accurate to 1e-6 relative for degree <= 512."""
-    return DerivativeRows(f).sup_norm_argmax()[0]
+    return sup_norm_argmax(f)[0]
 
 
 def log_ud_norms(f: TrigPoly, ws: WeightSequence, hs) -> np.ndarray:
     """log sup_p h^p ||D^p f||_inf / M_p for every h in hs.
 
-    The grid values of a fresh DerivativeRows, with the rows read there
-    within GRID_SLACK of some h's grid value refined by DerivativeRows.refined: no
-    other row can become a maximum, and an unread row's bracket lies below.
+    The grid values of a DerivativeRows of f alone, with the rows read there within GRID_SLACK
+    of some h's grid value refined by DerivativeRows.refined: no other row can become a
+    maximum, and an unread row's bracket lies below.
     """
-    table = DerivativeRows(f)
-    best = table.log_ud_norms(ws, hs)
-    table.warn_truncated(ws, hs, best)
-    ps = np.arange(len(table.rows))
+    table = DerivativeRows([f])
+    best = table.log_ud_norms(ws, hs)[:, 0]
+    table.warn_truncated(ws, hs, best[:, None])
+    ps, rows = table.rows[0][:-1], table.rows[1][:-1]  # f's keys are its p
     gain = ps * np.array([[math.log(h)] for h in hs]) - np.asarray(ws.logM_at(ps), dtype=float)
-    near = np.nonzero(np.any(table.rows + gain >= best[:, None] - GRID_SLACK, axis=0))[0]
-    if len(near):
-        best = np.maximum(best, np.max(table.refined(near)[0] + gain[:, near], axis=1))
+    near = np.any(rows + gain >= best[:, None] - GRID_SLACK, axis=0)
+    if near.any():
+        best = np.maximum(best, np.max(table.refined(0, ps[near])[0] + gain[:, near], axis=1))
     return best
 
 

@@ -399,27 +399,28 @@ def count_rows(monkeypatch):
     rows = []
     inner = S._log_sup_rows
 
-    def counting(f, ps):
+    def counting(coef, ps, *args):
         rows.append(len(ps))
-        return inner(f, ps)
+        return inner(coef, ps, *args)
 
     monkeypatch.setattr(S, "_log_sup_rows", counting)
     return rows
 
 
 def row_tables(net):
-    """The grid rows of every f_n of the net, nan where no reduction read a row."""
-    return [net.derivative_rows(n).rows for n in range(net.n_max + 1)]
+    """The keys (n, p) of the grid rows of the net's table that some reduction read."""
+    return net.derivative_rows().rows[0][:-1]  # without the sentinel
 
 
-def held(rows):
-    """The indices of the rows a table holds."""
-    return np.flatnonzero(~np.isnan(rows))
+def held(table, n):
+    """The rows p of f_n that a table holds."""
+    keys = table.rows[0][:-1]
+    return keys[keys // S._KEY == n] % S._KEY
 
 
 def evaluated_since(before, net):
-    """Rows the net's tables gained since before: what evaluating each row once costs."""
-    return sum(len(held(new)) - len(held(old)) for old, new in zip(before, row_tables(net)))
+    """Rows the net's table gained since before: what evaluating each row once costs."""
+    return len(row_tables(net)) - len(before)
 
 
 class TestMemoKeys:
@@ -479,8 +480,8 @@ class TestMemoKeys:
         before = row_tables(net)
         h_reg = 4.0 * max(V.DEFAULTS.lambda_grid)
         R.classify_regular(net, ws_p1, "beurling", moderate=mod)
-        # only the stretched h is reduced; it reads the rows there and grows them
-        assert calls == [[h_reg]] * (NMAX + 1)
+        # only the stretched h is reduced, over the whole net; it reads the rows there and grows them
+        assert calls == [[h_reg]]
         assert sum(rows) == evaluated_since(before, net) > 0
         assert ("ud", ws_p1.memo_key, h_reg) in net._norms
         assert sum(k[0] == "ud" for k in net._norms) == len(h_grid) + 1
@@ -566,9 +567,9 @@ class TestGridRows:
         evaluated = []
         inner = S._log_sup_rows
 
-        def recording(f, ps):
-            evaluated.append((f, ps.tolist()))
-            return inner(f, ps)
+        def recording(coef, ps, *args):
+            evaluated.append(ps.tolist())
+            return inner(coef, ps, *args)
 
         monkeypatch.setattr(S, "_log_sup_rows", recording)
         r, s = W.linear_rsequence(256), W.build_rsequence(np.maximum(1.0, np.arange(257) / 16.0))
@@ -584,11 +585,9 @@ class TestGridRows:
         for step in steps:
             before, start = row_tables(net), len(evaluated)
             step()
-            assert sum(len(ps) for _, ps in evaluated[start:]) == evaluated_since(before, net)
-        for n in range(NMAX + 1):
-            table = net.derivative_rows(n)
-            ps = [p for f, qs in evaluated if f is table.poly for p in qs]
-            assert sorted(ps) == held(table.rows).tolist()
+            # every row evaluated is new to the table, so no row is evaluated twice
+            assert sum(len(ps) for ps in evaluated[start:]) == evaluated_since(before, net)
+        assert sum(len(ps) for ps in evaluated) == len(row_tables(net))
 
     def test_sup_table_is_row_zero(self, ws_p1, monkeypatch):
         rows = count_rows(monkeypatch)
@@ -607,7 +606,11 @@ class TestGridRows:
         for cls in ("roumieu", "beurling"):
             A.classify_negligible_supnorm(net, ws_p1, cls, moderate=mod)
         assert rows == [] and refined == []
-        assert A._sup_table(net).tolist() == [net.derivative_rows(n).rows[0] for n in range(NMAX + 1)]
+        table = net.derivative_rows()
+        keys, values = table.rows
+        row_zero = [values[np.searchsorted(keys, n * S._KEY)] for n in range(NMAX + 1)]
+        assert all(held(table, n)[0] == 0 for n in range(NMAX + 1))
+        assert A._sup_table(net).tolist() == row_zero
         # the public point value is refined by Newton steps
         A.find_witness(net, ws_p1, 8.0)
         assert refined
@@ -685,7 +688,7 @@ class TestSharedRowTable:
         for step in steps:
             fresh = battery.full_battery(ws_p1, NMAX)[i][0]
             assert self.recorded(step, shared) == self.recorded(step, fresh)
-        assert max(len(shared.derivative_rows(n).rows) for n in range(NMAX + 1)) > 13
+        assert max(held(shared.derivative_rows(), n).max(initial=-1) for n in range(NMAX + 1)) > 12
 
     @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
     def test_memo_hit_raises_the_tables_warnings(self, ws_p1):

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,23 @@ class TestEmbedCommand:
         assert code == 0 and rep["M"]["10.0"] == pytest.approx(7.9214, abs=1e-3)
 
 
+def test_reader_closing_early_leaves_stderr_empty(tmp_path):
+    """`pgfa embed ... | head -1`: no traceback, the command's exit code, and --out written in full."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "report.json"
+    argv = ["embed", "--dist", "delta", "--mollifier", "cutoff:trapezoid:r=1:R=3", "--nmax", "64"]
+    proc = subprocess.Popen(  # the report, about 1.2 MB, overflows the pipe
+        [sys.executable, "-m", "periodic_gfa.cli", *argv, "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (0, b"")
+    assert len(json.loads(out.read_text())["rows"]) == 65
+
+
 class TestProductCommand:
     def test_band_limited(self, capsys):
         code, rep = run(
@@ -334,10 +355,10 @@ class TestDemoCommand:
         rows, zeros = [], []
         inner = series._log_sup_rows
 
-        def counting(f, ps):
+        def counting(coef, ps, *args):
             rows.append(len(ps))
-            zeros.append(0 in ps)
-            return inner(f, ps)
+            zeros.append(np.count_nonzero(ps == 0))
+            return inner(coef, ps, *args)
 
         monkeypatch.setattr(series, "_log_sup_rows", counting)
         assert cli.main(["demo", "--nmax", "64"]) == 0

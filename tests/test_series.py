@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.special import gammaln, logsumexp
 
 import battery
+from periodic_gfa import algebra as A
 from periodic_gfa import series as S
 from periodic_gfa import verdict as V
 from periodic_gfa import weights as W
@@ -32,6 +34,21 @@ def poly_from_list(vals):
 def random_poly(rng, degree):
     c = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1)
     return S.TrigPoly(c, degree)
+
+
+def grid_rows(g, ps):
+    """_log_sup_rows of one trimmed g (degree >= 1) on its m = next_fast_len(max(64, 16N + 1)) points."""
+    return S._log_sup_rows(g.coef[None, :], np.asarray(ps), next_fast_len(max(64, 16 * g.degree + 1)))
+
+
+def held_rows(table, n):
+    """Member n's grid rows of a DerivativeRows, nan where no reduction read a row."""
+    keys, vals = table.rows[0][:-1], table.rows[1][:-1]  # drop the sentinel
+    mine = keys // S._KEY == n
+    ps = keys[mine] % S._KEY
+    rows = np.full(ps.max(initial=-1) + 1, np.nan)
+    rows[ps] = vals[mine]
+    return rows
 
 
 class TestEvaluate:
@@ -166,7 +183,7 @@ def golden_sup_norm(f):
     g = f.trimmed()
     if g.degree == 0:
         return abs(g.coef[0])
-    out, w, scale, vals = S._log_sup_rows(g, np.zeros(1, dtype=int))
+    out, w, scale, vals = grid_rows(g, np.zeros(1, dtype=int))
     m = vals.shape[1]
     ts = TWO_PI * S._local_peaks(vals[0]) / m
     rows = np.zeros(len(ts), dtype=int)
@@ -176,7 +193,6 @@ def golden_sup_norm(f):
 
 def demo_u_polys(n_max=64):
     """u.at(n), n <= n_max, of pgfa demo: iota(sin) * iota(delta) under the Dirichlet mollifier."""
-    from periodic_gfa import algebra as A
     from periodic_gfa import embedding as E
 
     mol = E.build_mollifier("dirichlet")
@@ -281,7 +297,7 @@ def per_h_log_ud_norm(f, ws, h):
         ps = np.arange(p0, p1)
         logM = np.asarray(ws.logM_at(ps), dtype=float)
         offsets = ps * math.log(h) - logM
-        out, w, scale, vals = S._log_sup_rows(g, ps)
+        out, w, scale, vals = grid_rows(g, ps)
         adjusted = out + offsets
         m = vals.shape[1]
         rows, ts = [], []
@@ -392,7 +408,7 @@ def blocked_log_ud_norms(f, ws, hs):
     while live.any():
         block = min(64, max(8, peaks[live].max() + 17 - p0))
         ps = np.arange(p0, min(p0 + block, caps[live].max() + 1))
-        grid = S._log_sup_rows(g, ps)[0]
+        grid = grid_rows(g, ps)[0]
         logM = np.asarray(ws.logM_at(ps), dtype=float)
         reads = live[:, None] & (ps <= caps[:, None])
         terms = np.where(reads, grid + (ps * log_h - logM), -np.inf)
@@ -415,10 +431,10 @@ def recorded(fn, *args):
 
 
 def selected_log_ud_norms(table, ws, hs):
-    """The reduction of table with the TruncationWarnings that its values raise."""
+    """The reduction of a one-member table with the TruncationWarnings that its values raise."""
     values = table.log_ud_norms(ws, hs)
     table.warn_truncated(ws, hs, values)
-    return values
+    return values[:, 0]
 
 
 class TestSelectedRows:
@@ -446,7 +462,7 @@ class TestSelectedRows:
         scales = [W.gevrey(s, 64) for s in s_list] + [table_scale]
         warned = 0
         for f in self.polys(np.random.default_rng(15), degrees):
-            table = S.DerivativeRows(f)  # every scale in turn reads one table, holes included
+            table = S.DerivativeRows([f])  # every scale in turn reads one table, holes included
             for ws in scales:
                 want = recorded(blocked_log_ud_norms, f, ws, self.HS)
                 assert recorded(selected_log_ud_norms, table, ws, self.HS) == want
@@ -469,13 +485,13 @@ class TestSelectedRows:
             )
         else:
             ws = W.gevrey(float(scale), 64)
-        got = recorded(selected_log_ud_norms, S.DerivativeRows(f), ws, hs)
+        got = recorded(selected_log_ud_norms, S.DerivativeRows([f]), ws, hs)
         want = recorded(blocked_log_ud_norms, f, ws, hs)
         assert got[0] == want[0]
         assert len(got[1]) == len(want[1])
 
     def test_warm_call_reads_no_weight_past_the_bound(self, monkeypatch):
-        table, ws = S.DerivativeRows(S.TrigPoly.dirichlet(32)), W.gevrey(1.0, 4096)
+        table, ws = S.DerivativeRows([S.TrigPoly.dirichlet(32)]), W.gevrey(1.0, 4096)
         table.log_ud_norms(ws, DEFAULTS.h_grid)
         asked = []
         inner = W.WeightSequence.logM_at
@@ -490,33 +506,200 @@ class TestSelectedRows:
         assert asked and max(asked) <= 1000
 
     def test_rows_below_the_selection_stay_unread(self):
-        table, ws = S.DerivativeRows(random_poly(np.random.default_rng(16), 384)), W.gevrey(1.0, 64)
-        value = table.log_ud_norms(ws, [8.0])
-        held = np.flatnonzero(~np.isnan(table.rows))
+        table, ws = S.DerivativeRows([random_poly(np.random.default_rng(16), 384)]), W.gevrey(1.0, 64)
+        value = table.log_ud_norms(ws, [8.0])[:, 0]
+        rows = held_rows(table, 0)
+        held = np.flatnonzero(~np.isnan(rows))
         # row 0 (the sup table), then rows of the cheap-bound window up to the seed p* = 8 * 384
         assert held[0] == 0 and held[1] > 2000 and held[-1] == 8 * 384
         seeds = np.array([0, 8 * 384])
-        floor = np.max(table.rows[seeds] + seeds * math.log(8.0) - ws.logM_at(seeds)) - 1e-9
-        window = np.flatnonzero(table._bounds(ws, [8.0], np.arange(4 * 8 * 384))[0] >= floor)
+        floor = np.max(rows[seeds] + seeds * math.log(8.0) - ws.logM_at(seeds)) - 1e-9
+        ps = np.arange(4 * 8 * 384)
+        window = np.flatnonzero(table._bounds(ws, np.array([[math.log(8.0)]]), 0 * ps, ps)[0] >= floor)
         assert value[0] >= floor and set(held[1:]) <= set(window)
         unread = np.setdiff1d(window, held)
-        bracket = table._bracket(unread) + unread * math.log(8.0) - ws.logM_at(unread)
+        bracket = table._bracket(0 * unread, unread) + unread * math.log(8.0) - ws.logM_at(unread)
         assert len(unread) > 0 and np.all(bracket < floor)
-        assert table.log_sup() == table.rows[0]
+        assert table.log_sups()[0] == rows[0]
 
     def test_public_norms_read_few_rows_at_high_degree(self, monkeypatch):
         rows = []
         inner = S._log_sup_rows
 
-        def counting(f, ps):
+        def counting(coef, ps, *args):
             rows.append(len(ps))
-            return inner(f, ps)
+            return inner(coef, ps, *args)
 
         monkeypatch.setattr(S, "_log_sup_rows", counting)
         f = random_poly(np.random.default_rng(16), 384)
         # only rows read are refined, so the bracket bounds the Newton work (54 rows today)
         S.log_ud_norms(f, W.gevrey(1.0, 64), [0.25, 1.0, 8.0])
         assert 0 < sum(rows) <= 100
+
+
+class PolyRows:
+    """The per-polynomial row table that one DerivativeRows per net replaced: TestNetTable's reference.
+
+    rows[p] is the grid value of row p of one polynomial for every row a
+    reduction read, nan elsewhere; missing rows run in blocks of at most 64.
+    The selection of log_ud_norms and the warnings of warn_truncated are
+    the net table's, one polynomial at a time.
+    """
+
+    def __init__(self, f):
+        self.poly = f.trimmed()
+        self.rows = np.empty(0)
+
+    def _read(self, ps):
+        rows = np.concatenate([self.rows, np.full(max(0, ps.max() + 1 - len(self.rows)), np.nan)])
+        miss = np.flatnonzero(np.isnan(rows[ps]))
+        for i in range(0, len(miss), 64):
+            block = miss[i : i + 64]
+            rows[ps[block]] = grid_rows(self.poly, ps[block])[0]
+        self.rows = rows
+        return rows[ps]
+
+    def _bounds(self, ws, hs, ps):
+        log_hn = np.array([[math.log(h)] for h in hs]) + math.log(self.poly.degree)
+        log_sum_c = math.log(np.sum(np.abs(self.poly.coef)))
+        return ps * log_hn + log_sum_c - np.asarray(ws.logM_at(ps), dtype=float)
+
+    def _bracket(self, ps):
+        g = self.poly
+        pair = np.abs(g.coef[g.degree + 1 :]) + np.abs(g.coef[g.degree - 1 :: -1])  # |k| = 1..N
+        live = np.nonzero(pair)[0]
+        log_k, log_c = np.log(live + 1.0), np.log(pair[live])
+        out = np.empty(len(ps))
+        chunk = max(1, (1 << 16) // len(live))
+        for i in range(0, len(ps), chunk):
+            terms = ps[i : i + chunk, None] * log_k + log_c
+            top = terms.max(axis=1)
+            out[i : i + chunk] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        return out
+
+    def log_ud_norms(self, ws, hs):
+        if any(h <= 0 for h in hs):
+            raise ValueError("h must be positive")
+        g = self.poly
+        if g.degree == 0 or len(hs) == 0:
+            return np.full(len(hs), float(S.log_abs(g.coef)[0]))
+        log_h = np.array([[math.log(h)] for h in hs])
+        hn = np.asarray(hs, dtype=float) * g.degree
+
+        def best(qs):  # each h's largest term over the rows qs
+            return (self._read(qs) + (qs * log_h - np.asarray(ws.logM_at(qs), dtype=float))).max(axis=1)
+
+        seeds = np.unique(np.append(ws._p_star(hn, ws.p_cap), 0))
+        floor = best(seeds) - 1e-9
+        end = ws.p_cap
+        if end is None:
+            gap = math.log(np.sum(np.abs(g.coef))) - floor + W.associated_gauge(ws, math.e * hn)
+            end = max(int(np.max(gap)) + 1, seeds[-1])
+        ps = np.arange(1, end + 1)
+        ps = ps[np.any(self._bounds(ws, hs, ps) >= floor[:, None], axis=0)]
+        gain = ps * log_h - np.asarray(ws.logM_at(ps), dtype=float)
+        ps = ps[np.any(self._bracket(ps) + gain >= floor[:, None], axis=0)]
+        return best(np.union1d(seeds, ps))
+
+    def warn_truncated(self, ws, hs, values):
+        if ws.p_cap is None or self.poly.degree == 0 or len(hs) == 0:
+            return
+        peaks = ws._p_star(np.asarray(hs, dtype=float) * self.poly.degree, ws.p_cap)
+        at_cap = self._bounds(ws, hs, np.array([ws.p_cap]))[:, 0]
+        for _ in range(np.count_nonzero((peaks >= ws.p_cap) | (at_cap >= values))):
+            warnings.warn("ud norm termination not met by p_max; raise p_max", W.TruncationWarning)
+
+
+def per_polynomial(refs, ws, hs):
+    """Each reference table's values, with its warnings, as the columns of one net table."""
+    values = [r.log_ud_norms(ws, hs) for r in refs]
+    for r, v in zip(refs, values):
+        r.warn_truncated(ws, hs, v)
+    return np.array(values).reshape(len(refs), len(hs)).T
+
+
+def net_table(table, ws, hs):
+    values = table.log_ud_norms(ws, hs)
+    table.warn_truncated(ws, hs, values)
+    return values
+
+
+class TestNetTable:
+    """One DerivativeRows per net reads and gives what one PolyRows per member does, bit for bit."""
+
+    SCALES = {"gevrey:1": W.gevrey(1.0, 64), "gevrey:2": W.gevrey(2.0, 64), "p_max 12": small_table_scale()}
+    KINDS = ["random", "zero", "const", "left", "right", "sparse", "basis"]
+
+    @staticmethod
+    def member(kind, degree, rng):
+        c = rng.standard_normal(2 * degree + 1) + 1j * rng.standard_normal(2 * degree + 1)
+        c *= math.exp(rng.uniform(-8.0, 8.0))
+        if kind == "zero":
+            return S.TrigPoly.zero(degree)
+        if kind == "const":
+            return S.TrigPoly.const(c[degree])
+        if kind == "basis":
+            return S.TrigPoly.basis(int(rng.choice([-degree, degree])), c[0])
+        if kind in ("left", "right"):  # one-sided support
+            c[degree + 1 :] = 0.0 if kind == "left" else c[degree + 1 :]
+            c[:degree] = 0.0 if kind == "right" else c[:degree]
+        if kind == "sparse":
+            c[rng.random(2 * degree + 1) < 0.6] = 0.0
+        return S.TrigPoly(c, degree)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        members=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 40)), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(sorted(SCALES)),
+        hs=st.lists(st.sampled_from(TestSelectedRows.HS), min_size=1, max_size=8, unique=True),
+    )
+    def test_equals_the_per_polynomial_tables(self, members, seed, scale, hs):
+        rng = np.random.default_rng(seed)
+        polys = [self.member(kind, degree, rng) for kind, degree in members]
+        ws, table, refs = self.SCALES[scale], S.DerivativeRows(polys), [PolyRows(f) for f in polys]
+        want = recorded(per_polynomial, refs, ws, hs)
+        for _ in range(2):  # the second call finds every row held
+            got = recorded(net_table, table, ws, hs)
+            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+            assert len(got[1]) == len(want[1])
+        for n, ref in enumerate(refs):  # the same rows, held
+            assert np.array_equal(held_rows(table, n), ref.rows, equal_nan=True)
+        net = A.Net(gen=polys.__getitem__, n_max=len(polys) - 1)
+        for _ in range(2):  # a filled memo, then a memo hit: the same warnings on each call
+            got = recorded(lambda: np.array(A._ud_tables(net, ws, hs)))
+            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+            assert len(got[1]) == len(want[1])
+
+    @pytest.mark.parametrize("i", range(1, 10))  # net 0, the zero net, has no row to read
+    def test_battery_net_in_one_ifft_per_grid_length(self, ws_p1, monkeypatch, i):
+        shapes, stages = [], []
+        inner_ifft, inner_read = S.ifft, S.DerivativeRows._read
+
+        def spying(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return inner_ifft(x, *args, **kwargs)
+
+        def reading(self, *args):
+            start = len(shapes)
+            out = inner_read(self, *args)
+            stages.append(shapes[start:])
+            return out
+
+        monkeypatch.setattr(S, "ifft", spying)
+        monkeypatch.setattr(S.DerivativeRows, "_read", reading)
+        net = battery.full_battery(ws_p1, 32)[i][0]
+        A.classify_moderate(net, ws_p1, "roumieu")  # the seeds of every f_n, then their selected rows
+        A.classify_negligible_supnorm(net, ws_p1, "roumieu", moderate=A.classify_moderate(net, ws_p1))
+        assert len(stages) == 3
+        for stage in stages:  # one block per grid length m
+            assert sorted(m for _, m in stage) == sorted({m for _, m in stage})
+        evaluated = sum(rows for rows, _ in shapes)
+        refs = [PolyRows(net.at(n)) for n in range(33)]
+        per_polynomial(refs, ws_p1, DEFAULTS.h_grid)
+        for n, ref in enumerate(refs):  # the reference's rows, each evaluated once
+            assert np.array_equal(held_rows(net.derivative_rows(), n), ref.rows, equal_nan=True)
+        assert evaluated == sum(np.count_nonzero(~np.isnan(ref.rows)) for ref in refs)
 
 
 class TestMetamorphic:
@@ -526,7 +709,7 @@ class TestMetamorphic:
     def norms(f, ws, hs):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", W.TruncationWarning)
-            return np.concatenate([S.DerivativeRows(f).log_ud_norms(ws, hs), S.log_ud_norms(f, ws, hs)])
+            return np.concatenate([S.DerivativeRows([f]).log_ud_norms(ws, hs)[:, 0], S.log_ud_norms(f, ws, hs)])
 
     @staticmethod
     def case(degree, seed, scale):
@@ -579,7 +762,7 @@ class TestTranslation:
         ws, hs = W.gevrey(1.0, 2048), [0.25, 1.0, 8.0]
         want = S.log_ud_norms(f, ws, hs)
         assert np.all(np.abs(S.log_ud_norms(g, ws, hs) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-        assert abs(S.DerivativeRows(g).log_sup() - S.DerivativeRows(f).log_sup()) <= S.GRID_SLACK
+        assert abs(S.DerivativeRows([g]).log_sups()[0] - S.DerivativeRows([f]).log_sups()[0]) <= S.GRID_SLACK
 
 
 def mp_sup(coef, p=0):
@@ -678,21 +861,21 @@ class TestMpmathOracle:
         # a grid value is attained (up to float rounding), and Ehlich-Zeller
         # bounds how far it falls short of the sup
         for f, ws, want in self.oracle(s, h):
-            table = S.DerivativeRows(f)
-            entry = table.log_ud_norms(ws, [h])[0]
+            table = S.DerivativeRows([f])
+            entry = table.log_ud_norms(ws, [h])[0, 0]
             assert entry - 1e-12 <= want <= entry + S.GRID_SLACK
-            log_sup = float(mp.log(mp_sup(f.coef)))
-            assert table.log_sup() - 1e-12 <= log_sup <= table.log_sup() + S.GRID_SLACK
+            log_sup, grid = float(mp.log(mp_sup(f.coef))), table.log_sups()[0]
+            assert grid - 1e-12 <= log_sup <= grid + S.GRID_SLACK
 
     def test_bracket_lies_above_every_row(self):
         # sup_t |D^p f| <= sum_k |k|^p |c_k|, with equality for a Dirichlet kernel at even p
         rng = np.random.default_rng(17)
         ps = np.arange(1, 41)
         for f in [random_poly(rng, d) for d in (1, 3, 8)] + [S.TrigPoly.dirichlet(4)]:
-            bracket = S.DerivativeRows(f)._bracket(ps)
+            bracket = S.DerivativeRows([f])._bracket(0 * ps, ps)
             for p in (1, 2, 3, 5, 8, 13, 21, 34, 40):  # 30-digit sups are slow; every row on the grid
                 assert mp_sup(f.coef, p) <= mp.exp(bracket[p - 1]) * (1 + 1e-12)
-            assert np.all(S._log_sup_rows(f, ps)[0] <= bracket + 1e-9)
+            assert np.all(grid_rows(f, ps)[0] <= bracket + 1e-9)
 
 
 class TestQuadrature:
