@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Dump the package's verdicts and reports, one JSON record per line.
 
-For the ten reference nets of tests/battery.py (n_max 32, gevrey:1), in
+For the ten reference nets of periodic_gfa.battery (n_max 32, gevrey:1), in
 both classes, it records the full-norm verdicts (moderate, negligible,
 regular), the sup-norm negligibility verdict and the coefficient
 verdicts (moderate, negligible): bounded, repr(margin), witness_n and
@@ -28,16 +28,12 @@ import io
 import json
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-import battery  # noqa: E402
-
-from periodic_gfa import (  # noqa: E402
+from periodic_gfa import (
     algebra,
+    battery,
     cli,
     embedding,
     operators,

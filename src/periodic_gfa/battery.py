@@ -1,12 +1,14 @@
-"""Shared net battery: five negligible-by-construction, five moderate-not-negligible.
+"""Reference net battery: five negligible-by-construction, five moderate-not-negligible.
 
 All ten are Roumieu-moderate for p! at the default grids, so the
-sup-norm null characterization applies to each.
+sup-norm null characterization applies to each.  The tests and
+scripts/verdict_dump.py import it as periodic_gfa.battery; the package's
+__init__ does not.
 """
 
 import math
 
-from periodic_gfa import algebra, embedding, series, weights
+from . import algebra, embedding, series, weights
 
 WIDE_H = (1.0 / 16, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 

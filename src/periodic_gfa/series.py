@@ -223,33 +223,49 @@ def _local_peaks(vals: np.ndarray, rel: float = 0.975) -> np.ndarray:
     return np.nonzero(up & down & (vals >= rel * top))[0]
 
 
-def _log_sup_rows(coef: np.ndarray, ps: np.ndarray, m: int, rows=0):
-    """Grid values of log sup_t |D^p f| on m points for each p in ps and f = coef[rows[i]], unrefined.
-
-    coef holds polynomials of degree >= 1 (so no row vanishes) over k = -D..D,
-    m > 2D; zero padding changes no value.  Rows are normalized by their
-    largest coefficient magnitude so the batched grid evaluation stays in
-    range.  Returns the log grid maxima and what refining a row needs:
-    (out, w, scale, vals).
-    """
+def _weights(coef: np.ndarray, ps: np.ndarray, rows):
+    """Rows w[i] = k^p c_k / exp(scale[i]) of D^p f over k = -D..D for each p in ps and
+    f = coef[rows[i]], scaled by their largest coefficient magnitude: (w, scale)."""
     half = coef.shape[1] // 2
     ks = np.arange(-half, half + 1)
-    # np.angle stays finite on denormals where c/|c| would not
-    phases = np.where(coef != 0, np.exp(1j * np.angle(coef)), 0)[rows]
     pcol = ps[:, None].astype(float)
     with np.errstate(invalid="ignore"):
-        term = pcol * log_abs(ks.astype(float))[None, :]
-    term[ps == 0, :] = 0.0
-    logmat = log_abs(coef)[rows] + term
+        logmat = pcol * log_abs(ks.astype(float))[None, :]
+    logmat[ps == 0, :] = 0.0
+    logmat = log_abs(coef)[rows] + logmat
     scale = np.max(logmat, axis=1)
-    signs = np.where(ks[None, :] < 0, (-1.0) ** pcol, 1.0)
-    w = np.exp(logmat - scale[:, None]) * phases * signs
+    logmat -= scale[:, None]  # in place: a run's weights are the largest arrays of a read
+    # np.angle stays finite on denormals where c/|c| would not
+    w = np.exp(logmat, out=logmat) * np.where(coef != 0, np.exp(1j * np.angle(coef)), 0)[rows]
+    w *= np.where(ks[None, :] < 0, (-1.0) ** pcol, 1.0)
+    return w, scale
 
-    buf = np.zeros((len(ps), m), dtype=complex)
-    buf[:, ks % m] = w  # distinct columns since m > 2*half
+
+def _log_sup_rows(coef: np.ndarray, ps: np.ndarray, blocks, rows=0):
+    """Grid values of log sup_t |D^p f| for each p in ps and f = coef[rows[i]], unrefined.
+
+    coef holds polynomials of degree >= 1 (so no row vanishes) over k = -D..D.  The weights
+    (_weights) are set up once for all rows; the rows then run in blocks (stop, m, d), the
+    rows up to stop cut to k = -d..d, their largest degree, on m > 2d points, so zero padding
+    changes no value.  Returns the log grid maxima and what refining a one-block call needs:
+    (out, w, scale, vals), vals the last block's grid values.
+    """
+    w, scale = _weights(coef, ps, rows)
+    half, out, start = coef.shape[1] // 2, np.empty(len(ps)), 0
+    for stop, m, d in blocks:
+        vals = _grid_abs(w[start:stop, half - d : half + d + 1], m)
+        out[start:stop], start = np.log(np.max(vals, axis=1)), stop
+    return scale + out, w, scale, vals
+
+
+def _grid_abs(w: np.ndarray, m: int) -> np.ndarray:
+    """|sum_k w[i,k] e^{ikt}| at t = 2 pi j / m, j < m, for w over k = -d..d and m > 2d.
+    A function of its own, so a block's buffer is freed before the next one's is made."""
+    d = w.shape[1] // 2
+    buf = np.zeros((len(w), m), dtype=complex)
+    buf[:, np.arange(-d, d + 1) % m] = w  # distinct columns since m > 2d
     spec = ifft(buf, axis=1, overwrite_x=True)  # in place: a block holds one complex array
-    vals = np.abs(np.multiply(spec, m, out=spec))
-    return scale + np.log(np.max(vals, axis=1)), w, scale, vals
+    return np.abs(np.multiply(spec, m, out=spec))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +273,7 @@ def _log_sup_rows(coef: np.ndarray, ps: np.ndarray, m: int, rows=0):
 # ---------------------------------------------------------------------------
 
 _KEY = 1 << 32  # row p of member n is held under the key n * _KEY + p
+_RUN = 1 << 14  # (row, |k|) entries of the weights set up at once
 
 
 class DerivativeRows:
@@ -278,7 +295,7 @@ class DerivativeRows:
         self.rows = (np.array([np.iinfo(np.int64).max]), np.full(1, np.nan))
 
     def _padded(self, ns: np.ndarray):
-        """Members ns (ascending, degree >= 1) once each, zero-padded to k = -D..D, and each one's row."""
+        """Members ns (degree >= 1, repeats adjacent) once each, padded to k = -D..D, and each one's row."""
         new = np.concatenate([[True], ns[1:] != ns[:-1]])
         uniq, big = ns[new], self.degree[ns].max()
         pad = np.zeros((len(uniq), 2 * big + 1), dtype=complex)
@@ -286,21 +303,40 @@ class DerivativeRows:
             row[big - self.degree[n] : big + self.degree[n] + 1] = self.polys[n].coef
         return pad, np.cumsum(new) - 1
 
+    def _runs(self, ns: np.ndarray):
+        """The FFT blocks of rows of members ns (ascending): one group per grid length, in blocks of 64
+        rows or 2^16 points, whichever is more.  Whole blocks gather into runs of at most _RUN
+        (row, |k|) entries, a larger block alone; yields each run's rows and blocks (stop, m, d)."""
+        if len(ns) == 0:
+            return
+        order = np.argsort(self.m[ns], kind="stable")  # by grid length, ns ascending within one
+        ms = self.m[ns[order]].tolist()
+        edges = np.flatnonzero(np.diff(ms, prepend=-1)).tolist() + [len(ms)]  # each group's bounds
+        starts = [i for a, b in zip(edges, edges[1:]) for i in range(a, b, max(64, (1 << 16) // ms[a]))]
+        degrees = np.maximum.reduceat(self.degree[ns[order]], starts).tolist()
+        first, top, blocks = 0, 0, []
+        for lo, hi, d in zip(starts, starts[1:] + [len(ms)], degrees):
+            if blocks and (hi - first) * (max(top, d) + 1) > _RUN:
+                yield order[first:lo], blocks
+                first, top, blocks = lo, 0, []
+            top = max(top, d)
+            blocks.append((hi - first, ms[lo], d))
+        yield order[first:], blocks
+
     def _read(self, ns: np.ndarray, ps: np.ndarray, fresh: np.ndarray | None = None) -> np.ndarray:
         """Grid rows (ns[i], ps[i]) (distinct, ns ascending, degree >= 1); unless fresh holds them,
-        those not held run by grid length, in blocks of 64 rows or 2^16 points, whichever is more."""
+        those not held run in the blocks of _runs, weights set up once per run."""
         keys, vals = self.rows  # one snapshot; a merged copy is published whole
         want = ns * _KEY + ps
         at = np.searchsorted(keys, want)
         got, miss = vals[at], np.flatnonzero(keys[at] != want)
         if fresh is not None:
             got[miss] = fresh[miss]
-        ms = self.m[ns[miss]] if fresh is None else []
-        for m in np.unique(ms):
-            group, step = miss[ms == m], max(64, (1 << 16) // m)
-            for block in np.split(group, range(step, len(group), step)):
-                pad, rows = self._padded(ns[block])
-                got[block] = _log_sup_rows(pad, ps[block], m, rows)[0]
+        else:
+            for run, blocks in self._runs(ns[miss]):
+                i = miss[run]
+                pad, rows = self._padded(ns[i])
+                got[i] = _log_sup_rows(pad, ps[i], blocks, rows)[0]
         if len(miss):
             keys, vals = np.append(keys, want[miss]), np.append(vals, got[miss])
             order = np.argsort(keys, kind="stable")
@@ -313,7 +349,7 @@ class DerivativeRows:
         Every near-top grid peak of a row is refined by _newton_max_rows, so ties between peaks
         cannot hide the sup; a value is never below the grid value, whose row is published."""
         g, m = self.polys[n], self.m[n]
-        out, w, scale, vals = _log_sup_rows(g.coef[None, :], ps, m)
+        out, w, scale, vals = _log_sup_rows(g.coef[None, :], ps, [(len(ps), m, g.degree)])
         self._read(np.full(len(ps), n), ps, out)
         peaks = [_local_peaks(row) for row in vals]
         counts = [len(js) for js in peaks]
@@ -366,10 +402,11 @@ class DerivativeRows:
         degree 384 and p <= 4096).  A preset has no cap: p log(e hN) - log M_p <= M(e hN)
         puts every bound past p = log sum|c_k| - seed + M(e hN) below the seed.  All seeds
         are read at once, then all selected rows; candidates are filtered in chunks of about
-        2^14 (row, h) cells.  Warns of nothing; see warn_truncated.
+        2^14 (row, h) cells.  Warns of nothing; see warn_truncated.  Raises ValueError unless
+        every h is finite and positive.
         """
-        if any(h <= 0 for h in hs):
-            raise ValueError("h must be positive")
+        if not all(math.isfinite(h) and h > 0 for h in hs):
+            raise ValueError("h must be finite and positive")
         out, live = np.tile(self.log_c0, (len(hs), 1)), np.flatnonzero(self.degree)
         if len(live) == 0 or len(hs) == 0:
             return out

@@ -36,12 +36,18 @@ DEFAULTS = DeskParams()
 def desk_grid(values, default: tuple[float, ...]) -> tuple[float, ...]:
     """A grid of norm parameters: values as a tuple, or default when values is None.
 
-    Raises ValueError on an empty grid or an entry that is not positive.
+    Raises ValueError on an empty grid or an entry that is not finite and positive.
     """
     grid = default if values is None else tuple(values)
-    if len(grid) == 0 or not all(v > 0 for v in grid):
-        raise ValueError("grids must be nonempty with positive entries")
+    if len(grid) == 0 or not all(math.isfinite(v) and v > 0 for v in grid):
+        raise ValueError("grids must be nonempty with positive entries, each finite")
     return grid
+
+
+def _check_tau(tau: float) -> None:
+    """Raises ValueError unless tau is a finite tolerance >= 0."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
 
 
 def head_end(n_max: int) -> int:
@@ -71,8 +77,10 @@ def bounded_test(log_values, tau: float = DEFAULTS.tau):
     maximum by more than tau.  Entries equal to -inf (zero magnitudes)
     satisfy every bound; +inf anywhere, or a finite tail over an all
     -inf head, gives margin +inf.  The one-row case of decide.  Returns
-    (bounded, margin, witness_n, baseline).
+    (bounded, margin, witness_n, baseline).  Raises ValueError unless tau
+    is finite and >= 0.
     """
+    _check_tau(tau)
     margin, witness, baseline = _head_tail(np.asarray(log_values, dtype=float))
     margin = float(margin)
     return margin <= tau, margin, (int(witness) if witness >= 0 else None), float(baseline)
@@ -142,8 +150,10 @@ def decide(
     ks, each profile is indexed by the frequencies ks, folded to |k|
     ascending, and the witness is reported as a frequency |k|.  Given
     slack, each profile entry is short of its value by at most slack,
-    and so is the margin: margin_bracket is margin -/+ slack.
+    and so is the margin: margin_bracket is margin -/+ slack.  Raises
+    ValueError unless tau is finite and >= 0.
     """
+    _check_tau(tau)
     e = np.asarray(profiles, dtype=float)
     if ks is not None:
         order = np.argsort(np.abs(ks), kind="stable")

@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-import battery
 from periodic_gfa import algebra as A
+from periodic_gfa import battery
 from periodic_gfa import embedding as E
 from periodic_gfa import operators as O
 from periodic_gfa import regularity as R

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-import battery
 from periodic_gfa import algebra as A
+from periodic_gfa import battery
 from periodic_gfa import embedding as E
 from periodic_gfa import regularity as R
 from periodic_gfa import series as S
@@ -779,3 +779,16 @@ class TestNegligibleSum:
             for z in negligible:
                 # only the boolean: the margin of the zero net moves from -inf
                 assert A.classify_moderate(net + z, ws_p1, cls).bounded == want, (net.label, z.label)
+
+
+class TestNonFiniteGrids:
+    """An inf or nan in a grid or tau raises; before, h = inf gave bounded=True with margin -inf."""
+
+    @pytest.mark.parametrize("classify", [A.classify_moderate, A.classify_negligible])
+    @pytest.mark.parametrize(
+        "kw", [{"h_grid": [math.inf]}, {"lam_grid": [1.0, math.nan]}, {"tau": math.nan}, {"tau": math.inf}]
+    )
+    def test_dirichlet_net_rejects(self, ws_p1, classify, kw):
+        net = A.make_net(S.TrigPoly.dirichlet, 8)
+        with pytest.raises(ValueError):
+            classify(net, ws_p1, "roumieu", **kw)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-import battery
 from periodic_gfa import algebra as A
+from periodic_gfa import battery
 from periodic_gfa import operators as O
 from periodic_gfa import series as S
 from periodic_gfa import weights as W

@@ -150,9 +150,14 @@ class TestInclusions:
 
 
 class TestGridEntryPoints:
-    """Every public grid is defaulted and checked in one place: empty or non-positive grids raise."""
+    """Every public grid is defaulted and checked in one place: empty, non-positive or non-finite grids
+    raise."""
 
-    @pytest.mark.parametrize("grid", [[], [0.0], [-1.0]], ids=["empty", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "grid",
+        [[], [0.0], [-1.0], [math.inf], [1.0, math.nan]],
+        ids=["empty", "zero", "negative", "inf", "nan"],
+    )
     @pytest.mark.parametrize(
         "call",
         [

@@ -5,13 +5,15 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.special import gammaln, logsumexp
 
-import battery
+from perfbench import nets
 from periodic_gfa import algebra as A
+from periodic_gfa import battery
+from periodic_gfa import regularity as R
 from periodic_gfa import series as S
 from periodic_gfa import verdict as V
 from periodic_gfa import weights as W
@@ -38,7 +40,8 @@ def random_poly(rng, degree):
 
 def grid_rows(g, ps):
     """_log_sup_rows of one trimmed g (degree >= 1) on its m = next_fast_len(max(64, 16N + 1)) points."""
-    return S._log_sup_rows(g.coef[None, :], np.asarray(ps), next_fast_len(max(64, 16 * g.degree + 1)))
+    m = next_fast_len(max(64, 16 * g.degree + 1))
+    return S._log_sup_rows(g.coef[None, :], np.asarray(ps), [(len(ps), m, g.degree)])
 
 
 def held_rows(table, n):
@@ -383,6 +386,14 @@ class TestSharedRows:
         with pytest.raises(ValueError):
             S.log_ud_norms(S.TrigPoly.basis(1), ws_p1, [1.0, 0.0])
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_h_rejected(self, ws_p1, h):
+        f = S.TrigPoly.dirichlet(4)
+        with pytest.raises(ValueError, match="finite and positive"):
+            S.log_ud_norms(f, ws_p1, [1.0, h])
+        with pytest.raises(ValueError, match="finite and positive"):
+            S.DerivativeRows([f, f]).log_ud_norms(ws_p1, [h])
+
 
 def blocked_log_ud_norms(f, ws, hs):
     """DerivativeRows.log_ud_norms as a scan upward from p = 0 in blocks.
@@ -700,6 +711,161 @@ class TestNetTable:
         for n, ref in enumerate(refs):  # the reference's rows, each evaluated once
             assert np.array_equal(held_rows(net.derivative_rows(), n), ref.rows, equal_nan=True)
         assert evaluated == sum(np.count_nonzero(~np.isnan(ref.rows)) for ref in refs)
+
+
+class BlockRows(S.DerivativeRows):
+    """The net table with the per-block read that runs of blocks replaced: TestBatchedRead's reference.
+
+    Missing rows run by grid length in blocks of 64 rows or 2^16 points,
+    whichever is more; each block is padded to its own largest degree and
+    sets up its own weights.
+    """
+
+    def _read(self, ns, ps, fresh=None):
+        keys, vals = self.rows
+        want = ns * S._KEY + ps
+        at = np.searchsorted(keys, want)
+        got, miss = vals[at], np.flatnonzero(keys[at] != want)
+        if fresh is not None:
+            got[miss] = fresh[miss]
+        ms = self.m[ns[miss]] if fresh is None else []
+        for m in np.unique(ms):
+            group, step = miss[ms == m], max(64, (1 << 16) // m)
+            for block in np.split(group, range(step, len(group), step)):
+                pad, rows = self._padded(ns[block])
+                got[block] = S._log_sup_rows(pad, ps[block], [(len(block), m, pad.shape[1] // 2)], rows)[0]
+        if len(miss):
+            keys, vals = np.append(keys, want[miss]), np.append(vals, got[miss])
+            order = np.argsort(keys, kind="stable")
+            self.rows = (keys[order], vals[order])
+        return got
+
+
+def battery_pass(ws):
+    """The classifier calls of one seed-1 pass of the perfbench battery workload (perfbench/workloads.py)."""
+    for case in nets.battery_cases(ws, np.random.default_rng(1)):
+        net = case.build()
+        mod = A.classify_moderate(net, ws, "roumieu")
+        A.classify_negligible(net, ws, "roumieu")
+        A.classify_negligible_supnorm(net, ws, "roumieu", moderate=mod)
+        A.coef_classify(net, ws, "roumieu", "negligible")
+        A.classify_moderate(net, ws, "beurling")
+        A.classify_negligible(net, ws, "beurling")
+        R.classify_regular(net, ws, "roumieu", moderate=mod)
+
+
+def spy_runs(monkeypatch):
+    """Record each weight set-up, each run (rows, D, blocks) and the shape of each ifft."""
+    setups, runs, ffts = [], [], []
+    inner_weights, inner_rows, inner_ifft = S._weights, S._log_sup_rows, S.ifft
+
+    def weights(coef, ps, *args):
+        setups.append(len(ps))
+        return inner_weights(coef, ps, *args)
+
+    def rows(coef, ps, blocks, *args):
+        runs.append((len(ps), coef.shape[1] // 2, list(blocks)))
+        return inner_rows(coef, ps, blocks, *args)
+
+    def ifft(x, *args, **kwargs):
+        ffts.append(x.shape)
+        return inner_ifft(x, *args, **kwargs)
+
+    monkeypatch.setattr(S, "_weights", weights)
+    monkeypatch.setattr(S, "_log_sup_rows", rows)
+    monkeypatch.setattr(S, "ifft", ifft)
+    return setups, runs, ffts
+
+
+def within_budget(runs):
+    """Each run holds at most 2^14 (row, |k|) entries, or one block; its blocks tile its rows."""
+    return all(
+        (rows * (top + 1) <= 1 << 14 or len(blocks) == 1)
+        and blocks[-1][0] == rows
+        and all(d <= top and m > 2 * d for _, m, d in blocks)
+        for rows, top, blocks in runs
+    )
+
+
+class TestBatchedRead:
+    """DerivativeRows._read sets up weights once per run of whole blocks and reads, bit for bit,
+    what BlockRows reads with weights set up per block."""
+
+    @staticmethod
+    def tables(members, seed):
+        rng = np.random.default_rng(seed)
+        polys = [TestNetTable.member(kind, degree, rng) for kind, degree in members]
+        return S.DerivativeRows(polys), BlockRows(polys), rng
+
+    @settings(max_examples=25, deadline=None)
+    # blocks over the budget; then several runs, some of several grid lengths
+    @example(members=[("random", 300)], seed=0, sizes=[150])
+    @example(members=[("random", d) for d in (3, 17, 40, 90, 160)], seed=1, sizes=[400, 400])
+    @given(
+        members=st.lists(
+            st.tuples(st.sampled_from(TestNetTable.KINDS), st.integers(0, 320)), min_size=1, max_size=10
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+    )
+    def test_reads_equal_the_per_block_read(self, members, seed, sizes):
+        table, ref, rng = self.tables(members, seed)
+        live = np.flatnonzero(table.degree)
+        for size in sizes if len(live) else []:  # later reads find some rows held
+            ns, ps = np.divmod(np.unique(rng.choice(live, size) * S._KEY + rng.integers(0, 200, size)), S._KEY)
+            assert table._read(ns, ps).tobytes() == ref._read(ns, ps).tobytes()
+            assert table.rows[0].tobytes() == ref.rows[0].tobytes()  # the same keys held
+            assert table.rows[1].tobytes() == ref.rows[1].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        members=st.lists(
+            st.tuples(st.sampled_from(TestNetTable.KINDS), st.integers(0, 64)), min_size=1, max_size=12
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(sorted(TestNetTable.SCALES)),
+        hs=st.lists(st.sampled_from(TestSelectedRows.HS), min_size=1, max_size=8, unique=True),
+    )
+    def test_norms_equal_the_per_block_read(self, members, seed, scale, hs):
+        table, ref, _ = self.tables(members, seed)
+        ws = TestNetTable.SCALES[scale]
+        for _ in range(2):  # the second call finds every row held
+            got, want = recorded(net_table, table, ws, hs), recorded(net_table, ref, ws, hs)
+            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes() and got[1] == want[1]
+            assert table.rows[0].tobytes() == ref.rows[0].tobytes()
+            assert table.rows[1].tobytes() == ref.rows[1].tobytes()
+        for n in np.flatnonzero(table.degree)[:2]:  # refined rows join both tables alike
+            ps = np.array([0, 3, 7])
+            assert np.array(table.refined(n, ps)).tobytes() == np.array(ref.refined(n, ps)).tobytes()
+            assert table.rows[0].tobytes() == ref.rows[0].tobytes()
+
+    @pytest.mark.parametrize("degrees", [(300,), (3, 17, 40, 90, 160)], ids=["oversize", "spread"])
+    def test_runs_are_whole_blocks_within_budget(self, monkeypatch, degrees):
+        table, ref, _ = self.tables([("random", d) for d in degrees], 1)
+        count = 100 * len(degrees)  # rows p = 0..count-1 of every member
+        ns, ps = np.repeat(np.arange(len(degrees)), count), np.tile(np.arange(count), len(degrees))
+        setups, runs, ffts = spy_runs(monkeypatch)
+        got = table._read(ns, ps)
+        mine, blocks = list(runs), sorted(ffts)
+        ffts.clear()
+        assert ref._read(ns, ps).tobytes() == got.tobytes()
+        assert sorted(ffts) == blocks and len(setups) == len(mine) + len(ffts)
+        assert within_budget(mine)
+        if degrees == (300,):  # 64 rows of degree 300 exceed the budget and run alone; then the other 36
+            assert [(rows, top, len(b)) for rows, top, b in mine] == [(64, 300, 1), (36, 300, 1)]
+        else:  # several runs, some of several blocks and grid lengths
+            assert 1 < len(mine) < len(blocks) and max(len({m for _, m, _ in b}) for _, _, b in mine) > 1
+
+    def test_battery_pass_sets_up_weights_once_per_run(self, ws_p1, monkeypatch):
+        setups, runs, ffts = spy_runs(monkeypatch)
+        battery_pass(ws_p1)
+        # the same 686 FFT blocks as one set-up per block, with at most 60 weight set-ups (686 then)
+        assert len(ffts) == 686 and len(setups) <= 60 and within_budget(runs)
+        new = sorted(ffts)
+        monkeypatch.setattr(S.DerivativeRows, "_read", BlockRows._read)
+        ffts.clear()
+        battery_pass(ws_p1)
+        assert sorted(ffts) == new
 
 
 class TestMetamorphic:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -125,3 +126,24 @@ class TestTensorEngine:
         got, want = V.bounded_test(row, tau), reference_bounded_test(row, tau)
         assert (got[0], repr(got[1]), got[2], repr(got[3])) == (want[0], repr(want[1]), want[2], repr(want[3]))
         assert [type(x) for x in got] == [type(x) for x in want]
+
+
+class TestNonFiniteInputs:
+    """A non-finite grid entry or tau raises instead of giving a verdict."""
+
+    @pytest.mark.parametrize("grid", [[math.inf], [1.0, math.nan], [0.5, -math.inf]])
+    def test_desk_grid_rejects_non_finite_entries(self, grid):
+        with pytest.raises(ValueError, match="each finite"):
+            V.desk_grid(grid, V.DEFAULTS.h_grid)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.5])
+    def test_tau_must_be_finite_and_nonnegative(self, tau):
+        e = np.zeros((1, 1, 17))
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            V.bounded_test(e[0, 0], tau)
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            V.decide(e, "forall", "exists", tau, None, "m")
+
+    def test_zero_tau_is_accepted(self):
+        assert V.bounded_test(np.zeros(17), 0.0)[0]
+        assert V.decide(np.zeros((1, 1, 17)), "forall", "exists", 0.0, None, "m").bounded
