@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.special import gammaln, logsumexp
 
-from perfbench import nets
 from periodic_gfa import algebra as A
 from periodic_gfa import battery
 from periodic_gfa import regularity as R
@@ -743,6 +742,8 @@ class BlockRows(S.DerivativeRows):
 
 def battery_pass(ws):
     """The classifier calls of one seed-1 pass of the perfbench battery workload (perfbench/workloads.py)."""
+    from perfbench import nets  # importable from the repository root, where the tests run
+
     for case in nets.battery_cases(ws, np.random.default_rng(1)):
         net = case.build()
         mod = A.classify_moderate(net, ws, "roumieu")
