@@ -160,16 +160,22 @@ def _sup_table(net: Net) -> np.ndarray:
 def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
     """The tables log sup_k |c_k| e^{M(lambda k)} over n, one per lambda in hs, from one tensor.
 
-    Each f_n is folded to |k| (the larger of |c_k| and |c_-k|) and padded
-    with -inf to the net's largest degree; one gauge call serves every
+    Every f_n is copied, centred, into one stack over k = -D..D, D the net's
+    largest degree, whose zeros give -inf; one log_abs of the stack is folded
+    to |k| (the larger of |c_k| and |c_-k|).  One gauge call serves every
     lambda not memoized.  Row maxima run in blocks of 2^16 (lambda, n, |k|).
+    Raises ValueError on a coefficient that is not finite.
     """
     def fill(missing):
         polys = [net.at(n) for n in range(net.n_max + 1)]
-        logc = np.full((len(polys), 1 + max(f.degree for f in polys)), -np.inf)
-        for row, f in zip(logc, polys):
-            c = log_abs(f.coef)
-            row[: f.degree + 1] = np.maximum(c[f.degree :], c[f.degree :: -1])
+        big = max(f.degree for f in polys)
+        stack = np.zeros((len(polys), 2 * big + 1), dtype=complex)
+        for row, f in zip(stack, polys):
+            row[big - f.degree : big + f.degree + 1] = f.coef
+        if not np.isfinite(stack).all():
+            raise ValueError(f"net {net.label!r} has a coefficient that is not finite")
+        c = log_abs(stack)
+        logc = np.maximum(c[:, big:], c[:, big::-1])
         gauges = _gauge_table(ws, [k[2] for k in missing], logc.shape[1] - 1)
         step = max(1, (1 << 16) // gauges.size)
         blocks = [np.max(logc[i : i + step] + gauges[:, None], axis=2) for i in range(0, len(logc), step)]

@@ -136,6 +136,8 @@ def _parse_net_atom(desc: str, ws, cls: str, n_max: int) -> algebra.Net:
     if desc.startswith("scaled:"):
         _, preset, rate = desc.split(":", 2)
         rate = float(rate)
+        if not math.isfinite(rate):
+            raise ValueError(f"scaled rate must be finite: {desc!r}")
         base = _parse_net_atom(preset if preset == "dirichlet" else f"const:{preset}", ws, cls, n_max)
         return algebra.Net(
             gen=lambda n: base.at(n).scaled(math.exp(-rate * n)),
@@ -219,6 +221,8 @@ def cmd_weights(args) -> tuple[int, dict]:
     else:
         ws = parse_weights(args.weights, args.pmax)
     ts = [float(x) for x in args.t.split(",")] if args.t else []
+    if not all(math.isfinite(t) for t in [*ts, args.t_lo, args.t_hi]):
+        raise ValueError("--t, --t-lo and --t-hi must be finite")
     grid = np.geomspace(args.t_lo, args.t_hi, args.t_points)
     doubling = weights.check_doubling_inequality(ws, grid)
     report = {

@@ -282,11 +282,14 @@ class DerivativeRows:
     f_n is read on m[n] = next_fast_len(max(64, 16 N_n + 1)) points.  rows holds the sorted
     keys of the rows read, closed by a sentinel, and their grid values; the sup lies in
     [value, value + GRID_SLACK].  Each read works on one snapshot and publishes its new rows
-    in one assignment, so unsynchronized use is safe.
+    in one assignment, so unsynchronized use is safe.  A coefficient that is not finite
+    raises ValueError.
     """
 
     def __init__(self, polys):
         self.polys = [f.trimmed() for f in polys]
+        if not np.isfinite(np.concatenate([g.coef for g in self.polys])).all():
+            raise ValueError("a coefficient is not finite")
         self.degree = np.array([g.degree for g in self.polys], dtype=np.int64)
         self.m = np.array([next_fast_len(max(64, 16 * d + 1)) for d in self.degree])
         self.log_c0 = log_abs(np.array([g.coef[0] for g in self.polys]))  # the value at degree 0
@@ -594,8 +597,8 @@ def cot_reg(cls: str = "roumieu") -> CoefDistribution:
 
 def exp_decay(mu: float, cls: str = "roumieu") -> CoefDistribution:
     """Geometric coefficient decay c(k) = e^{-mu |k|} (a smooth-class function)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError("mu must be finite and positive")
     return CoefDistribution(
         oracle=lambda ks: np.exp(-mu * np.abs(np.asarray(ks, dtype=float))).astype(complex),
         tag="exp_decay",
@@ -612,8 +615,8 @@ def exp_growth(lam: float, ws: WeightSequence, cls: str = "beurling") -> CoefDis
     range; the saturated region only ever makes growth verdicts fail
     harder.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and positive")
 
     def oracle(ks):
         gauge = np.asarray(associated_gauge(ws, lam * np.asarray(ks, dtype=float)))

@@ -23,6 +23,7 @@ at p* = max{p : m_p <= t} and equals p* log t - log M_{p*}.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -109,11 +110,19 @@ class WeightSequence:
         return self.spec.get("s") if self.kind == "gevrey" else None
 
     def logM_at(self, p):
-        """log M_p for arbitrary p; closed form beyond the table for presets."""
+        """log M_p for arbitrary p: the stored table, and for presets s log p! in closed form beyond it.
+
+        A preset's table holds the same s * gammaln(p + 1.0), so reading it changes no value.
+        """
         p = np.asarray(p)
         s = self.gevrey_s
         if s is not None:
-            return s * gammaln(p.astype(float) + 1.0)
+            if p.dtype.kind not in "iu":
+                return s * gammaln(p.astype(float) + 1.0)
+            beyond = (p < 0) | (p > self.p_max)
+            if not beyond.any():
+                return self.logM[p]
+            return np.where(beyond, s * gammaln(p + 1.0), self.logM[np.where(beyond, 0, p)])[()]
         if np.any(p > self.p_max):
             raise IndexError("p beyond stored table for a table-backed sequence")
         return self.logM[p]
@@ -254,8 +263,8 @@ def _certify_m2(logM: np.ndarray, declared: tuple[float, float] | None = None):
     """
     n, m = len(logM), np.arange(len(logM))
     min_split = np.full(n, np.inf)  # min over p of logM[p] + logM[m - p]
-    for p in range(n):
-        np.minimum(min_split[p:], logM[p] + logM[: n - p], out=min_split[p:])
+    for p in range((n + 1) // 2):  # each split once, p <= m - p
+        np.minimum(min_split[2 * p :], logM[p] + logM[p : n - p], out=min_split[2 * p :])
     if declared is not None:
         bad = logM - m * np.log(declared[1]) - min_split > np.log(declared[0]) + 1e-9
         if np.any(bad):
@@ -290,8 +299,8 @@ def build_weight_sequence(spec, p_max: int | None = None) -> WeightSequence:
 
     if kind == "gevrey":
         s = float(spec["s"])
-        if not s > 0:
-            raise InvalidSpec("gevrey exponent must be positive")
+        if not (math.isfinite(s) and s > 0):
+            raise InvalidSpec("gevrey exponent must be finite and positive")
         p = np.arange(0, p_max + 1)
         logM = s * gammaln(p + 1.0)
         ws = WeightSequence(
