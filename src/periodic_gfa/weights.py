@@ -80,6 +80,8 @@ class WeightSequence:
         object.__setattr__(self, "logM", logM)
         if logM.ndim != 1 or len(logM) < 2:
             raise InvalidSpec("logM must be a 1-d table with at least two entries")
+        if not np.isfinite(logM).all():
+            raise InvalidSpec("logM entries must be finite")
         if abs(logM[0]) > 1e-12:
             raise InvalidSpec("log M_0 must equal 0 (M_0 = 1)")
         d2 = logM[:-2] + logM[2:] - 2.0 * logM[1:-1]

@@ -792,3 +792,107 @@ class TestNonFiniteGrids:
         net = A.make_net(S.TrigPoly.dirichlet, 8)
         with pytest.raises(ValueError):
             classify(net, ws_p1, "roumieu", **kw)
+
+    @pytest.mark.parametrize("classify", [A.classify_moderate, A.classify_negligible, A.coef_classify])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_coefficient_rejects(self, ws_p1, classify, bad):
+        # checked once per net: the D^p row table and the stacked coefficient fold each raise
+        net = A.make_net(lambda n: S.TrigPoly.dirichlet(n) + S.TrigPoly.basis(n % 3, bad), 8)
+        with pytest.raises(ValueError, match="not finite"):
+            classify(net, ws_p1, "roumieu")
+
+
+def per_member_coef_tables(net, ws, hs):
+    """Reference for A._coef_tables: each member folded on its own, padded with -inf to the
+    net's largest degree, then the same gauge call and blocked row maxima."""
+    polys = [net.at(n) for n in range(net.n_max + 1)]
+    logc = np.full((len(polys), 1 + max(f.degree for f in polys)), -np.inf)
+    for row, f in zip(logc, polys):
+        c = S.log_abs(f.coef)
+        row[: f.degree + 1] = np.maximum(c[f.degree :], c[f.degree :: -1])
+    gauges = A._gauge_table(ws, [float(h) for h in hs], logc.shape[1] - 1)
+    step = max(1, (1 << 16) // gauges.size)
+    blocks = [np.max(logc[i : i + step] + gauges[:, None], axis=2) for i in range(0, len(logc), step)]
+    return np.concatenate(blocks, axis=1)
+
+
+_MEMBER_KINDS = ("dense", "zero", "left", "right", "const")
+
+
+@st.composite
+def coef_members(draw):
+    """Members of mixed degrees: dense, zero, supported on k <= 0 or k >= 0 only, or of degree 0.
+    Magnitudes span e^-30..e^30 and about 30% of the c_k are 0, so |c_k| != |c_-k| almost always."""
+    kinds = draw(st.lists(st.sampled_from(_MEMBER_KINDS), min_size=9, max_size=14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for kind in kinds:
+        d = 0 if kind == "const" else int(rng.integers(1, 24))
+        coef = np.exp(rng.uniform(-30.0, 30.0, 2 * d + 1) + 1j * rng.uniform(0.0, TWO_PI, 2 * d + 1))
+        coef[rng.random(2 * d + 1) < 0.3] = 0.0
+        if kind == "zero":
+            coef[:] = 0.0
+        elif kind == "left":
+            coef[d + 1 :] = 0.0
+        elif kind == "right":
+            coef[:d] = 0.0
+        members.append(S.TrigPoly(coef, d))
+    return members
+
+
+# a table scale that truncates: its gauges warn past p = 12
+_TABLE_P12 = W.build_weight_sequence({"kind": "table", "logM": 1.5 * gammaln(np.arange(13) + 1.0)}, p_max=12)
+
+
+class TestStackedFold:
+    """_coef_tables folds one log_abs of the whole stacked net, with the per-member fold's bits."""
+
+    @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
+    @settings(max_examples=25, deadline=None)
+    @example(members=[S.TrigPoly.zero(3)] * 9)
+    @example(members=[S.TrigPoly.const(2.5)] * 4 + [S.TrigPoly.zero()] * 5)
+    @example(members=[S.TrigPoly.basis(-k, 1e-200) for k in range(9)])
+    @given(members=coef_members())
+    def test_equals_the_per_member_fold(self, ws_p1, ws_p2, members):
+        for ws in (ws_p1, ws_p2, _TABLE_P12):
+            for hs in (V.DEFAULTS.h_grid, battery.WIDE_H):
+                net = A.make_net(lambda n: members[n], len(members) - 1)
+                got = np.array(A._coef_tables(net, ws, hs))
+                assert got.tobytes() == per_member_coef_tables(net, ws, hs).tobytes()
+
+    def test_one_log_abs_per_fill(self, ws_p1, monkeypatch):
+        shapes = []
+
+        def spy(x):
+            shapes.append(np.shape(x))
+            return S.log_abs(x)
+
+        monkeypatch.setattr(A, "log_abs", spy)
+        net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
+        A._coef_tables(net, ws_p1, V.DEFAULTS.h_grid)
+        assert shapes == [(NMAX + 1, 2 * NMAX + 1)]  # the whole stack, at once
+        A._coef_tables(net, ws_p1, V.DEFAULTS.h_grid)  # a memo hit folds nothing
+        A._coef_tables(net, ws_p1, (0.1, 1.0))  # one missing lambda: one more fill
+        assert shapes == [(NMAX + 1, 2 * NMAX + 1)] * 2
+
+
+def reflected(net):
+    """The net of f_n(-t): c_k -> c_{-k} in every member."""
+    return net.map(lambda f: S.TrigPoly(f.coef[::-1], f.degree), label=f"reflect({net.label})")
+
+
+class TestReflection:
+    """Reflection c_k -> c_{-k} maps the grid to itself and keeps every |c_k| pair: verdicts stay,
+    margins agree within 1e-12 (the FFT rounds differently), coefficient margins bit for bit."""
+
+    def test_reflected_battery_keeps_verdicts(self, nets, ws_p1):
+        for net, _ in nets:
+            mirror = reflected(net)
+            for got, want in zip(TestScaling.verdicts(mirror, ws_p1), TestScaling.verdicts(net, ws_p1)):
+                assert got.method == want.method and got.bounded == want.bounded, (net.label, want.method)
+                if want.method == "coefficient":
+                    assert np.float64(got.margin).tobytes() == np.float64(want.margin).tobytes(), net.label
+                else:
+                    assert got.margin == want.margin or abs(got.margin - want.margin) <= 1e-12, (
+                        net.label, want.method, got.margin - want.margin,
+                    )

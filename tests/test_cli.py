@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,43 @@ def test_unknown_descriptor_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: unknown") and "'mystery'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["embed", "--dist", "exp_decay:nan", "--mollifier", "dirichlet", "--nmax", "8"], "mu must be finite"),
+        (["embed", "--dist", "exp_growth:inf", "--nmax", "8"], "lambda must be finite"),
+        (["classify", "--net", "scaled:sin:inf", "--mode", "negligible", "--nmax", "16"], "scaled rate must be finite"),
+        (["classify", "--net", "scaled:dirichlet:nan", "--mode", "moderate", "--nmax", "16"], "scaled rate must be finite"),
+        (["weights", "--gevrey", "1", "--t", "1,inf"], "--t, --t-lo and --t-hi must be finite"),
+        (["weights", "--gevrey", "1", "--t-hi", "nan"], "--t, --t-lo and --t-hi must be finite"),
+        (["weights", "--gevrey", "inf"], "gevrey exponent must be finite"),
+        (["classify", "--net", "dirichlet", "--mode", "moderate", "--weights", "gevrey:nan"], "gevrey exponent must be finite"),
+    ],
+    ids=["exp_decay-nan", "exp_growth-inf", "scaled-inf", "scaled-nan", "t-inf", "t_hi-nan", "gevrey-inf", "weights-nan"],
+)
+def test_non_finite_descriptor_exits_2(capsys, argv, message):
+    # before, most of these printed a report with "nan" entries after a RuntimeWarning and exited 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["full_norm", "coefficient"])
+def test_non_finite_coefficient_file_exits_2(capsys, tmp_path, method):
+    table = tmp_path / "dist.json"
+    table.write_text(json.dumps([{"k": 1, "re": math.nan}, {"k": 0, "re": 1.0}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["classify", "--net", f"embed:file:{table}:dirichlet", "--mode", "moderate",
+                         "--nmax", "8", "--method", method])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
 
 
 class TestEmbedCommand:

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from periodic_gfa import weights as W
 
@@ -16,6 +17,35 @@ def brute_force_assoc(s, t, p_cap=2000):
     logfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, p_cap + 1)))])
     p = np.arange(0, p_cap + 1)
     return max(0.0, float(np.max(p * math.log(t) - s * logfact)))
+
+
+def certify_m2_every_split(logM, declared=None):
+    """Reference (M.2) certification: every ordered split p + q = m, as W._certify_m2 did before
+    it visited each unordered split once."""
+    n, m = len(logM), np.arange(len(logM))
+    min_split = np.full(n, np.inf)
+    for p in range(n):
+        np.minimum(min_split[p:], logM[p] + logM[: n - p], out=min_split[p:])
+    if declared is not None:
+        bad = logM - m * np.log(declared[1]) - min_split > np.log(declared[0]) + 1e-9
+        if np.any(bad):
+            raise W.CertificationFail(f"(M.2) fails for the declared (A, H) at m = {np.argmax(bad)}")
+        return declared
+    grid = [2.0 ** (e / 4.0) for e in range(1, 17)]
+    logA, H = min(
+        ((max(np.max(logM - m * np.log(H) - min_split), 0.0), H) for H in grid),
+        key=lambda c: c[0] if np.isfinite(c[0]) else np.inf,
+    )
+    if not logA < np.log(np.finfo(float).max):
+        raise W.CertificationFail("no grid H certifies (M.2) with a finite A on the stored table")
+    return float(np.exp(logA)), H
+
+
+def _outcome(certify, *args):
+    try:
+        return certify(*args)
+    except W.CertificationFail as exc:
+        return str(exc)
 
 
 class TestBuild:
@@ -47,6 +77,15 @@ class TestBuild:
             W.build_weight_sequence(
                 {"kind": "table", "logM": [0, 1, 1.2, 1.3, 5, 5.1, 5.2, 9, 9.1], "A": 1, "H": 2}
             )
+
+    @pytest.mark.parametrize("declared", [{}, {"A": 1.0, "H": 2.0}], ids=["certified", "declared"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, declared, bad):
+        # before, a nan entry passed the (M.1) check, and with declared (A, H) the whole build
+        logM = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, 33))]))
+        logM[5] = bad
+        with pytest.raises(W.InvalidSpec, match="finite"):
+            W.build_weight_sequence({"kind": "table", "logM": logM, **declared})
 
     def test_nonzero_first_entry_rejected(self):
         with pytest.raises(W.InvalidSpec):
@@ -85,6 +124,48 @@ class TestBuild:
         big = ws.extended(256)
         assert big.p_max == 256
         assert np.allclose(big.logM[:65], ws.logM)
+
+    @settings(max_examples=40, deadline=None)
+    @example(n=2, seed=0, mode="steep")
+    @example(n=33, seed=0, mode="square")  # A is decided at m = n - 1 = 32, by its middle split alone
+    @example(n=65, seed=1, mode="square")
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["steep", "flat", "square"]))
+    def test_m2_each_split_once_equals_every_split(self, n, seed, mode):
+        """(A, H), or the failure, equals the every-split reference bit for bit, declared or not."""
+        rng = np.random.default_rng(seed)
+        if mode == "square":
+            logM = np.arange(float(n)) ** 2  # no finite A past p = 64
+        else:
+            # a log-convex table: nondecreasing log ratios, some equal
+            steps = rng.exponential(1.0 if mode == "steep" else 1e-3, n - 1) * (rng.random(n - 1) < 0.7)
+            logM = np.concatenate([[0.0], np.cumsum(np.cumsum(steps) + rng.uniform(-2.0, 2.0))])
+        got, want = _outcome(W._certify_m2, logM), _outcome(certify_m2_every_split, logM)
+        assert type(got) is type(want) and got == want
+        declared = [(1.0, 2.0), (1e3, 1.5), (2.0, 4.0)]
+        if not isinstance(want, str):
+            declared.append(want)
+        for pair in declared:
+            assert _outcome(W._certify_m2, logM, pair) == _outcome(certify_m2_every_split, logM, pair)
+
+
+class TestPresetLogM:
+    """A preset reads log M_p from its table inside it and uses s log p! beyond: the same bits."""
+
+    POINTS = [
+        0, 7, 16, 17, 40, -1, np.int64(12), np.uint8(3), 2.5, np.array([], dtype=np.int64),
+        np.arange(30), np.array([3, -2, 99, 16]), np.arange(60).reshape(6, 10),
+        np.array([[0, 16], [17, 5000]]), np.linspace(0.0, 20.0, 7),
+    ]
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 1.0 / 3.0])
+    def test_reads_equal_the_closed_form(self, s):
+        ws = W.gevrey(s, 16)
+        for scale in (ws, ws.extended(64), W.build_weight_sequence({"kind": "gevrey", "s": s, "p_max": 20})):
+            for p in self.POINTS:
+                want = s * gammaln(np.asarray(p).astype(float) + 1.0)
+                got = scale.logM_at(p)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want), (scale.p_max, p)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (scale.p_max, p)
 
 
 class TestAssociatedFunction:
