@@ -425,6 +425,6 @@ def find_witness(
     bounded, _, _, baseline = bounded_test(prof, tau)
     if bounded:
         raise NoWitness(f"net {net.label!r} is negligible at lambda={lam}")
-    idx = [n for n in range(head_end(net.n_max) + 1, net.n_max + 1) if prof[n] > baseline + tau]
-    points = np.array([net.derivative_rows().sup_norm_argmax(n)[1] for n in idx])
-    return np.array(idx, dtype=int), points
+    idx = np.arange(head_end(net.n_max) + 1, net.n_max + 1)
+    idx = idx[prof[idx] > baseline + tau]
+    return idx, net.derivative_rows().sup_norm_argmax(idx)[1]

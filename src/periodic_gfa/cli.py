@@ -379,7 +379,7 @@ def cmd_demo(args) -> tuple[int, dict]:
         n_max, label="iota(cos)*iota(delta)",
     )
 
-    sups = [u.derivative_rows().sup_norm_argmax(n)[0] for n in range(n_max + 1)]
+    sups = u.derivative_rows().sup_norm_argmax(np.arange(n_max + 1))[0].tolist()
     u_neg = algebra.classify_negligible(u, ws, cls, tau=args.tau)
     vw_neg = algebra.classify_negligible(algebra.make_net((v - w).at, n_max, "v-w"), ws, cls, tau=args.tau)
     w_delta_net = algebra.make_net((w - iota_delta).at, n_max, "w-iota(delta)")

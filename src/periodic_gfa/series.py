@@ -183,44 +183,61 @@ def derivative(f: TrigPoly, p: int = 1) -> TrigPoly:
 GRID_SLACK = -0.5 * math.log(1.0 - 2.0 * math.pi**2 / 256.0)  # 0.0401
 
 
-def _newton_max_rows(w: np.ndarray, ks: np.ndarray, ts: np.ndarray, half: float):
-    """Newton maximization of |g_i(t)|, g_i(t) = sum_k w[i,k] e^{ikt}, from each t0 = ts[i].
+def _newton_max_rows(ts: np.ndarray, w: np.ndarray, rows: np.ndarray, ks: np.ndarray, half):
+    """Newton maximization of |g_i(t)| from each t0 = ts[i], g_i(t) = sum_k w[rows[i],k] e^{ikt}
+    over ks = -D..D.
 
     With phi = |g|^2, phi' = 2 Re(conj(g) g') and phi'' = 2 (|g'|^2 + Re(conj(g) g'')),
     where g' and g'' are the coefficient multipliers ik and -k^2.  A step
     t <- t - phi'/phi'' is taken only where phi'' < 0 and is clamped to
-    [t0 - half, t0 + half]; the best |g| evaluated, t0's included, stands.
-    Rows run in batches of at most 2^16 row coefficients.  Returns (values, ts).
+    [t0 - half, t0 + half] (half a scalar or one per t0); the best |g| evaluated, t0's
+    included, stands.  A t0 leaves once its t is a fixed point, since later steps would
+    repeat it.  Only the k >= 0 half of e^{ikt} is computed (e^{-ikt} is its conjugate);
+    the t0 run in chunks of about 2^13 (t0, k) cells.  Returns (values, ts).
     """
-    chunk = max(1, (1 << 16) // max(len(ks), 1))
-    if len(w) > chunk:
-        parts = [
-            _newton_max_rows(w[i : i + chunk], ks, ts[i : i + chunk], half) for i in range(0, len(w), chunk)
-        ]
-        return tuple(np.concatenate(x) for x in zip(*parts))
+    d = len(ks) // 2
     mults = np.stack([np.ones_like(ks), 1j * ks, -ks * ks])
-    t = arg = ts
-    best = np.full(len(ts), -1.0)
-    for _ in range(7):  # t0 and six steps
-        g, g1, g2 = np.einsum("ik,jk->ji", w * np.exp(1j * np.outer(t, ks)), mults)
-        v = np.abs(g)
-        up = v > best
-        best, arg = np.where(up, v, best), np.where(up, t, arg)
-        d1 = np.real(np.conj(g) * g1)  # phi'/2 and phi''/2
-        d2 = np.abs(g1) ** 2 + np.real(np.conj(g) * g2)
-        t = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0), ts - half, ts + half)
+    best, arg = np.full(len(ts), -1.0), np.array(ts, dtype=float)
+    lo, hi = ts - half, ts + half
+    chunk = max(1, (1 << 13) // len(ks))
+    for start in range(0, len(ts), chunk):
+        live = np.arange(start, min(start + chunk, len(ts)))
+        t = ts[live]
+        for step in range(7):  # t0 and six steps
+            e = np.exp(1j * np.outer(t, ks[d:]))
+            terms = w[rows[live]]
+            terms[:, d:] *= e
+            terms[:, :d] *= np.conj(e[:, :0:-1])
+            g, g1, g2 = np.einsum("ik,jk->ji", terms, mults)
+            v = np.abs(g)
+            up = v > best[live]
+            best[live[up]], arg[live[up]] = v[up], t[up]
+            if step == 6:
+                break
+            d1 = np.real(np.conj(g) * g1)  # phi'/2 and phi''/2
+            d2 = np.abs(g1) ** 2 + np.real(np.conj(g) * g2)
+            nxt = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0), lo[live], hi[live])
+            moving = nxt != t
+            live, t = live[moving], nxt[moving]
+            if len(live) == 0:
+                break
     return best, arg
 
 
 def _local_peaks(vals: np.ndarray, rel: float = 0.975) -> np.ndarray:
-    """Indices of circular local maxima within rel of the global max; only the
-    maximum of a row flat to rounding (|f| constant), whose grid maximum is its sup."""
-    top = np.max(vals)
-    if np.min(vals) >= top * (1.0 - 1e-12):
-        return np.array([np.argmax(vals)])
-    up = vals >= np.roll(vals, 1)
-    down = vals >= np.roll(vals, -1)
-    return np.nonzero(up & down & (vals >= rel * top))[0]
+    """Flat indices of the circular local maxima of each row of vals within rel of the row's max;
+    of a row flat to rounding (|f| constant), whose grid maximum is its sup, only that maximum."""
+    rows = np.atleast_2d(vals)
+    top = np.max(rows, axis=1, keepdims=True)
+    near = rows >= rel * top
+    flat = np.flatnonzero(np.min(rows, axis=1) >= top[:, 0] * (1.0 - 1e-12))
+    near[flat] = False
+    near[flat, np.argmax(rows[flat], axis=1)] = True  # a maximum, so a local one
+    i, j = np.nonzero(near)
+    m = rows.shape[1]
+    v = rows[i, j]
+    keep = (v >= rows[i, j - 1]) & (v >= rows[i, (j + 1) % m])
+    return i[keep] * m + j[keep]
 
 
 def _weights(coef: np.ndarray, ps: np.ndarray, rows):
@@ -346,30 +363,53 @@ class DerivativeRows:
             self.rows = (keys[order], vals[order])
         return got
 
-    def refined(self, n: int, ps: np.ndarray):
-        """Refined log sup_t |D^p f_n| and its argmax t for each p in ps (distinct), degree >= 1.
+    def refined(self, ns, ps):
+        """Refined log sup_t |D^p f_n| and its argmax t for each pair (ns[i], ps[i]), degree >= 1;
+        a scalar n or p pairs with every entry of the other.
 
         Every near-top grid peak of a row is refined by _newton_max_rows, so ties between peaks
-        cannot hide the sup; a value is never below the grid value, whose row is published."""
-        g, m = self.polys[n], self.m[n]
-        out, w, scale, vals = _log_sup_rows(g.coef[None, :], ps, [(len(ps), m, g.degree)])
-        self._read(np.full(len(ps), n), ps, out)
-        peaks = [_local_peaks(row) for row in vals]
-        counts = [len(js) for js in peaks]
-        rows = np.repeat(np.arange(len(ps)), counts)
-        ts = TWO_PI * np.concatenate(peaks) / m
-        v, t = _newton_max_rows(w[rows], g.support().astype(float), ts, TWO_PI / m)
-        lv = scale[rows] + log_abs(v)
-        top = np.lexsort((lv, rows))[np.cumsum(counts) - 1]  # each row's best peak
-        return np.fmax(out, lv[top]), t[top] % TWO_PI
+        cannot hide the sup; a value is never below the grid value.  The rows run in the blocks
+        of _runs, Newton once per run with the peaks padded to its k = -D..D, and every row is
+        published in one _read.
+        """
+        want = np.ravel(np.asarray(ns, dtype=np.int64) * _KEY + np.asarray(ps))
+        keys, back = np.unique(want, return_inverse=True)
+        ns, ps = np.divmod(keys, _KEY)
+        grid, out, arg = np.empty(len(ps)), np.empty(len(ps)), np.empty(len(ps))
+        for run, blocks in self._runs(ns):
+            pad, rows = self._padded(ns[run])
+            start, w, scale, ts, half, at = 0, [], [], [], [], []
+            for stop, m, d in blocks:
+                block, lo, hi = run[start:stop], rows[start], rows[stop - 1] + 1  # its members: pad[lo:hi]
+                grid[block], bw, bscale, vals = _log_sup_rows(
+                    pad[lo:hi], ps[block], [(len(block), m, d)], rows[start:stop] - lo
+                )
+                i, j = np.divmod(_local_peaks(vals), m)
+                w.append(bw)
+                scale.append(bscale)
+                ts.append(TWO_PI * j / m)
+                half.append(np.full(len(j), TWO_PI / m))
+                at.append(start + i)
+                start = stop
+            at, big = np.concatenate(at), pad.shape[1] // 2
+            ks = np.arange(-big, big + 1).astype(float)
+            v, t = _newton_max_rows(np.concatenate(ts), np.concatenate(w), at, ks, np.concatenate(half))
+            lv = np.concatenate(scale)[at] + log_abs(v)
+            top = np.lexsort((lv, at))[np.cumsum(np.bincount(at)) - 1]  # each row's best peak
+            out[run], arg[run] = np.fmax(grid[run], lv[top]), t[top] % TWO_PI
+        self._read(ns, ps, grid)
+        return out[back], arg[back]
 
-    def sup_norm_argmax(self, n: int):
-        """(max_t |f_n(t)|, argmax t): row p = 0, refined."""
-        g = self.polys[n]
-        if g.degree == 0:
-            return abs(g.coef[0]), 0.0
-        v, t = self.refined(n, np.zeros(1, dtype=int))
-        return math.exp(v[0]), float(t[0])
+    def sup_norm_argmax(self, ns):
+        """(max_t |f_n(t)|, argmax t) for each n in ns, floats for a scalar n: row p = 0, refined."""
+        ns = np.asarray(ns)
+        flat = ns.ravel()
+        live = self.degree[flat] > 0
+        vals, args = np.empty(len(flat)), np.zeros(len(flat))
+        v, args[live] = self.refined(flat[live], 0)
+        vals[live] = [math.exp(x) for x in v]
+        vals[~live] = [abs(self.polys[n].coef[0]) for n in flat[~live]]
+        return (float(vals[0]), float(args[0])) if ns.ndim == 0 else (vals, args)
 
     def log_sups(self) -> np.ndarray:
         """Grid values of log sup_t |f_n| for every n: row p = 0, evaluated only where absent."""

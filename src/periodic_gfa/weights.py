@@ -162,6 +162,8 @@ class WeightSequence:
 
 def _assoc_value(ws: WeightSequence, t, cap: int | None, warn_label: str):
     t_in = np.asarray(t, dtype=float)
+    if not np.isfinite(t_in).all():
+        raise ValueError(f"{warn_label}: t must be finite")
     scalar = t_in.ndim == 0
     ta = np.atleast_1d(np.abs(t_in))
     ps = ws._p_star(ta, cap)
@@ -183,7 +185,7 @@ def associated_function(ws: WeightSequence, t):
 
     The supremum is taken over the stored table only; a TruncationWarning
     signals that it was attained at the boundary.  Accepts scalars or
-    arrays.
+    arrays; a t that is not finite raises ValueError.
     """
     return _assoc_value(ws, t, ws.p_max, "associated_function")
 

@@ -616,6 +616,22 @@ class TestGridRows:
         assert refined
 
 
+    @pytest.mark.parametrize("i", [1, 7, 9])
+    def test_witness_points_in_one_refinement(self, ws_p1, monkeypatch, i):
+        calls = []
+        inner = S._newton_max_rows
+
+        def spying(ts, *args):
+            calls.append(len(ts))
+            return inner(ts, *args)
+
+        monkeypatch.setattr(S, "_newton_max_rows", spying)
+        net = battery.full_battery(ws_p1, NMAX)[i][0]
+        idx, points = A.find_witness(net, ws_p1, 8.0)
+        assert len(idx) > 1 and len(calls) == len(list(net.derivative_rows()._runs(idx))) == 1
+        # each point is the argmax that its member alone refines to
+        assert points.tolist() == [S.sup_norm_argmax(net.at(n))[1] for n in idx]
+
 class TestMarginBracket:
     """Margins from grid tables carry GRID_SLACK both ways; refined tables land inside."""
 

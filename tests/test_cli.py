@@ -423,6 +423,28 @@ class TestDemoCommand:
         # sups of u refine the rows u's verdict reads
         assert (sum(rows), sum(zeros)) == (2459, 192)
 
+    def test_report_refines_the_sups_of_u_once_per_run(self, capsys, monkeypatch):
+        calls, refined = [], []
+        inner, inner_refined = series._newton_max_rows, series.DerivativeRows.refined
+
+        def spying(ts, *args):
+            calls.append(len(ts))
+            return inner(ts, *args)
+
+        def refining(self, ns, ps):
+            refined.append((self, np.ravel(ns)))
+            return inner_refined(self, ns, ps)
+
+        monkeypatch.setattr(series, "_newton_max_rows", spying)
+        monkeypatch.setattr(series.DerivativeRows, "refined", refining)
+        assert cli.main(["demo", "--nmax", "64"]) == 0
+        capsys.readouterr()
+        # the sups of u.at(1..64) in one call (u.at(0) has degree 0), Newton once per run of
+        # their rows; one call per n made 64 Newton calls
+        ((table, ns),) = refined
+        assert ns.tolist() == list(range(1, 65))
+        assert 0 < len(calls) <= len(list(table._runs(ns))) < 64
+
     def test_second_report_stays_small(self, capsys):
         # the D^p row weights are set up per run of at most 2^14 entries; set up for a whole
         # read at once they took the traced peak from 3.35 MB to 11.4 MB

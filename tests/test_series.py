@@ -309,7 +309,7 @@ def per_h_log_ud_norm(f, ws, h):
                 ts.append(TWO_PI * j / m)
         ts = np.array(ts)
         step = TWO_PI / m
-        ref_v, _ = S._newton_max_rows(w[rows], g.support().astype(float), ts, step)
+        ref_v, _ = S._newton_max_rows(ts, w, np.array(rows, dtype=int), g.support().astype(float), step)
         for i, v in zip(rows, ref_v):
             if v > 0:
                 out[i] = max(out[i], scale[i] + math.log(v))
@@ -867,6 +867,166 @@ class TestBatchedRead:
         ffts.clear()
         battery_pass(ws_p1)
         assert sorted(ffts) == new
+
+
+def newton_max_rows_7(w, ks, ts, half):
+    """The Newton maximization that the batched one replaced: every row takes all seven
+    evaluations, over all of ks, in batches of at most 2^16 row coefficients.
+
+    The product is np.multiply(w, e), w first.  Written w * e, numpy reuses the temporary e
+    in place once it exceeds 256 KiB (2^14 cells) and computes e * w, and its fused complex
+    multiply is not commutative in the last bit.
+    """
+    chunk = max(1, (1 << 16) // max(len(ks), 1))
+    if len(w) > chunk:
+        parts = [newton_max_rows_7(w[i : i + chunk], ks, ts[i : i + chunk], half) for i in range(0, len(w), chunk)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+    mults = np.stack([np.ones_like(ks), 1j * ks, -ks * ks])
+    t = arg = ts
+    best = np.full(len(ts), -1.0)
+    for _ in range(7):  # t0 and six steps
+        g, g1, g2 = np.einsum("ik,jk->ji", np.multiply(w, np.exp(1j * np.outer(t, ks))), mults)
+        v = np.abs(g)
+        up = v > best
+        best, arg = np.where(up, v, best), np.where(up, t, arg)
+        d1 = np.real(np.conj(g) * g1)
+        d2 = np.abs(g1) ** 2 + np.real(np.conj(g) * g2)
+        t = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0), ts - half, ts + half)
+    return best, arg
+
+
+def row_peaks(vals, rel=0.975):
+    """The near-top circular local maxima of one grid row, as the per-member refinement found them."""
+    top = np.max(vals)
+    if np.min(vals) >= top * (1.0 - 1e-12):
+        return np.array([np.argmax(vals)])
+    up = vals >= np.roll(vals, 1)
+    down = vals >= np.roll(vals, -1)
+    return np.nonzero(up & down & (vals >= rel * top))[0]
+
+
+class MemberRows(S.DerivativeRows):
+    """The net table with the per-member refinement that one batched pass per net replaced:
+    TestBatchedRefinement's reference.
+
+    Each member's rows run as one block of its own degree and grid length,
+    with one Newton call (all seven evaluations per peak) and one _read.
+    """
+
+    def refined(self, n, ps):
+        g, m = self.polys[n], self.m[n]
+        out, w, scale, vals = S._log_sup_rows(g.coef[None, :], ps, [(len(ps), m, g.degree)])
+        self._read(np.full(len(ps), n), ps, out)
+        peaks = [row_peaks(row) for row in vals]
+        counts = [len(js) for js in peaks]
+        rows = np.repeat(np.arange(len(ps)), counts)
+        ts = TWO_PI * np.concatenate(peaks) / m
+        v, t = newton_max_rows_7(w[rows], g.support().astype(float), ts, TWO_PI / m)
+        lv = scale[rows] + S.log_abs(v)
+        top = np.lexsort((lv, rows))[np.cumsum(counts) - 1]
+        return np.fmax(out, lv[top]), t[top] % TWO_PI
+
+    def sup_norm_argmax(self, n):
+        g = self.polys[n]
+        if g.degree == 0:
+            return abs(g.coef[0]), 0.0
+        v, t = self.refined(n, np.zeros(1, dtype=int))
+        return math.exp(v[0]), float(t[0])
+
+
+@functools.cache
+def demo_u_stack():
+    return tuple(demo_u_polys())
+
+
+class TestBatchedRefinement:
+    """DerivativeRows.refined refines every requested row of a net in one pass, Newton once per
+    run, and gives, bit for bit, what MemberRows gives one member at a time."""
+
+    KINDS = TestNetTable.KINDS + ["dirichlet", "demo"]
+
+    @classmethod
+    def member(cls, kind, degree, rng):
+        if kind == "dirichlet":
+            return S.TrigPoly.dirichlet(degree)
+        if kind == "demo":  # u.at(n) of pgfa demo, degree n + 1
+            return demo_u_stack()[degree % 65]
+        return TestNetTable.member(kind, degree, rng)
+
+    @staticmethod
+    def check(polys, pairs, held=()):
+        """refined over pairs (n, p) and sup_norm_argmax over every member, against the reference,
+        after both tables read the rows held."""
+        table, ref = S.DerivativeRows(polys), MemberRows(polys)
+        for t in (table, ref):
+            if len(held):
+                t._read(*np.divmod(np.unique(held), S._KEY))
+        ns, ps = (np.array(x, dtype=np.int64) for x in zip(*pairs)) if pairs else (np.zeros(0, int),) * 2
+        got = table.refined(ns, ps)
+        want = [np.empty(0)] * 2
+        for n in np.unique(ns):
+            v, t = ref.refined(n, np.sort(ps[ns == n]))
+            want = [np.append(a, b) for a, b in zip(want, (v, t))]
+        order = np.lexsort((ps, ns))  # the reference runs member by member, p ascending
+        assert got[0][order].tobytes() == want[0].tobytes() and got[1][order].tobytes() == want[1].tobytes()
+        assert table.rows[0].tobytes() == ref.rows[0].tobytes()
+        assert table.rows[1].tobytes() == ref.rows[1].tobytes()
+        every = np.arange(len(polys))
+        got = table.sup_norm_argmax(every)
+        want = np.array([ref.sup_norm_argmax(n) for n in every]).reshape(-1, 2).T
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert table.rows[0].tobytes() == ref.rows[0].tobytes()
+        assert table.rows[1].tobytes() == ref.rows[1].tobytes()
+        if len(polys):
+            assert table.sup_norm_argmax(0) == ref.sup_norm_argmax(0)
+
+    @settings(max_examples=25, deadline=None)
+    @example(members=[("basis", 7), ("const", 0), ("zero", 3), ("basis", 150)], seed=0, rows=3, held=0)
+    @example(members=[("dirichlet", d) for d in (1, 4, 16, 100)] + [("demo", 64)], seed=1, rows=2, held=0)
+    @given(
+        members=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 200)), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 12),
+        held=st.integers(0, 20),
+    )
+    def test_equals_the_per_member_refinement(self, members, seed, rows, held):
+        rng = np.random.default_rng(seed)
+        polys = [self.member(kind, degree, rng) for kind, degree in members]
+        live = np.flatnonzero([f.trimmed().degree for f in polys])
+        pairs = sorted({(int(n), int(p)) for n in live for p in rng.integers(0, 40, rows)})
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]  # any order
+        keys = rng.choice(live, held) * S._KEY + rng.integers(0, 40, held) if len(live) else []
+        self.check(polys, pairs, keys)
+
+    def test_demo_u_stack(self):
+        polys = list(demo_u_stack())
+        self.check(polys, [(n, p) for n in range(1, 65) for p in (0, 1, 5)])
+
+    def test_stack_of_several_runs(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        polys = [random_poly(rng, d) for d in (3, 17, 40, 90, 160, 200)]
+        pairs = [(n, p) for n in range(len(polys)) for p in range(30)]
+        self.check(polys, pairs)
+        calls = []
+        inner = S._newton_max_rows
+
+        def spying(ts, *args):
+            calls.append(len(ts))
+            return inner(ts, *args)
+
+        monkeypatch.setattr(S, "_newton_max_rows", spying)
+        table = S.DerivativeRows(polys)
+        ns, ps = np.repeat(np.arange(len(polys)), 30), np.tile(np.arange(30), len(polys))
+        table.refined(ns, ps)
+        assert len(calls) == len(list(table._runs(ns))) == 2  # Newton once per run
+
+    def test_no_rows(self):
+        self.check([random_poly(np.random.default_rng(3), 5), S.TrigPoly.const(2.0)], [])
+        table = S.DerivativeRows([S.TrigPoly.dirichlet(3)])
+        v, t = table.refined(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        assert v.shape == t.shape == (0,) and len(table.rows[0]) == 1  # only the sentinel
+        v, t = table.sup_norm_argmax(np.zeros(0, dtype=int))
+        assert v.shape == t.shape == (0,)
 
 
 class TestMetamorphic:

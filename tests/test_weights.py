@@ -214,6 +214,16 @@ class TestAssociatedFunction:
         assert W.associated_gauge(ws, t * factor) >= W.associated_gauge(ws, t) - 1e-12
 
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, [1.0, math.nan], [[2.0], [-math.inf]]])
+    @pytest.mark.parametrize("fn", [W.associated_function, W.associated_gauge])
+    def test_non_finite_t_rejected(self, fn, t):
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, 9.0)))])
+        for ws in (W.gevrey(1.0, 64), W.build_weight_sequence({"kind": "table", "logM": log_fact}, 8)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    fn(ws, t)
+
 class TestModifiedAssociated:
     def test_constant_prefix_matches_plain(self):
         ws = W.gevrey(1.0, 256)
@@ -270,6 +280,13 @@ class TestDoubling:
         rep = W.check_doubling_inequality(ws, [1e-9, 1e-6])
         assert rep.passed and rep.max_excess == 0.0
 
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                W.check_doubling_inequality(W.gevrey(1.0, 64), [1.0, bad, 10.0])
 
 class TestRelation:
     def test_strictly_smaller(self, ws_p1, ws_p2):
