@@ -184,16 +184,14 @@ GRID_SLACK = -0.5 * math.log(1.0 - 2.0 * math.pi**2 / 256.0)  # 0.0401
 
 
 def _newton_max_rows(ts: np.ndarray, w: np.ndarray, rows: np.ndarray, ks: np.ndarray, half):
-    """Newton maximization of |g_i(t)| from each t0 = ts[i], g_i(t) = sum_k w[rows[i],k] e^{ikt}
-    over ks = -D..D.
+    """Newton maximization of |g_i(t)|, g_i(t) = sum_k w[rows[i],k] e^{ikt} over ks = -D..D, from t0 = ts[i].
 
     With phi = |g|^2, phi' = 2 Re(conj(g) g') and phi'' = 2 (|g'|^2 + Re(conj(g) g'')),
     where g' and g'' are the coefficient multipliers ik and -k^2.  A step
     t <- t - phi'/phi'' is taken only where phi'' < 0 and is clamped to
-    [t0 - half, t0 + half] (half a scalar or one per t0); the best |g| evaluated, t0's
-    included, stands.  A t0 leaves once its t is a fixed point, since later steps would
-    repeat it.  Only the k >= 0 half of e^{ikt} is computed (e^{-ikt} is its conjugate);
-    the t0 run in chunks of about 2^13 (t0, k) cells.  Returns (values, ts).
+    [t0 - half, t0 + half]; the best |g| evaluated, t0's included, stands.  A t
+    that is a fixed point stops; e^{-ikt} is taken as conj(e^{ikt}), and the t0
+    run in chunks of about 2^13 (t0, k) cells.  Returns (values, ts).
     """
     d = len(ks) // 2
     mults = np.stack([np.ones_like(ks), 1j * ks, -ks * ks])
@@ -378,23 +376,19 @@ class DerivativeRows:
         grid, out, arg = np.empty(len(ps)), np.empty(len(ps)), np.empty(len(ps))
         for run, blocks in self._runs(ns):
             pad, rows = self._padded(ns[run])
-            start, w, scale, ts, half, at = 0, [], [], [], [], []
+            start, parts = 0, []
             for stop, m, d in blocks:
                 block, lo, hi = run[start:stop], rows[start], rows[stop - 1] + 1  # its members: pad[lo:hi]
-                grid[block], bw, bscale, vals = _log_sup_rows(
+                grid[block], w, scale, vals = _log_sup_rows(
                     pad[lo:hi], ps[block], [(len(block), m, d)], rows[start:stop] - lo
                 )
                 i, j = np.divmod(_local_peaks(vals), m)
-                w.append(bw)
-                scale.append(bscale)
-                ts.append(TWO_PI * j / m)
-                half.append(np.full(len(j), TWO_PI / m))
-                at.append(start + i)
+                parts.append((w, scale, start + i, TWO_PI * j / m, np.full(len(j), TWO_PI / m)))
                 start = stop
-            at, big = np.concatenate(at), pad.shape[1] // 2
-            ks = np.arange(-big, big + 1).astype(float)
-            v, t = _newton_max_rows(np.concatenate(ts), np.concatenate(w), at, ks, np.concatenate(half))
-            lv = np.concatenate(scale)[at] + log_abs(v)
+            w, scale, at, ts, half = map(np.concatenate, zip(*parts))
+            big = pad.shape[1] // 2
+            v, t = _newton_max_rows(ts, w, at, np.arange(-big, big + 1).astype(float), half)
+            lv = scale[at] + log_abs(v)
             top = np.lexsort((lv, at))[np.cumsum(np.bincount(at)) - 1]  # each row's best peak
             out[run], arg[run] = np.fmax(grid[run], lv[top]), t[top] % TWO_PI
         self._read(ns, ps, grid)

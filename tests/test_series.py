@@ -958,9 +958,9 @@ class TestBatchedRefinement:
         """refined over pairs (n, p) and sup_norm_argmax over every member, against the reference,
         after both tables read the rows held."""
         table, ref = S.DerivativeRows(polys), MemberRows(polys)
-        for t in (table, ref):
+        for tab in (table, ref):
             if len(held):
-                t._read(*np.divmod(np.unique(held), S._KEY))
+                tab._read(*np.divmod(np.unique(held), S._KEY))
         ns, ps = (np.array(x, dtype=np.int64) for x in zip(*pairs)) if pairs else (np.zeros(0, int),) * 2
         got = table.refined(ns, ps)
         want = [np.empty(0)] * 2
