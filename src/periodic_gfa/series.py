@@ -289,6 +289,13 @@ def _grid_abs(w: np.ndarray, m: int) -> np.ndarray:
 
 _KEY = 1 << 32  # row p of member n is held under the key n * _KEY + p
 _RUN = 1 << 14  # (row, |k|) entries of the weights set up at once
+_LADDER = np.unique(np.rint(1.5 ** np.arange(100))).astype(np.int64)  # chord knots 1, 2, 3, 5, 8, 11, 17, ...
+
+
+def _knots(ps: np.ndarray, end: np.ndarray):
+    """The chord's knots a <= p <= b next to each p >= 1: a on _LADDER, b on it or the row's end >= p."""
+    k = np.searchsorted(_LADDER, ps, side="right") - 1
+    return _LADDER[k], np.minimum(_LADDER[k + 1], end)
 
 
 class DerivativeRows:
@@ -434,13 +441,17 @@ class DerivativeRows:
 
         Per f_n, rows 0 and every bound peak p*(hN) seed each h's value; then only the rows
         up to ws.p_cap that can reach some h's seed are read: first the cheap bound (_bounds)
-        must reach it, then the bracket (_bracket), which lies above the row.  The 1e-9 slack
-        on the seeds covers the rounding of both (each about eps |value|, under 1e-11 at
-        degree 384 and p <= 4096).  A preset has no cap: p log(e hN) - log M_p <= M(e hN)
-        puts every bound past p = log sum|c_k| - seed + M(e hN) below the seed.  All seeds
-        are read at once, then all selected rows; candidates are filtered in chunks of about
-        2^14 (row, h) cells.  Warns of nothing; see warn_truncated.  Raises ValueError unless
-        every h is finite and positive.
+        must reach it, then the chord, then the bracket B_p (_bracket), which lies above the
+        row.  B_p = log sum_k |k|^p |c_k| is a log-sum-exp of functions linear in p, so convex,
+        and its chord between the knots a <= p <= b of _knots lies above it: a row whose chord
+        stays 1e-9 below every h's floor is one the bracket rejects too, so the rows read are
+        the bracket's.  B at every knot of a candidate comes from one _bracket call.  The 1e-9
+        slacks cover the rounding of the bound, the chord and the bracket (each about
+        eps |value|; |B_p| <~ 3e4 at degree 384 and p <= 4096, so under 1e-11).  A preset has
+        no cap: p log(e hN) - log M_p <= M(e hN) puts every bound past p = log sum|c_k| - seed +
+        M(e hN) below the seed.  All seeds are read at once, then all selected rows;
+        candidates are filtered in chunks of about 2^14 (row, h) cells.  Warns of nothing;
+        see warn_truncated.  Raises ValueError unless every h is finite and positive.
         """
         if not all(math.isfinite(h) and h > 0 for h in hs):
             raise ValueError("h must be finite and positive")
@@ -463,13 +474,29 @@ class DerivativeRows:
             end = np.maximum(np.max(gap, axis=0).astype(np.int64) + 1, np.max(ws._p_star(hn, None), axis=0))
         first, keep = np.cumsum(end) - end, [seeds]
         total, step = int(end.sum()), max(1, (1 << 14) // len(hs))
+
+        def rows_of(at):  # candidate at -> (member j of live, p)
+            j = np.searchsorted(first, at, side="right") - 1
+            return j, at - first[j] + 1
+
+        cand, knots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for i in range(0, total, step):
             at = np.arange(i, min(i + step, total))
-            j = np.searchsorted(first, at, side="right") - 1
-            ps = at - first[j] + 1
+            j, ps = rows_of(at)
             ok = np.any(self._bounds(ws, log_h, live[j], ps) >= floor[:, j], axis=0)
             j, ps = j[ok], ps[ok]
+            cand.append(at[ok])
+            knots.append(np.unique([j * _KEY + q for q in _knots(ps, end[j])]))
+        knots, cand = np.unique(np.concatenate(knots)), np.concatenate(cand)
+        at_knot = self._bracket(live[knots // _KEY], knots % _KEY)
+        for i in range(0, len(cand), step):
+            j, ps = rows_of(cand[i : i + step])
+            a, b = _knots(ps, end[j])
+            lo, hi = (at_knot[np.searchsorted(knots, j * _KEY + q)] for q in (a, b))
+            chord = lo + (ps - a) * (hi - lo) / np.maximum(b - a, 1)
             gain = ps * log_h - np.asarray(ws.logM_at(ps), dtype=float)
+            ok = np.any(chord + gain >= floor[:, j] - 1e-9, axis=0)
+            j, ps, gain = j[ok], ps[ok], gain[:, ok]
             ok = np.any(self._bracket(live[j], ps) + gain >= floor[:, j], axis=0)
             keep.append(live[j[ok]] * _KEY + ps[ok])
         out[:, live] = best(np.unique(np.concatenate(keep)))

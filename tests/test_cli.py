@@ -423,6 +423,21 @@ class TestDemoCommand:
         # sups of u refine the rows u's verdict reads
         assert (sum(rows), sum(zeros)) == (2459, 192)
 
+    def test_report_sends_few_rows_through_the_bracket(self, capsys, monkeypatch):
+        rows = []
+        inner = series.DerivativeRows._bracket
+
+        def counting(self, ns, ps):
+            rows.append(len(ps))
+            return inner(self, ns, ps)
+
+        monkeypatch.setattr(series.DerivativeRows, "_bracket", counting)
+        assert cli.main(["demo", "--nmax", "64"]) == 0
+        capsys.readouterr()
+        # the chord between knots leaves 4,747 rows for the bracket, its knots included;
+        # without the chord, all 34,860 rows left by the cheap bound went through it
+        assert 0 < sum(rows) <= 6000
+
     def test_report_refines_the_sups_of_u_once_per_run(self, capsys, monkeypatch):
         calls, refined = [], []
         inner, inner_refined = series._newton_max_rows, series.DerivativeRows.refined

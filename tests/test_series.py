@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -37,6 +38,17 @@ def random_poly(rng, degree):
     return S.TrigPoly(c, degree)
 
 
+def horner(f, t):
+    """f(t) = e^{-iNt} sum_j c_{j-N} z^j at z = e^{it}, by Horner's rule: a dense-grid oracle
+    that holds one array of t, where evaluate forms a (t, k) matrix."""
+    t = np.asarray(t, dtype=float)
+    z, acc = np.exp(1j * t), np.zeros(t.shape, dtype=complex)
+    for c in f.coef[::-1]:
+        acc *= z
+        acc += c
+    return acc * np.exp(-1j * f.degree * t)
+
+
 def grid_rows(g, ps):
     """_log_sup_rows of one trimmed g (degree >= 1) on its m = next_fast_len(max(64, 16N + 1)) points."""
     m = next_fast_len(max(64, 16 * g.degree + 1))
@@ -67,6 +79,14 @@ class TestEvaluate:
         f = random_poly(rng, 24)
         t = rng.uniform(0, TWO_PI, size=8)
         assert np.allclose(S.evaluate(f, t), S.evaluate(f, t + TWO_PI), atol=1e-12)
+
+    def test_horner_oracle_agrees(self, rng):
+        for deg in (0, 3, 40, 512):
+            f = random_poly(rng, deg)
+            t = np.append(rng.uniform(0, TWO_PI, size=500), [0.0, math.pi, TWO_PI])
+            want = S.evaluate(f, t)
+            assert np.max(np.abs(horner(f, t) - want)) <= 1e-12 * np.max(np.abs(want))
+            assert horner(f, 0.3) == pytest.approx(S.evaluate(f, 0.3), rel=1e-12)
 
 
 class TestDerivative:
@@ -107,7 +127,7 @@ class TestSupNorm:
         for deg in (3, 17, 40):
             f = random_poly(rng, deg)
             t = np.linspace(0, TWO_PI, 400_001)
-            oracle = float(np.max(np.abs(S.evaluate(f, t))))
+            oracle = float(np.max(np.abs(horner(f, t))))
             assert S.sup_norm(f) == pytest.approx(oracle, rel=1e-6)
 
     def test_high_degree_guarantee(self, rng):
@@ -115,12 +135,12 @@ class TestSupNorm:
 
         f = random_poly(rng, 512)
         t = np.linspace(0, TWO_PI, 150_001)
-        vals = np.abs(S.evaluate(f, t))
+        vals = np.abs(horner(f, t))
         j = int(np.argmax(vals))
         step = t[1] - t[0]
         # independent refinement (Brent) around the dense-grid argmax
         res = minimize_scalar(
-            lambda x: -abs(S.evaluate(f, x)),
+            lambda x: -abs(horner(f, x)),
             bounds=(t[j] - step, t[j] + step),
             method="bounded",
             options={"xatol": 1e-12},
@@ -665,6 +685,22 @@ class TestNetTable:
         hs=st.lists(st.sampled_from(TestSelectedRows.HS), min_size=1, max_size=8, unique=True),
     )
     def test_equals_the_per_polynomial_tables(self, members, seed, scale, hs):
+        self.check(members, seed, scale, hs)
+
+    @settings(max_examples=12, deadline=None)
+    @example(members=[("random", 200), ("basis", 150), ("sparse", 97)], seed=0, scale="gevrey:1",
+             hs=list(TestSelectedRows.HS))
+    @given(
+        members=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(41, 200)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(sorted(SCALES)),
+        hs=st.lists(st.sampled_from(TestSelectedRows.HS), min_size=1, max_size=8, unique=True),
+    )
+    def test_high_degree_members_equal_the_per_polynomial_tables(self, members, seed, scale, hs):
+        # long candidate ranges, where the chord between far-apart knots rejects most rows
+        self.check(members, seed, scale, hs)
+
+    def check(self, members, seed, scale, hs):
         rng = np.random.default_rng(seed)
         polys = [self.member(kind, degree, rng) for kind, degree in members]
         ws, table, refs = self.SCALES[scale], S.DerivativeRows(polys), [PolyRows(f) for f in polys]
@@ -710,6 +746,59 @@ class TestNetTable:
         for n, ref in enumerate(refs):  # the reference's rows, each evaluated once
             assert np.array_equal(held_rows(net.derivative_rows(), n), ref.rows, equal_nan=True)
         assert evaluated == sum(np.count_nonzero(~np.isnan(ref.rows)) for ref in refs)
+
+
+def candidate_ends(table, ws, hs):
+    """{n: end} for each member whose rows 1..end log_ud_norms offers the cheap bound, from a spy."""
+    offered = []
+    inner = S.DerivativeRows._bounds
+
+    def spying(self, ws, log_h, ns, ps):
+        offered.append(ns * S._KEY + ps)
+        return inner(self, ws, log_h, ns, ps)
+
+    with mock.patch.object(S.DerivativeRows, "_bounds", spying):
+        table.log_ud_norms(ws, hs)
+    ns, ps = np.divmod(np.concatenate(offered), S._KEY)
+    ends = {int(n): int(ps[ns == n].max()) for n in np.unique(ns)}
+    for n, end in ends.items():
+        assert np.array_equal(np.sort(ps[ns == n]), np.arange(1, end + 1))
+    return ends
+
+
+class TestChord:
+    """The chord of the bracket B_p between the knots of S._knots never lies below B_p."""
+
+    KINDS = ["random", "left", "right", "sparse", "basis"]
+
+    @staticmethod
+    def member(kind, degree, rng):  # largest coefficient magnitude e^-30..e^30
+        f = TestNetTable.member(kind, degree, rng)
+        return f.scaled(math.exp(rng.uniform(-30.0, 30.0)) / np.max(np.abs(f.coef)))
+
+    @settings(max_examples=25, deadline=None)
+    @example(members=[("basis", 1), ("random", 200), ("left", 2)], seed=0, scale="gevrey:1")
+    @given(
+        members=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(1, 200)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(sorted(TestNetTable.SCALES)),
+    )
+    def test_chord_never_below_the_bracket(self, members, seed, scale):
+        rng = np.random.default_rng(seed)
+        table = S.DerivativeRows([self.member(kind, degree, rng) for kind, degree in members])
+        ends = candidate_ends(table, TestNetTable.SCALES[scale], TestSelectedRows.HS)
+        assert sorted(ends) == list(range(len(members)))
+        for n, end in ends.items():  # every p <= end, not only the candidates
+            ps = np.arange(1, end + 1)
+            a, b = S._knots(ps, end)
+            assert np.all((1 <= a) & (a <= ps) & (ps <= b) & (b <= end))
+            knots = np.unique(np.append(a, b))
+            at_knot = table._bracket(np.full(len(knots), n), knots)
+            lo, hi = (at_knot[np.searchsorted(knots, q)] for q in (a, b))
+            chord = lo + (ps - a) * (hi - lo) / np.maximum(b - a, 1)
+            exact = table._bracket(np.full(end, n), ps)
+            # convexity, up to the rounding that log_ud_norms's 1e-9 slack covers (|B_p| < 3e4 here)
+            assert np.max(np.abs(exact)) < 3e4 and np.all(chord >= exact - 1e-11)
 
 
 class BlockRows(S.DerivativeRows):
