@@ -474,23 +474,19 @@ class DerivativeRows:
             end = np.maximum(np.max(gap, axis=0).astype(np.int64) + 1, np.max(ws._p_star(hn, None), axis=0))
         first, keep = np.cumsum(end) - end, [seeds]
         total, step = int(end.sum()), max(1, (1 << 14) // len(hs))
-
-        def rows_of(at):  # candidate at -> (member j of live, p)
-            j = np.searchsorted(first, at, side="right") - 1
-            return j, at - first[j] + 1
-
-        cand, knots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        cand, knots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]  # keys j * _KEY + p
         for i in range(0, total, step):
             at = np.arange(i, min(i + step, total))
-            j, ps = rows_of(at)
+            j = np.searchsorted(first, at, side="right") - 1
+            ps = at - first[j] + 1
             ok = np.any(self._bounds(ws, log_h, live[j], ps) >= floor[:, j], axis=0)
             j, ps = j[ok], ps[ok]
-            cand.append(at[ok])
+            cand.append(j * _KEY + ps)
             knots.append(np.unique([j * _KEY + q for q in _knots(ps, end[j])]))
         knots, cand = np.unique(np.concatenate(knots)), np.concatenate(cand)
         at_knot = self._bracket(live[knots // _KEY], knots % _KEY)
         for i in range(0, len(cand), step):
-            j, ps = rows_of(cand[i : i + step])
+            j, ps = np.divmod(cand[i : i + step], _KEY)
             a, b = _knots(ps, end[j])
             lo, hi = (at_knot[np.searchsorted(knots, j * _KEY + q)] for q in (a, b))
             chord = lo + (ps - a) * (hi - lo) / np.maximum(b - a, 1)
