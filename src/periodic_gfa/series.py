@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .verdict import DEFAULTS, GrowthVerdict, decide
-from .weights import RSequence, TruncationWarning, WeightSequence, associated_gauge, modified_weights
+from .weights import _M1_TOL, RSequence, TruncationWarning, WeightSequence, associated_gauge, modified_weights
 
 TWO_PI = 2.0 * math.pi
 _LOG_HUGE = 706.0  # just under log(DBL_MAX)
@@ -278,7 +278,7 @@ def _grid_abs(w: np.ndarray, m: int) -> np.ndarray:
     A function of its own, so a block's buffer is freed before the next one's is made."""
     d = w.shape[1] // 2
     buf = np.zeros((len(w), m), dtype=complex)
-    buf[:, np.arange(-d, d + 1) % m] = w  # distinct columns since m > 2d
+    buf[:, : d + 1], buf[:, m - d :] = w[:, d:], w[:, :d]  # k = 0..d, then k = -d..-1 (m > 2d)
     spec = ifft(buf, axis=1, overwrite_x=True)  # in place: a block holds one complex array
     return np.abs(np.multiply(spec, m, out=spec))
 
@@ -290,12 +290,26 @@ def _grid_abs(w: np.ndarray, m: int) -> np.ndarray:
 _KEY = 1 << 32  # row p of member n is held under the key n * _KEY + p
 _RUN = 1 << 14  # (row, |k|) entries of the weights set up at once
 _LADDER = np.unique(np.rint(1.5 ** np.arange(100))).astype(np.int64)  # chord knots 1, 2, 3, 5, 8, 11, 17, ...
+_SLACK = 1e-6  # the interval stage's allowance for rounding (see log_ud_norms)
 
 
 def _knots(ps: np.ndarray, end: np.ndarray):
     """The chord's knots a <= p <= b next to each p >= 1: a on _LADDER, b on it or the row's end >= p."""
     k = np.searchsorted(_LADDER, ps, side="right") - 1
     return _LADDER[k], np.minimum(_LADDER[k + 1], end)
+
+
+def _concave(ws: WeightSequence, a, z, y, v):
+    """(ws', y', v', q, g(q) >= 0) for g(p) = y + v p - log M_p + c (p - a)(z - p) / 2 on a <= p <= z,
+    written y' + v' p - ws'.logM_at(p), with q its maximiser.  A table's (M.1) holds only within
+    c = _M1_TOL, so y + v p - log M_p may be convex by up to c a step; g, which exceeds it by at most
+    c (z - a)^2 / 8, is concave, as ws' = log M_p + c p (p + 1) / 2 is log-convex.  A preset has c = 0."""
+    c = 0.0 if ws.p_cap is None else _M1_TOL
+    if c:
+        ws = replace(ws, logM=ws.logM + c * np.arange(ws.p_max + 1) * np.arange(1, ws.p_max + 2) / 2)
+    y, v = y - c * a * z / 2, v + c * (a + z + 1) / 2
+    q = np.clip(ws._p_star(np.exp(v), ws.p_cap), a, z)
+    return ws, y, v, q, y + v * q - ws.logM_at(q) >= 0
 
 
 class DerivativeRows:
@@ -436,22 +450,31 @@ class DerivativeRows:
             out[i : i + chunk] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
         return out
 
+    def _ends(self, ws: WeightSequence, live: np.ndarray, hn: np.ndarray, floor: np.ndarray) -> np.ndarray:
+        """Each live member's last row: ws.p_cap, or for a preset the p past which every bound lies
+        below its floor, as p log(e hN) - log M_p <= M(e hN), and past the bound's peak p*(hN)."""
+        if ws.p_cap is not None:
+            return np.full(len(live), ws.p_cap)
+        gap = self.log_sum_c[live] - floor + associated_gauge(ws, math.e * hn)
+        return np.maximum(np.max(gap, axis=0).astype(np.int64) + 1, np.max(ws._p_star(hn, None), axis=0))
+
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
         """Grid value of log sup_p h^p ||D^p f_n||_inf / M_p for each h in hs (rows) and n (columns).
 
-        Per f_n, rows 0 and every bound peak p*(hN) seed each h's value; then only the rows
-        up to ws.p_cap that can reach some h's seed are read: first the cheap bound (_bounds)
-        must reach it, then the chord, then the bracket B_p (_bracket), which lies above the
-        row.  B_p = log sum_k |k|^p |c_k| is a log-sum-exp of functions linear in p, so convex,
-        and its chord between the knots a <= p <= b of _knots lies above it: a row whose chord
-        stays 1e-9 below every h's floor is one the bracket rejects too, so the rows read are
-        the bracket's.  B at every knot of a candidate comes from one _bracket call.  The 1e-9
-        slacks cover the rounding of the bound, the chord and the bracket (each about
-        eps |value|; |B_p| <~ 3e4 at degree 384 and p <= 4096, so under 1e-11).  A preset has
-        no cap: p log(e hN) - log M_p <= M(e hN) puts every bound past p = log sum|c_k| - seed +
-        M(e hN) below the seed.  All seeds are read at once, then all selected rows;
-        candidates are filtered in chunks of about 2^14 (row, h) cells.  Warns of nothing;
-        see warn_truncated.  Raises ValueError unless every h is finite and positive.
+        Per f_n, rows 0 and every bound peak p*(hN) seed each h's value.  Of its rows up to _ends,
+        those read reach some h's seed (its floor) by the cheap bound (_bounds), the chord and the
+        bracket B_p (_bracket), which lies above the row; B_p is a log-sum-exp of functions linear
+        in p, so convex, and below its chord between the knots a <= p <= b of _knots.  The 1e-9
+        slacks cover their rounding, a few eps (|B_p| + log M_p): under 1e-10 where presets end at
+        degree 384 and h = 8 (p ~ e h N ~ 8,350, |B_p| ~ 5e4), under 1e-9 while both stay below 1e6.
+        Per h and _LADDER segment a..z (z before the next knot), each test asks y + v p - log M_p
+        >= 0, concave by (M.1) (see _concave), so it runs on intervals: a pair is kept if its bound
+        reaches the floor at its maximiser (the chord lies below the bound's line), one _bracket
+        call gives B at the kept knots, and bisection from each kept pair's maximiser bounds the
+        rows its chord passes.  _SLACK covers this stage's rounding: a few eps (|B_p| + log M_p),
+        on a table once per step of a flat stretch (under 5e-7 for log M_p < 1e5 and p < 3e4).
+        Rows are tested in chunks of about 2^14 (row, h) cells.  Warns of nothing; see
+        warn_truncated.  Raises ValueError unless every h is finite and positive.
         """
         if not all(math.isfinite(h) and h > 0 for h in hs):
             raise ValueError("h must be finite and positive")
@@ -468,30 +491,37 @@ class DerivativeRows:
 
         seeds = np.unique(np.append(live * _KEY + ws._p_star(hn, ws.p_cap), live * _KEY))
         floor = best(seeds) - 1e-9  # a row may exceed its bracket by rounding
-        end = np.full(len(live), ws.p_cap or 0)
-        if ws.p_cap is None:
-            gap = self.log_sum_c[live] - floor + associated_gauge(ws, math.e * hn)
-            end = np.maximum(np.max(gap, axis=0).astype(np.int64) + 1, np.max(ws._p_star(hn, None), axis=0))
-        first, keep = np.cumsum(end) - end, [seeds]
-        total, step = int(end.sum()), max(1, (1 << 14) // len(hs))
-        cand, knots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]  # keys j * _KEY + p
-        for i in range(0, total, step):
-            at = np.arange(i, min(i + step, total))
-            j = np.searchsorted(first, at, side="right") - 1
-            ps = at - first[j] + 1
-            ok = np.any(self._bounds(ws, log_h, live[j], ps) >= floor[:, j], axis=0)
-            j, ps = j[ok], ps[ok]
-            cand.append(j * _KEY + ps)
-            knots.append(np.unique([j * _KEY + q for q in _knots(ps, end[j])]))
-        knots, cand = np.unique(np.concatenate(knots)), np.concatenate(cand)
+        end = self._ends(ws, live, hn, floor)
+        count = np.searchsorted(_LADDER, end, side="right")  # member j has a segment at each knot <= end[j]
+        j = np.repeat(np.arange(len(live)), count)
+        k = np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count)
+        a, b, z = _LADDER[k], np.minimum(_LADDER[k + 1], end[j]), np.minimum(_LADDER[k + 1] - 1, end[j])
+        y = self.log_sum_c[live[j]] - floor[:, j] + _SLACK  # each h's bound test is y + v p - log M_p >= 0
+        h, s = np.nonzero(_concave(ws, a, z, y, log_h + self.log_n[live[j]])[-1])  # the pairs kept
+        knots = np.unique(np.append(j[s] * _KEY + a[s], j[s] * _KEY + b[s]))
         at_knot = self._bracket(live[knots // _KEY], knots % _KEY)
+        lo, hi = (at_knot[np.searchsorted(knots, j[s] * _KEY + e)] for e in (a[s], b[s]))
+        a, z, j, slope = a[s], z[s], j[s], (hi - lo) / np.maximum(b[s] - a[s], 1)
+        y = lo - a * slope - floor[h, j] + (1e-9 + _SLACK)  # and its chord test
+        cut, y, v, q, top = _concave(ws, a, z, y, log_h[h, 0] + slope)
+        y, v, q, a, z, j = (x[top] for x in (y, v, q, a, z, j))
+        y, v, near, far = np.tile(y, 2), np.tile(v, 2), np.tile(q, 2), np.append(a - 1, z + 1)
+        while np.any(abs(far - near) > 1):  # bisect for the first and the last row of each kept pair
+            mid = np.where(abs(far - near) > 1, (near + far) // 2, near)
+            ok = y + v * mid - cut.logM_at(mid) >= 0
+            near, far = np.where(ok, mid, near), np.where(ok, far, mid)
+        first, last = np.split(near, 2)
+        n = last - first + 1
+        cand = np.unique(np.repeat(j * _KEY + first - np.cumsum(n) + n, n) + np.arange(n.sum()))
+        keep, step = [seeds], max(1, (1 << 14) // len(hs))
         for i in range(0, len(cand), step):
             j, ps = np.divmod(cand[i : i + step], _KEY)
             a, b = _knots(ps, end[j])
-            lo, hi = (at_knot[np.searchsorted(knots, j * _KEY + q)] for q in (a, b))
+            lo, hi = (at_knot[np.searchsorted(knots, j * _KEY + e)] for e in (a, b))
             chord = lo + (ps - a) * (hi - lo) / np.maximum(b - a, 1)
             gain = ps * log_h - np.asarray(ws.logM_at(ps), dtype=float)
-            ok = np.any(chord + gain >= floor[:, j] - 1e-9, axis=0)
+            ok = np.any(self._bounds(ws, log_h, live[j], ps) >= floor[:, j], axis=0)
+            ok &= np.any(chord + gain >= floor[:, j] - 1e-9, axis=0)
             j, ps, gain = j[ok], ps[ok], gain[:, ok]
             ok = np.any(self._bracket(live[j], ps) + gain >= floor[:, j], axis=0)
             keep.append(live[j[ok]] * _KEY + ps[ok])

@@ -438,6 +438,27 @@ class TestDemoCommand:
         # without the chord, all 34,860 rows left by the cheap bound went through it
         assert 0 < sum(rows) <= 6000
 
+    def test_report_tests_few_rows_by_the_chord(self, capsys, monkeypatch):
+        chorded, bracketed = [], []
+        inner_knots, inner_bracket = series._knots, series.DerivativeRows._bracket
+
+        def knots(ps, end):  # called once per chunk of the rows the exact chord test takes
+            chorded.append(len(ps))
+            return inner_knots(ps, end)
+
+        def bracket(self, ns, ps):
+            bracketed.append(len(ps))
+            return inner_bracket(self, ns, ps)
+
+        monkeypatch.setattr(series, "_knots", knots)
+        monkeypatch.setattr(series.DerivativeRows, "_bracket", bracket)
+        assert cli.main(["demo", "--nmax", "64"]) == 0
+        capsys.readouterr()
+        # the intervals of the chord tests hold 2,571 rows; testing every row that passed the
+        # cheap bound took 34,860 of the 116,912 rows up to the members' ends
+        assert 0 < sum(chorded) <= 3000
+        assert 0 < sum(bracketed) <= 4747  # the knots of the kept segments and the rows the chord passes
+
     def test_report_refines_the_sups_of_u_once_per_run(self, capsys, monkeypatch):
         calls, refined = [], []
         inner, inner_refined = series._newton_max_rows, series.DerivativeRows.refined

@@ -749,20 +749,17 @@ class TestNetTable:
 
 
 def candidate_ends(table, ws, hs):
-    """{n: end} for each member whose rows 1..end log_ud_norms offers the cheap bound, from a spy."""
-    offered = []
-    inner = S.DerivativeRows._bounds
+    """{n: end} for each member whose rows 1..end log_ud_norms may select, from a spy on _ends."""
+    ends = {}
+    inner = S.DerivativeRows._ends
 
-    def spying(self, ws, log_h, ns, ps):
-        offered.append(ns * S._KEY + ps)
-        return inner(self, ws, log_h, ns, ps)
+    def spying(self, ws, live, hn, floor):
+        out = inner(self, ws, live, hn, floor)
+        ends.update(zip(live.tolist(), out.tolist()))
+        return out
 
-    with mock.patch.object(S.DerivativeRows, "_bounds", spying):
+    with mock.patch.object(S.DerivativeRows, "_ends", spying):
         table.log_ud_norms(ws, hs)
-    ns, ps = np.divmod(np.concatenate(offered), S._KEY)
-    ends = {int(n): int(ps[ns == n].max()) for n in np.unique(ns)}
-    for n, end in ends.items():
-        assert np.array_equal(np.sort(ps[ns == n]), np.arange(1, end + 1))
     return ends
 
 
@@ -802,6 +799,60 @@ class TestChord:
             # convexity, up to rounding of a few eps |B_p| (under 1e-11 for |B_p| < 3e4), which
             # log_ud_norms's 1e-9 slack covers
             assert np.all(chord >= exact - 4 * np.finfo(float).eps * np.max(np.abs(exact)))
+
+
+class TestIntervals:
+    """The interval stage of log_ud_norms misses no row that the cheap bound, the chord and the
+    bracket pass: held rows, values and warnings equal PolyRows's, bit for bit.
+
+    A table's (M.1) holds only within _M1_TOL, so -log M_p may be convex by up to 1e-9 a step.  On a
+    stretch where log m_p falls by 0.9e-9 a step from just above log(hN), p log(hN) - log M_p dips
+    and rises again by about 1e-9 L^2 / 8 over a segment of length L; when the bound peak p*(hN)
+    (a binary search) lands before the stretch, the rows that reach the floor lie at its far end.
+    Without _concave's correction the interval stage drops them.
+    """
+
+    @staticmethod
+    def stretched_scale(level, p0, length, p_max=4096):
+        """log m_p = sigma log p with sigma log p0 = level, except that on p0..p0 + length log m_p
+        falls from level by 0.9e-9 a step: log M_p is nearly linear there."""
+        p = np.arange(1.0, p_max + 1)
+        logm = level / math.log(p0) * np.log(p)
+        logm[p0 - 1 : p0 + length] = level - 0.9e-9 * (p[p0 - 1 : p0 + length] - p0)
+        return W.build_weight_sequence({"kind": "table", "logM": np.append(0.0, np.cumsum(logm))}, p_max)
+
+    @settings(max_examples=10, deadline=None)
+    # the bound peak lands before the stretch 1500..3000; the rows read lie near 3000
+    @example(scale="stretched", p0=1500, length=1500, fall=0.45, degree=300, others=[], seed=0, hs=[])
+    @example(scale="gevrey:1", p0=0, length=0, fall=0.0, degree=384, others=[("random", 40)], seed=0, hs=[8.0])
+    @given(
+        scale=st.sampled_from(["stretched", "gevrey:1"]),
+        p0=st.integers(400, 2600),
+        length=st.integers(200, 1400),
+        fall=st.floats(0.05, 0.95),
+        degree=st.integers(300, 384),
+        others=st.lists(st.tuples(st.sampled_from(TestNetTable.KINDS), st.integers(1, 60)), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+        hs=st.lists(st.sampled_from(TestSelectedRows.HS), max_size=3, unique=True),
+    )
+    def test_equals_the_per_polynomial_tables(self, scale, p0, length, fall, degree, others, seed, hs):
+        rng = np.random.default_rng(seed)
+        polys = [S.TrigPoly.basis(degree, 1.0)] + [TestNetTable.member(k, d, rng) for k, d in others]
+        if scale == "stretched":  # log(hN) a fraction fall of the stretch's fall below its level
+            level = math.log(8.0 * degree)
+            ws = self.stretched_scale(level, p0, length)
+            hs = [math.exp(level - fall * 0.9e-9 * length) / degree] + hs
+        else:
+            ws, hs = W.gevrey(1.0, 64), [8.0] + [h for h in hs if h != 8.0]
+            # h = 8 at degree >= 300: the rows reach past 4096
+            assert candidate_ends(S.DerivativeRows(polys), ws, hs)[0] > 4096
+        table, refs = S.DerivativeRows(polys), [PolyRows(f) for f in polys]
+        want = recorded(per_polynomial, refs, ws, hs)
+        got = recorded(net_table, table, ws, hs)
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+        assert got[1] == want[1]
+        for n, ref in enumerate(refs):
+            assert np.array_equal(held_rows(table, n), ref.rows, equal_nan=True)
 
 
 class BlockRows(S.DerivativeRows):
