@@ -465,7 +465,7 @@ class DerivativeRows:
         those read reach some h's seed (its floor) by the cheap bound (_bounds), the chord and the
         bracket B_p (_bracket), which lies above the row; B_p is a log-sum-exp of functions linear
         in p, so convex, and below its chord between the knots a <= p <= b of _knots.  The 1e-9
-        slacks cover their rounding, a few eps (|B_p| + log M_p): under 1e-10 where presets end at
+        slacks cover their rounding, a few eps (|B_p| + log M_p): about 1e-10 where presets end at
         degree 384 and h = 8 (p ~ e h N ~ 8,350, |B_p| ~ 5e4), under 1e-9 while both stay below 1e6.
         Per h and _LADDER segment a..z (z before the next knot), each test asks y + v p - log M_p
         >= 0, concave by (M.1) (see _concave), so it runs on intervals: a pair is kept if its bound
@@ -503,12 +503,12 @@ class DerivativeRows:
         lo, hi = (at_knot[np.searchsorted(knots, j[s] * _KEY + e)] for e in (a[s], b[s]))
         a, z, j, slope = a[s], z[s], j[s], (hi - lo) / np.maximum(b[s] - a[s], 1)
         y = lo - a * slope - floor[h, j] + (1e-9 + _SLACK)  # and its chord test
-        cut, y, v, q, top = _concave(ws, a, z, y, log_h[h, 0] + slope)
+        tilted, y, v, q, top = _concave(ws, a, z, y, log_h[h, 0] + slope)
         y, v, q, a, z, j = (x[top] for x in (y, v, q, a, z, j))
         y, v, near, far = np.tile(y, 2), np.tile(v, 2), np.tile(q, 2), np.append(a - 1, z + 1)
         while np.any(abs(far - near) > 1):  # bisect for the first and the last row of each kept pair
             mid = np.where(abs(far - near) > 1, (near + far) // 2, near)
-            ok = y + v * mid - cut.logM_at(mid) >= 0
+            ok = y + v * mid - tilted.logM_at(mid) >= 0
             near, far = np.where(ok, mid, near), np.where(ok, far, mid)
         first, last = np.split(near, 2)
         n = last - first + 1
