@@ -293,12 +293,6 @@ _LADDER = np.unique(np.rint(1.5 ** np.arange(100))).astype(np.int64)  # chord kn
 _SLACK = 1e-6  # the interval stage's allowance for rounding (see log_ud_norms)
 
 
-def _knots(ps: np.ndarray, end: np.ndarray):
-    """The chord's knots a <= p <= b next to each p >= 1: a on _LADDER, b on it or the row's end >= p."""
-    k = np.searchsorted(_LADDER, ps, side="right") - 1
-    return _LADDER[k], np.minimum(_LADDER[k + 1], end)
-
-
 def _concave(ws: WeightSequence, a, z, y, v):
     """(ws', y', v', q, g(q) >= 0) for g(p) = y + v p - log M_p + c (p - a)(z - p) / 2 on a <= p <= z,
     written y' + v' p - ws'.logM_at(p), with q its maximiser.  A table's (M.1) holds only within
@@ -452,29 +446,37 @@ class DerivativeRows:
 
     def _ends(self, ws: WeightSequence, live: np.ndarray, hn: np.ndarray, floor: np.ndarray) -> np.ndarray:
         """Each live member's last row: ws.p_cap, or for a preset the p past which every bound lies
-        below its floor, as p log(e hN) - log M_p <= M(e hN), and past the bound's peak p*(hN)."""
+        below its floor, as p log(e hN) - log M_p <= M(e hN), and past the bound's peak p*(hN).
+        No row from _KEY on can be held: past the peak (below _KEY) the bound decreases, so if it
+        lies below every floor at _KEY, an end past _KEY - 1 stops there; else ValueError."""
         if ws.p_cap is not None:
             return np.full(len(live), ws.p_cap)
-        gap = self.log_sum_c[live] - floor + associated_gauge(ws, math.e * hn)
-        return np.maximum(np.max(gap, axis=0).astype(np.int64) + 1, np.max(ws._p_star(hn, None), axis=0))
+        gap = np.max(self.log_sum_c[live] - floor + associated_gauge(ws, math.e * hn), axis=0)
+        if np.max(gap) >= _KEY - 1:
+            if np.any(_KEY * np.log(hn) + self.log_sum_c[live] - ws.logM_at(_KEY) >= floor):
+                raise ValueError("h is too large: rows past 2^32 may reach the floor")
+            gap = np.minimum(gap, _KEY - 2)
+        return np.maximum(gap.astype(np.int64) + 1, np.max(ws._p_star(hn, None), axis=0))
 
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
         """Grid value of log sup_p h^p ||D^p f_n||_inf / M_p for each h in hs (rows) and n (columns).
 
-        Per f_n, rows 0 and every bound peak p*(hN) seed each h's value.  Of its rows up to _ends,
-        those read reach some h's seed (its floor) by the cheap bound (_bounds), the chord and the
-        bracket B_p (_bracket), which lies above the row; B_p is a log-sum-exp of functions linear
-        in p, so convex, and below its chord between the knots a <= p <= b of _knots.  The 1e-9
-        slacks cover their rounding, a few eps (|B_p| + log M_p): about 1e-10 where presets end at
-        degree 384 and h = 8 (p ~ e h N ~ 8,350, |B_p| ~ 5e4), under 1e-9 while both stay below 1e6.
-        Per h and _LADDER segment a..z (z before the next knot), each test asks y + v p - log M_p
-        >= 0, concave by (M.1) (see _concave), so it runs on intervals: a pair is kept if its bound
-        reaches the floor at its maximiser (the chord lies below the bound's line), one _bracket
-        call gives B at the kept knots, and bisection from each kept pair's maximiser bounds the
-        rows its chord passes.  _SLACK covers this stage's rounding: a few eps (|B_p| + log M_p),
-        on a table once per step of a flat stretch (under 5e-7 for log M_p < 1e5 and p < 3e4).
-        Rows are tested in chunks of about 2^14 (row, h) cells.  Warns of nothing; see
-        warn_truncated.  Raises ValueError unless every h is finite and positive.
+        Per f_n, rows 0 and every bound peak p*(hN) seed each h's value (its floor).  Of its other
+        rows up to _ends, those read have a bracket B_p (_bracket), which lies above the row, that
+        reaches some h's floor.  Two stages find them.  First, per h and _LADDER segment a..z (z
+        before the next knot, or the end), the cheap bound (_bounds) and the chord of B_p between
+        the knots a and b (the next knot, or the end) each ask y + v p - log M_p >= 0, concave by
+        (M.1) (see _concave).  B_p is a log-sum-exp of functions linear in p, so convex: it lies
+        below its chord, and the chord below the bound's line.  A pair is kept if its bound reaches
+        the floor at its maximiser, one _bracket call gives B at the kept knots, and bisection from
+        each kept pair's maximiser bounds the rows its chord passes.  Then one _bracket call tests
+        those rows.  The 1e-9 slacks of the floor and the chord cover rounding of a few eps
+        (|B_p| + log M_p): about 1e-10 where presets end at degree 384 and h = 8 (p ~ e h N ~ 8,350,
+        |B_p| ~ 5e4), under 1e-9 while both stay below 1e6.  _SLACK covers the first stage's
+        rounding: a few eps (|B_p| + log M_p), on a table once per step of a flat stretch (under
+        5e-7 for log M_p < 1e5 and p < 3e4).  Warns of nothing; see warn_truncated.  Raises
+        ValueError unless every h is finite and positive, and for an h so large that p*(hN) or a
+        row that may reach the floor lies at 2^32 or past (see _ends).
         """
         if not all(math.isfinite(h) and h > 0 for h in hs):
             raise ValueError("h must be finite and positive")
@@ -489,7 +491,10 @@ class DerivativeRows:
             terms = self._read(ns, ps) + (ps * log_h - np.asarray(ws.logM_at(ps), dtype=float))
             return np.maximum.reduceat(terms, np.flatnonzero(np.diff(ns, prepend=-1)), axis=1)
 
-        seeds = np.unique(np.append(live * _KEY + ws._p_star(hn, ws.p_cap), live * _KEY))
+        peaks = ws._p_star(hn, ws.p_cap)
+        if peaks.max() >= _KEY:
+            raise ValueError("h is too large: the bound peaks past row 2^32")
+        seeds = np.unique(np.append(live * _KEY + peaks, live * _KEY))
         floor = best(seeds) - 1e-9  # a row may exceed its bracket by rounding
         end = self._ends(ws, live, hn, floor)
         count = np.searchsorted(_LADDER, end, side="right")  # member j has a segment at each knot <= end[j]
@@ -513,19 +518,10 @@ class DerivativeRows:
         first, last = np.split(near, 2)
         n = last - first + 1
         cand = np.unique(np.repeat(j * _KEY + first - np.cumsum(n) + n, n) + np.arange(n.sum()))
-        keep, step = [seeds], max(1, (1 << 14) // len(hs))
-        for i in range(0, len(cand), step):
-            j, ps = np.divmod(cand[i : i + step], _KEY)
-            a, b = _knots(ps, end[j])
-            lo, hi = (at_knot[np.searchsorted(knots, j * _KEY + e)] for e in (a, b))
-            chord = lo + (ps - a) * (hi - lo) / np.maximum(b - a, 1)
-            gain = ps * log_h - np.asarray(ws.logM_at(ps), dtype=float)
-            ok = np.any(self._bounds(ws, log_h, live[j], ps) >= floor[:, j], axis=0)
-            ok &= np.any(chord + gain >= floor[:, j] - 1e-9, axis=0)
-            j, ps, gain = j[ok], ps[ok], gain[:, ok]
-            ok = np.any(self._bracket(live[j], ps) + gain >= floor[:, j], axis=0)
-            keep.append(live[j[ok]] * _KEY + ps[ok])
-        out[:, live] = best(np.unique(np.concatenate(keep)))
+        j, ps = np.divmod(cand, _KEY)
+        gain = ps * log_h - np.asarray(ws.logM_at(ps), dtype=float)
+        ok = np.any(self._bracket(live[j], ps) + gain >= floor[:, j], axis=0)
+        out[:, live] = best(np.unique(np.append(seeds, live[j[ok]] * _KEY + ps[ok])))
         return out
 
     def warn_truncated(self, ws: WeightSequence, hs, values) -> None:

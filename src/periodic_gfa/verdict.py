@@ -58,7 +58,8 @@ def head_end(n_max: int) -> int:
 def _head_tail(e: np.ndarray):
     """The rule of bounded_test along the last axis of e: margins, witnesses (-1: none), baselines."""
     n0 = head_end(e.shape[-1] - 1)
-    baseline = np.max(e[..., : n0 + 1], axis=-1, initial=NEG_INF)
+    head = e[..., : n0 + 1]  # np.max with initial runs another loop, whose max(0.0, -0.0) may be -0.0
+    baseline = np.max(head, axis=-1) if head.shape[-1] else np.full(e.shape[:-1], NEG_INF)
     tail = e[..., n0 + 1 :]
     if tail.shape[-1] == 0:
         return np.full_like(baseline, NEG_INF), np.full(baseline.shape, -1), baseline

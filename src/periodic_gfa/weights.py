@@ -143,12 +143,14 @@ class WeightSequence:
         return build_weight_sequence(self.spec, p_max)
 
     def _p_star(self, t, cap: int | None) -> np.ndarray:
-        """Largest p <= cap with m_p <= t, for an array of t >= 0."""
+        """Largest p <= cap with m_p <= t, for an array of t >= 0; ValueError past int64."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = self.gevrey_s
         if s is not None:
-            ps = np.floor(np.power(t, 1.0 / s) * (1.0 + 1e-14)).astype(np.int64)
-            ps = np.maximum(ps, 0)
+            ps = np.floor(np.power(t, 1.0 / s) * (1.0 + 1e-14))
+            if not np.all(ps < 2.0**63):
+                raise ValueError(f"t = {t.max():g} is too large for {self.label}: its p passes 2^63")
+            ps = np.maximum(ps.astype(np.int64), 0)
             if cap is not None:
                 ps = np.minimum(ps, cap)
             return ps

@@ -157,11 +157,16 @@ def test_unknown_descriptor_exits_2(capsys, argv):
         (["weights", "--gevrey", "1", "--t-hi", "nan"], "--t, --t-lo and --t-hi must be finite"),
         (["weights", "--gevrey", "inf"], "gevrey exponent must be finite"),
         (["classify", "--net", "dirichlet", "--mode", "moderate", "--weights", "gevrey:nan"], "gevrey exponent must be finite"),
+        (["classify", "--net", "dirichlet", "--mode", "moderate", "--nmax", "16", "--hgrid", "3e8"], "h is too large"),
+        (["classify", "--net", "dirichlet", "--mode", "moderate", "--nmax", "16", "--hgrid", "1e18"], "t = 1.6e+19 is too large"),
+        (["weights", "--gevrey", "1", "--t", "1e19"], "t = 1e+19 is too large"),
     ],
-    ids=["exp_decay-nan", "exp_growth-inf", "scaled-inf", "scaled-nan", "t-inf", "t_hi-nan", "gevrey-inf", "weights-nan"],
+    ids=["exp_decay-nan", "exp_growth-inf", "scaled-inf", "scaled-nan", "t-inf", "t_hi-nan", "gevrey-inf", "weights-nan",
+         "h-past-row-key", "h-past-int64", "t-past-int64"],
 )
 def test_non_finite_descriptor_exits_2(capsys, argv, message):
-    # before, most of these printed a report with "nan" entries after a RuntimeWarning and exited 0
+    # before, most of these printed a report with "nan" entries, or wrong values for the last two, after
+    # a RuntimeWarning and exited 0; --hgrid 3e8 ended in an IndexError traceback
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv)
@@ -439,24 +444,20 @@ class TestDemoCommand:
         assert 0 < sum(rows) <= 6000
 
     def test_report_tests_few_rows_by_the_chord(self, capsys, monkeypatch):
-        chorded, bracketed = [], []
-        inner_knots, inner_bracket = series._knots, series.DerivativeRows._bracket
-
-        def knots(ps, end):  # called once per chunk of the rows the exact chord test takes
-            chorded.append(len(ps))
-            return inner_knots(ps, end)
+        bracketed = []
+        inner = series.DerivativeRows._bracket
 
         def bracket(self, ns, ps):
             bracketed.append(len(ps))
-            return inner_bracket(self, ns, ps)
+            return inner(self, ns, ps)
 
-        monkeypatch.setattr(series, "_knots", knots)
         monkeypatch.setattr(series.DerivativeRows, "_bracket", bracket)
         assert cli.main(["demo", "--nmax", "64"]) == 0
         capsys.readouterr()
-        # the intervals of the chord tests hold 2,571 rows; testing every row that passed the
-        # cheap bound took 34,860 of the 116,912 rows up to the members' ends
-        assert 0 < sum(chorded) <= 3000
+        # each log_ud_norms call brackets its knots, then the rows its chord intervals hold:
+        # 2,571 of them; testing every row that passed the cheap bound took 34,860 of the
+        # 116,912 rows up to the members' ends
+        assert 0 < sum(bracketed[1::2]) <= 3000
         assert 0 < sum(bracketed) <= 4747  # the knots of the kept segments and the rows the chord passes
 
     def test_report_refines_the_sups_of_u_once_per_run(self, capsys, monkeypatch):

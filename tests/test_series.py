@@ -413,6 +413,27 @@ class TestSharedRows:
         with pytest.raises(ValueError, match="finite and positive"):
             S.DerivativeRows([f, f]).log_ud_norms(ws_p1, [h])
 
+    @pytest.mark.parametrize("h", [(2**32 - 1e5) / 20, 3e8, 1e18])
+    def test_huge_h_rejected(self, ws_p1, h):
+        # for p! and degree 20, p*(hN) = hN: 1e5 rows short of the row key 2^32, the bound still
+        # reaches the floor at 2^32; p* passes 2^32 at 3e8 and int64 at 1e18
+        f = random_poly(np.random.default_rng(0), 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large"):
+                S.log_ud_norms(f, ws_p1, [1.0, h])
+            with pytest.raises(ValueError, match="too large"):
+                S.DerivativeRows([f, f]).log_ud_norms(ws_p1, [h])
+
+    def test_large_h_keeps_members_apart(self, ws_p1):
+        # at h = 2e8 the bound of f (degree 20) peaks below 2^32 and its end lies past it; a row
+        # keyed there would be read as one of g's
+        rng = np.random.default_rng(0)
+        f, g = random_poly(rng, 20), random_poly(rng, 10)
+        hs = [1.0, 1.5e8, 2e8]
+        alone = [S.DerivativeRows([x]).log_ud_norms(ws_p1, hs)[:, 0].tolist() for x in (f, g)]
+        assert S.DerivativeRows([f, g]).log_ud_norms(ws_p1, hs).T.tolist() == alone
+
 
 def blocked_log_ud_norms(f, ws, hs):
     """DerivativeRows.log_ud_norms as a scan upward from p = 0 in blocks.
@@ -764,7 +785,8 @@ def candidate_ends(table, ws, hs):
 
 
 class TestChord:
-    """The chord of the bracket B_p between the knots of S._knots never lies below B_p."""
+    """The chord of the bracket B_p between its knots never lies below B_p: per p >= 1, a <= p on
+    S._LADDER and b the next knot or the member's end, as in log_ud_norms's ladder segments."""
 
     KINDS = ["random", "left", "right", "sparse", "basis"]
 
@@ -789,7 +811,8 @@ class TestChord:
         assert sorted(ends) == np.flatnonzero(table.degree).tolist()
         for n, end in ends.items():  # every p <= end, not only the candidates
             ps = np.arange(1, end + 1)
-            a, b = S._knots(ps, end)
+            k = np.searchsorted(S._LADDER, ps, side="right") - 1
+            a, b = S._LADDER[k], np.minimum(S._LADDER[k + 1], end)
             assert np.all((1 <= a) & (a <= ps) & (ps <= b) & (b <= end))
             knots = np.unique(np.append(a, b))
             at_knot = table._bracket(np.full(len(knots), n), knots)

@@ -213,6 +213,24 @@ class TestAssociatedFunction:
         ws = W.gevrey(1.0, 1200)
         assert W.associated_gauge(ws, t * factor) >= W.associated_gauge(ws, t) - 1e-12
 
+    @pytest.mark.parametrize("fn", [W.associated_function, W.associated_gauge])
+    def test_t_past_int64_rejected(self, fn):
+        # p* = t for p!: 1e19 passes 2^63, which the int64 cast of p* would wrap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large"):
+                fn(W.gevrey(1.0, 64), [10.0, 1e19])
+
+    @pytest.mark.xfail(strict=True, reason="_p_star binary-searches log m_p, nondecreasing only within 1e-9 a step")
+    def test_table_with_dips_reaches_its_maximum(self):
+        from test_series import TestIntervals  # the table whose log m_p falls by 0.9e-9 a step
+
+        level = math.log(2400)
+        ws = TestIntervals.stretched_scale(level, 1500, 1500)
+        log_t = level - 0.45 * 0.9e-9 * 1500
+        terms = np.arange(ws.p_max + 1) * log_t - ws.logM
+        assert np.argmax(terms) == 3000
+        assert W.associated_function(ws, math.exp(log_t)) == pytest.approx(terms.max(), abs=1e-9)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, [1.0, math.nan], [[2.0], [-math.inf]]])
     @pytest.mark.parametrize("fn", [W.associated_function, W.associated_gauge])
