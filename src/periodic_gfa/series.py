@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .verdict import DEFAULTS, GrowthVerdict, decide
-from .weights import _M1_TOL, RSequence, TruncationWarning, WeightSequence, associated_gauge, modified_weights
+from .weights import RSequence, TruncationWarning, WeightSequence, associated_gauge, modified_weights
 
 TWO_PI = 2.0 * math.pi
 _LOG_HUGE = 706.0  # just under log(DBL_MAX)
@@ -203,9 +203,8 @@ def _newton_max_rows(ts: np.ndarray, w: np.ndarray, rows: np.ndarray, ks: np.nda
         t = ts[live]
         for step in range(7):  # t0 and six steps
             e = np.exp(1j * np.outer(t, ks[d:]))
-            terms = w[rows[live]]
-            terms[:, d:] *= e
-            terms[:, :d] *= np.conj(e[:, :0:-1])
+            terms = w[rows[live]]  # times e^{ikt} in one multiply: numpy rounds a 1-element one apart
+            np.multiply(terms, np.concatenate([np.conj(e[:, :0:-1]), e], axis=1), out=terms)
             g, g1, g2 = np.einsum("ik,jk->ji", terms, mults)
             v = np.abs(g)
             up = v > best[live]
@@ -290,20 +289,7 @@ def _grid_abs(w: np.ndarray, m: int) -> np.ndarray:
 _KEY = 1 << 32  # row p of member n is held under the key n * _KEY + p
 _RUN = 1 << 14  # (row, |k|) entries of the weights set up at once
 _LADDER = np.unique(np.rint(1.5 ** np.arange(100))).astype(np.int64)  # chord knots 1, 2, 3, 5, 8, 11, 17, ...
-_SLACK = 1e-6  # the interval stage's allowance for rounding (see log_ud_norms)
-
-
-def _concave(ws: WeightSequence, a, z, y, v):
-    """(ws', y', v', q, g(q) >= 0) for g(p) = y + v p - log M_p + c (p - a)(z - p) / 2 on a <= p <= z,
-    written y' + v' p - ws'.logM_at(p), with q its maximiser.  A table's (M.1) holds only within
-    c = _M1_TOL, so y + v p - log M_p may be convex by up to c a step; g, which exceeds it by at most
-    c (z - a)^2 / 8, is concave, as ws' = log M_p + c p (p + 1) / 2 is log-convex.  A preset has c = 0."""
-    c = 0.0 if ws.p_cap is None else _M1_TOL
-    if c:
-        ws = replace(ws, logM=ws.logM + c * np.arange(ws.p_max + 1) * np.arange(1, ws.p_max + 2) / 2)
-    y, v = y - c * a * z / 2, v + c * (a + z + 1) / 2
-    q = np.clip(ws._p_star(np.exp(v), ws.p_cap), a, z)
-    return ws, y, v, q, y + v * q - ws.logM_at(q) >= 0
+_SLACK = 1e-6  # the interval stage's allowance for rounding, its regularization's too (see log_ud_norms)
 
 
 class DerivativeRows:
@@ -456,7 +442,7 @@ class DerivativeRows:
             if np.any(_KEY * np.log(hn) + self.log_sum_c[live] - ws.logM_at(_KEY) >= floor):
                 raise ValueError("h is too large: rows past 2^32 may reach the floor")
             gap = np.minimum(gap, _KEY - 2)
-        return np.maximum(gap.astype(np.int64) + 1, np.max(ws._p_star(hn, None), axis=0))
+        return np.maximum(gap.astype(np.int64) + 1, np.max(ws._p_star(hn), axis=0))
 
     def log_ud_norms(self, ws: WeightSequence, hs) -> np.ndarray:
         """Grid value of log sup_p h^p ||D^p f_n||_inf / M_p for each h in hs (rows) and n (columns).
@@ -465,18 +451,18 @@ class DerivativeRows:
         rows up to _ends, those read have a bracket B_p (_bracket), which lies above the row, that
         reaches some h's floor.  Two stages find them.  First, per h and _LADDER segment a..z (z
         before the next knot, or the end), the cheap bound (_bounds) and the chord of B_p between
-        the knots a and b (the next knot, or the end) each ask y + v p - log M_p >= 0, concave by
-        (M.1) (see _concave).  B_p is a log-sum-exp of functions linear in p, so convex: it lies
-        below its chord, and the chord below the bound's line.  A pair is kept if its bound reaches
-        the floor at its maximiser, one _bracket call gives B at the kept knots, and bisection from
-        each kept pair's maximiser bounds the rows its chord passes.  Then one _bracket call tests
-        those rows.  The 1e-9 slacks of the floor and the chord cover rounding of a few eps
-        (|B_p| + log M_p): about 1e-10 where presets end at degree 384 and h = 8 (p ~ e h N ~ 8,350,
-        |B_p| ~ 5e4), under 1e-9 while both stay below 1e6.  _SLACK covers the first stage's
-        rounding: a few eps (|B_p| + log M_p), on a table once per step of a flat stretch (under
-        5e-7 for log M_p < 1e5 and p < 3e4).  Warns of nothing; see warn_truncated.  Raises
-        ValueError unless every h is finite and positive, and for an h so large that p*(hN) or a
-        row that may reach the floor lies at 2^32 or past (see _ends).
+        the knots a and b (the next knot, or the end) each ask y + v p - log M_p >= 0 with log M_p
+        replaced by its log-convex regularization (a table's WeightSequence.hull, a preset's own):
+        that lies below log M_p, so each test stays an upper test, and is convex, so each is concave.
+        B_p is a log-sum-exp of functions linear in p, so convex: it lies below its chord, and the
+        chord below the bound's line.  A pair is kept if its bound reaches the floor at its
+        maximiser, one _bracket call gives B at the kept knots, and bisection from each kept pair's
+        maximiser bounds the rows its chord passes.  Then one _bracket call tests those rows.  The
+        1e-9 slacks of the floor and the chord cover rounding of a few eps (|B_p| + log M_p): about
+        1e-10 where presets end at degree 384 and h = 8 (p ~ e h N ~ 8,350, |B_p| ~ 5e4), under 1e-9
+        while both stay below 1e6.  _SLACK covers the first stage's, the hull's included.  Warns of
+        nothing; see warn_truncated.  Raises ValueError unless every h is finite and positive, and
+        for an h so large that p*(hN) or a row that may reach the floor lies at 2^32 or past.
         """
         if not all(math.isfinite(h) and h > 0 for h in hs):
             raise ValueError("h must be finite and positive")
@@ -491,7 +477,14 @@ class DerivativeRows:
             terms = self._read(ns, ps) + (ps * log_h - np.asarray(ws.logM_at(ps), dtype=float))
             return np.maximum.reduceat(terms, np.flatnonzero(np.diff(ns, prepend=-1)), axis=1)
 
-        peaks = ws._p_star(hn, ws.p_cap)
+        def log_mc(p):  # the log-convex regularization of log M_p
+            return ws.logM_at(p) if ws.p_cap is None else np.interp(p, ws.hull, ws.logM[ws.hull])
+
+        def top(a, z, y, v):  # the maximiser q on a..z of y + v p - log_mc(p), concave, and if it reaches 0
+            q = np.clip(ws._p_star(np.exp(v)), a, z)
+            return q, y + v * q - log_mc(q) >= 0
+
+        peaks = ws._p_star(hn)  # a float past 2^63 is rejected here, before its cast
         if peaks.max() >= _KEY:
             raise ValueError("h is too large: the bound peaks past row 2^32")
         seeds = np.unique(np.append(live * _KEY + peaks, live * _KEY))
@@ -502,18 +495,19 @@ class DerivativeRows:
         k = np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count)
         a, b, z = _LADDER[k], np.minimum(_LADDER[k + 1], end[j]), np.minimum(_LADDER[k + 1] - 1, end[j])
         y = self.log_sum_c[live[j]] - floor[:, j] + _SLACK  # each h's bound test is y + v p - log M_p >= 0
-        h, s = np.nonzero(_concave(ws, a, z, y, log_h + self.log_n[live[j]])[-1])  # the pairs kept
+        h, s = np.nonzero(top(a, z, y, log_h + self.log_n[live[j]])[1])  # the pairs kept
         knots = np.unique(np.append(j[s] * _KEY + a[s], j[s] * _KEY + b[s]))
         at_knot = self._bracket(live[knots // _KEY], knots % _KEY)
         lo, hi = (at_knot[np.searchsorted(knots, j[s] * _KEY + e)] for e in (a[s], b[s]))
         a, z, j, slope = a[s], z[s], j[s], (hi - lo) / np.maximum(b[s] - a[s], 1)
         y = lo - a * slope - floor[h, j] + (1e-9 + _SLACK)  # and its chord test
-        tilted, y, v, q, top = _concave(ws, a, z, y, log_h[h, 0] + slope)
-        y, v, q, a, z, j = (x[top] for x in (y, v, q, a, z, j))
+        v = log_h[h, 0] + slope
+        q, kept = top(a, z, y, v)
+        y, v, q, a, z, j = (x[kept] for x in (y, v, q, a, z, j))
         y, v, near, far = np.tile(y, 2), np.tile(v, 2), np.tile(q, 2), np.append(a - 1, z + 1)
         while np.any(abs(far - near) > 1):  # bisect for the first and the last row of each kept pair
             mid = np.where(abs(far - near) > 1, (near + far) // 2, near)
-            ok = y + v * mid - tilted.logM_at(mid) >= 0
+            ok = y + v * mid - log_mc(mid) >= 0
             near, far = np.where(ok, mid, near), np.where(ok, far, mid)
         first, last = np.split(near, 2)
         n = last - first + 1
@@ -533,7 +527,7 @@ class DerivativeRows:
         live = np.flatnonzero(self.degree)
         if ws.p_cap is None or len(hs) == 0:
             return
-        peaks = ws._p_star(np.multiply.outer(np.asarray(hs, dtype=float), self.degree[live]), ws.p_cap)
+        peaks = ws._p_star(np.multiply.outer(np.asarray(hs, dtype=float), self.degree[live]))
         log_h = np.array([[math.log(h)] for h in hs])
         at_cap = self._bounds(ws, log_h, live, np.full(len(live), ws.p_cap))
         for _ in range(np.count_nonzero((peaks >= ws.p_cap) | (at_cap >= np.asarray(values)[:, live]))):

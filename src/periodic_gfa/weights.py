@@ -16,8 +16,10 @@ The associated function
 
     M(t) = sup_{p} log(t^p / M_p),   M(0) = 0,  M(t) = M(|t|)
 
-is computed by the ratio formula: under (M.1) the supremum is attained
-at p* = max{p : m_p <= t} and equals p* log t - log M_{p*}.
+is computed on the lower convex hull of log M_p, the log-convex
+regularization (Komatsu, Ultradistributions I, 1973, section 3), which
+leaves M unchanged; a table is log-convex only within _M1_TOL a step.  The
+supremum is attained at the last hull vertex p* with left slope <= log t.
 """
 
 from __future__ import annotations
@@ -129,10 +131,6 @@ class WeightSequence:
             raise IndexError("p beyond stored table for a table-backed sequence")
         return self.logM[p]
 
-    def log_ratio(self) -> np.ndarray:
-        """log m_p = log M_p - log M_{p-1} for p = 1..p_max."""
-        return np.diff(self.logM)
-
     def extended(self, p_max: int) -> "WeightSequence":
         """Copy with the table grown to p_max (presets only)."""
         if p_max <= self.p_max:
@@ -142,24 +140,28 @@ class WeightSequence:
             raise InvalidSpec("a table-backed sequence cannot be extended")
         return build_weight_sequence(self.spec, p_max)
 
-    def _p_star(self, t, cap: int | None) -> np.ndarray:
-        """Largest p <= cap with m_p <= t, for an array of t >= 0; ValueError past int64."""
+    @cached_property
+    def hull(self) -> np.ndarray:
+        """The p of the vertices of the lower convex hull of log M_p, ascending: every point whose left
+        slope exceeds its right slope lies above the hull, and is deleted until none is left."""
+        p, done = np.arange(len(self.logM)), False
+        while not done:
+            slope = np.diff(self.logM[p]) / np.diff(p)
+            keep = np.concatenate([[True], slope[:-1] <= slope[1:], [True]])
+            p, done = p[keep], keep.all()
+        return p
+
+    def _p_star(self, t) -> np.ndarray:
+        """Last maximiser p of p log t - log M_p, for an array of t >= 0: int64, except a preset's
+        floor(t^{1/s}) that passes 2^63 stays a float, for the caller to reject."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = self.gevrey_s
         if s is not None:
             ps = np.floor(np.power(t, 1.0 / s) * (1.0 + 1e-14))
-            if not np.all(ps < 2.0**63):
-                raise ValueError(f"t = {t.max():g} is too large for {self.label}: its p passes 2^63")
-            ps = np.maximum(ps.astype(np.int64), 0)
-            if cap is not None:
-                ps = np.minimum(ps, cap)
-            return ps
-        cap = self.p_max if cap is None else min(cap, self.p_max)
-        logm = self.log_ratio()[:cap]
-        with np.errstate(divide="ignore"):
-            logt = np.log(np.where(t > 0, t, 1.0))
-        ps = np.searchsorted(logm, logt + 1e-12, side="right")
-        return np.where(t > 0, ps, 0).astype(np.int64)
+            return ps.astype(np.int64) if np.all(ps < 2.0**63) else ps
+        slope = np.diff(self.logM[self.hull]) / np.diff(self.hull)
+        logt = np.log(np.where(t > 0, t, 1.0))
+        return np.where(t > 0, self.hull[np.searchsorted(slope, logt + 1e-12, side="right")], 0)
 
 
 def _assoc_value(ws: WeightSequence, t, cap: int | None, warn_label: str):
@@ -168,9 +170,11 @@ def _assoc_value(ws: WeightSequence, t, cap: int | None, warn_label: str):
         raise ValueError(f"{warn_label}: t must be finite")
     scalar = t_in.ndim == 0
     ta = np.atleast_1d(np.abs(t_in))
-    ps = ws._p_star(ta, cap)
+    ps = ws._p_star(ta)
+    if not np.all(ps < 2.0**63):
+        raise ValueError(f"t = {ta.max():g} is too large for {ws.label}: its p passes 2^63")
     if cap is not None and np.any(ps >= cap):
-        # the supremum may sit beyond the table; report it truncated
+        ps = np.minimum(ps, cap)  # the supremum may sit beyond the table; report it truncated
         warnings.warn(
             f"{warn_label}: maximizing p hit p_max = {cap}; raise p_max",
             TruncationWarning,
@@ -325,7 +329,7 @@ def build_weight_sequence(spec, p_max: int | None = None) -> WeightSequence:
     else:
         raise InvalidSpec(f"unknown weight-sequence kind: {kind!r}")
 
-    logm = ws.log_ratio()
+    logm = np.diff(ws.logM)
     if not logm[-1] > np.log(2.0) + logm[0]:
         raise DivergenceFail(
             "divergence proxy m_pmax > 2 m_1 fails; the ratios m_p do not grow"

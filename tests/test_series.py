@@ -311,7 +311,7 @@ def per_h_log_ud_norm(f, ws, h):
         return float(lc[0])
     log_sum_c = float(logsumexp(lc[np.isfinite(lc)]))
     table_cap = None if ws.gevrey_s is not None else ws.p_max
-    p_peak = int(ws._p_star(h * g.degree, table_cap)[0])
+    p_peak = int(ws._p_star(h * g.degree)[0])
     hard_cap = table_cap if table_cap is not None else p_peak + 4096
     best, p0 = -np.inf, 0
     while True:
@@ -452,7 +452,7 @@ def blocked_log_ud_norms(f, ws, hs):
     log_h = np.array([[math.log(h)] for h in hs])
     log_hk = np.array([[math.log(h) + math.log(g.degree)] for h in hs])
     table_cap = None if ws.gevrey_s is not None else ws.p_max
-    peaks = np.array([ws._p_star(h * g.degree, table_cap)[0] for h in hs])
+    peaks = np.array([ws._p_star(h * g.degree)[0] for h in hs])
     caps = peaks + 4096 if table_cap is None else np.full(len(hs), table_cap)
     best = np.full(len(hs), -np.inf)
     live, p0 = np.ones(len(hs), dtype=bool), 0
@@ -640,7 +640,7 @@ class PolyRows:
         def best(qs):  # each h's largest term over the rows qs
             return (self._read(qs) + (qs * log_h - np.asarray(ws.logM_at(qs), dtype=float))).max(axis=1)
 
-        seeds = np.unique(np.append(ws._p_star(hn, ws.p_cap), 0))
+        seeds = np.unique(np.append(ws._p_star(hn), 0))
         floor = best(seeds) - 1e-9
         end = ws.p_cap
         if end is None:
@@ -655,7 +655,7 @@ class PolyRows:
     def warn_truncated(self, ws, hs, values):
         if ws.p_cap is None or self.poly.degree == 0 or len(hs) == 0:
             return
-        peaks = ws._p_star(np.asarray(hs, dtype=float) * self.poly.degree, ws.p_cap)
+        peaks = ws._p_star(np.asarray(hs, dtype=float) * self.poly.degree)
         at_cap = self._bounds(ws, hs, np.array([ws.p_cap]))[:, 0]
         for _ in range(np.count_nonzero((peaks >= ws.p_cap) | (at_cap >= values))):
             warnings.warn("ud norm termination not met by p_max; raise p_max", W.TruncationWarning)
@@ -830,23 +830,26 @@ class TestIntervals:
 
     A table's (M.1) holds only within _M1_TOL, so -log M_p may be convex by up to 1e-9 a step.  On a
     stretch where log m_p falls by 0.9e-9 a step from just above log(hN), p log(hN) - log M_p dips
-    and rises again by about 1e-9 L^2 / 8 over a segment of length L; when the bound peak p*(hN)
-    (a binary search) lands before the stretch, the rows that reach the floor lie at its far end.
-    Without _concave's correction the interval stage drops them.
+    and rises again by about 1e-9 L^2 / 8 over a segment of length L, and the rows that reach the
+    floor may lie at the stretch's far end.  The stretch lies above the chord of the lower convex
+    hull of log M_p, which the interval stage reads in its place: read against log M_p itself, its
+    maximisers and bisection stop short of those rows.
     """
 
     @staticmethod
-    def stretched_scale(level, p0, length, p_max=4096):
+    def stretched_scale(level, p0, length, p_max=4096, step=0.9e-9):
         """log m_p = sigma log p with sigma log p0 = level, except that on p0..p0 + length log m_p
-        falls from level by 0.9e-9 a step: log M_p is nearly linear there."""
+        falls from level by step a step: log M_p is nearly linear there."""
         p = np.arange(1.0, p_max + 1)
         logm = level / math.log(p0) * np.log(p)
-        logm[p0 - 1 : p0 + length] = level - 0.9e-9 * (p[p0 - 1 : p0 + length] - p0)
+        logm[p0 - 1 : p0 + length] = level - step * (p[p0 - 1 : p0 + length] - p0)
         return W.build_weight_sequence({"kind": "table", "logM": np.append(0.0, np.cumsum(logm))}, p_max)
 
     @settings(max_examples=10, deadline=None)
-    # the bound peak lands before the stretch 1500..3000; the rows read lie near 3000
+    # the stretch 1500..3000 spans one hull edge; the rows read lie near 3000
     @example(scale="stretched", p0=1500, length=1500, fall=0.45, degree=300, others=[], seed=0, hs=[])
+    # log(hN) ties the slope of the hull's chord over the stretch 2300..3100; log M_p in its place drops rows
+    @example(scale="stretched", p0=2300, length=800, fall=0.5, degree=300, others=[], seed=0, hs=[])
     @example(scale="gevrey:1", p0=0, length=0, fall=0.0, degree=384, others=[("random", 40)], seed=0, hs=[8.0])
     @given(
         scale=st.sampled_from(["stretched", "gevrey:1"]),

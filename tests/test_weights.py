@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+import test_series
 from periodic_gfa import weights as W
 
 
@@ -17,6 +18,15 @@ def brute_force_assoc(s, t, p_cap=2000):
     logfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, p_cap + 1)))])
     p = np.arange(0, p_cap + 1)
     return max(0.0, float(np.max(p * math.log(t) - s * logfact)))
+
+
+def ratio_p_star(ws, t):
+    """A table's maximising p as WeightSequence._p_star found it before the hull: the number of
+    log m_p <= log t (within 1e-12), by binary search; a local maximiser where log m_p dips."""
+    with np.errstate(divide="ignore"):
+        logt = np.log(np.where(t > 0, t, 1.0))
+    ps = np.searchsorted(np.diff(ws.logM), logt + 1e-12, side="right")
+    return np.where(t > 0, ps, 0).astype(np.int64)
 
 
 def certify_m2_every_split(logM, declared=None):
@@ -221,12 +231,9 @@ class TestAssociatedFunction:
             with pytest.raises(ValueError, match="too large"):
                 fn(W.gevrey(1.0, 64), [10.0, 1e19])
 
-    @pytest.mark.xfail(strict=True, reason="_p_star binary-searches log m_p, nondecreasing only within 1e-9 a step")
     def test_table_with_dips_reaches_its_maximum(self):
-        from test_series import TestIntervals  # the table whose log m_p falls by 0.9e-9 a step
-
-        level = math.log(2400)
-        ws = TestIntervals.stretched_scale(level, 1500, 1500)
+        level = math.log(2400)  # the table whose log m_p falls by 0.9e-9 a step
+        ws = test_series.TestIntervals.stretched_scale(level, 1500, 1500)
         log_t = level - 0.45 * 0.9e-9 * 1500
         terms = np.arange(ws.p_max + 1) * log_t - ws.logM
         assert np.argmax(terms) == 3000
@@ -241,6 +248,29 @@ class TestAssociatedFunction:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="finite"):
                     fn(ws, t)
+
+
+class TestRegularization:
+    """M(t) by the lower convex hull of log M_p, on tables whose (M.1) holds only within _M1_TOL."""
+
+    @settings(max_examples=30, deadline=None)
+    @example(p0=1500, length=1500, fall=0.9)  # test_table_with_dips_reaches_its_maximum's table
+    @example(p0=800, length=1000, fall=-0.5)  # log m_p rises on the stretch, so it never falls
+    @given(p0=st.integers(400, 2600), length=st.integers(200, 1400), fall=st.floats(-0.95, 0.95))
+    def test_hull_gives_the_maximum(self, p0, length, fall):
+        level = math.log(2400)  # log m_p falls by fall * _M1_TOL a step on p0..p0 + length
+        ws = test_series.TestIntervals.stretched_scale(level, p0, length, step=fall * W._M1_TOL)
+        # log t across every stretch's fall (at most 1.33e-6 below level), then across the table
+        t = np.append(np.exp(level - np.linspace(-1e-7, 1.5e-6, 61)), np.geomspace(1.5, 4000.0, 25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", W.TruncationWarning)
+            got = W.associated_function(ws, t)
+        terms = np.multiply.outer(np.log(t), np.arange(ws.p_max + 1)) - ws.logM
+        assert np.max(np.abs(got - terms.max(axis=1))) <= 1e-9
+        if np.all(np.diff(ws.logM, 2) >= 0):  # log m_p nondecreasing: the ratio search is the hull's
+            t = np.append(0.0, t)
+            assert ws._p_star(t).tobytes() == ratio_p_star(ws, t).tobytes()
+
 
 class TestModifiedAssociated:
     def test_constant_prefix_matches_plain(self):
