@@ -35,7 +35,7 @@ from .series import (
     multiply,
 )
 from .verdict import DEFAULTS, GrowthVerdict, bounded_test, decide, desk_grid, head_end
-from .weights import WeightSequence, associated_gauge, modified_weights
+from .weights import WeightSequence, associated_gauge, gauge_table, modified_weights
 
 
 class GeneratorFail(RuntimeError):
@@ -185,8 +185,8 @@ def _coef_tables(net: Net, ws: WeightSequence, hs) -> list[np.ndarray]:
 
 
 def _gauge_table(ws: WeightSequence, lams, n_max: int) -> np.ndarray:
-    """M(lambda n) for n = 0..n_max: one row per lambda of a grid, from one gauge call, or one row."""
-    return np.asarray(associated_gauge(ws, np.multiply.outer(lams, np.arange(n_max + 1, dtype=float))))
+    """M(lambda n) for n = 0..n_max: one row per lambda of a grid, or one row, from the scale's memo."""
+    return gauge_table(ws, lams, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .verdict import DEFAULTS, GrowthVerdict, decide
-from .weights import RSequence, TruncationWarning, WeightSequence, associated_gauge, modified_weights
+from .weights import (
+    RSequence, TruncationWarning, WeightSequence, associated_gauge, gauge_table, modified_weights,
+)
 
 TWO_PI = 2.0 * math.pi
 _LOG_HUGE = 706.0  # just under log(DBL_MAX)
@@ -794,8 +796,14 @@ def _coef_arrays(c, k_max: int):
 
 
 def gauge_profiles(ks, logc, ws: WeightSequence, lams, sign: float) -> np.ndarray:
-    """Rows logc + sign * M(lambda |k|), one per lambda in lams, from one gauge call."""
-    gauges = associated_gauge(ws, np.multiply.outer(np.asarray(lams, dtype=float), ks))
+    """Rows logc + sign * M(lambda |k|), one per lambda in lams: read at |k| from the scale's memo
+    (weights.gauge_table) for integer ks whose table is no longer than ks, else from one gauge call."""
+    ks = np.asarray(ks)
+    k_max = int(np.abs(ks).max(initial=0)) if ks.dtype.kind in "iu" else ks.size
+    if k_max < ks.size:
+        gauges = gauge_table(ws, lams, k_max)[..., np.abs(ks)]
+    else:
+        gauges = associated_gauge(ws, np.multiply.outer(np.asarray(lams, dtype=float), ks))
     return logc + sign * np.asarray(gauges)
 
 

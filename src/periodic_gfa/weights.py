@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -37,6 +38,7 @@ from scipy.special import gammaln
 from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, json_float
 
 _M1_TOL = 1e-9
+_GAUGE_LOCK = threading.Lock()  # one reader at a time extends a gauge_table memo
 
 
 class InvalidSpec(ValueError):
@@ -90,6 +92,8 @@ class WeightSequence:
         if np.any(d2 < -_M1_TOL):
             p = int(np.argmax(d2 < -_M1_TOL)) + 1
             raise InvalidSpec(f"(M.1) log convexity fails at p = {p}")
+        # gauge_table's memo: grid bytes -> (its table over k = 0..K, the first k whose p* reaches p_cap)
+        object.__setattr__(self, "_gauges", {})
 
     @property
     def p_max(self) -> int:
@@ -126,7 +130,11 @@ class WeightSequence:
             beyond = (p < 0) | (p > self.p_max)
             if not beyond.any():
                 return self.logM[p]
-            return np.where(beyond, s * gammaln(p + 1.0), self.logM[np.where(beyond, 0, p)])[()]
+            if beyond.all():
+                return s * gammaln(p + 1.0)
+            out = self.logM[np.where(beyond, 0, p)]
+            out[beyond] = s * gammaln(p[beyond] + 1.0)
+            return out
         if np.any(p > self.p_max):
             raise IndexError("p beyond stored table for a table-backed sequence")
         return self.logM[p]
@@ -151,39 +159,73 @@ class WeightSequence:
             p, done = p[keep], keep.all()
         return p
 
-    def _p_star(self, t) -> np.ndarray:
-        """Last maximiser p of p log t - log M_p, for an array of t >= 0: int64, except a preset's
-        floor(t^{1/s}) that passes 2^63 stays a float, for the caller to reject."""
+    @cached_property
+    def _hull_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slope of each hull edge and its tie tolerance 1e-12 / its length, for _p_star."""
+        length = np.diff(self.hull)
+        return np.diff(self.logM[self.hull]) / length, 1e-12 / length
+
+    def _p_star(self, t, logt=None) -> np.ndarray:
+        """Last maximiser p of p log t - log M_p, for an array of t >= 0 (logt: its log, where t > 0):
+        int64, except a preset's floor(t^{1/s}) that passes 2^63 stays a float, for the caller to reject.
+
+        A table's p* takes each hull edge whose slope exceeds log t by at most 1e-12 / its length, so
+        an edge taken past the maximiser costs at most 1e-12; on unit edges this is log m_p <= log t + 1e-12.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = self.gevrey_s
         if s is not None:
             ps = np.floor(np.power(t, 1.0 / s) * (1.0 + 1e-14))
             return ps.astype(np.int64) if np.all(ps < 2.0**63) else ps
-        slope = np.diff(self.logM[self.hull]) / np.diff(self.hull)
-        logt = np.log(np.where(t > 0, t, 1.0))
-        return np.where(t > 0, self.hull[np.searchsorted(slope, logt + 1e-12, side="right")], 0)
+        if logt is None:
+            logt = np.log(np.where(t > 0, t, 1.0))
+        slope, tol = self._hull_edges
+        i = np.searchsorted(slope, logt + 1e-12, side="right")
+        # where an edge taken lies above log t, walk from the maximiser over ties
+        flat, logt = i.reshape(-1), np.reshape(logt, -1)
+        tied = np.flatnonzero((flat > 0) & (slope[np.maximum(flat - 1, 0)] > logt))
+        lt, stop = logt[tied], flat[tied]
+        j = np.searchsorted(slope, lt, side="right")
+        while True:
+            step = j < stop
+            step[step] = slope[j[step]] <= lt[step] + tol[j[step]]
+            if not step.any():
+                break
+            j += step
+        flat[tied] = j
+        return np.where(t > 0, self.hull[i], 0)
+
+
+def _gauge_values(ws: WeightSequence, ta: np.ndarray, cap: int | None, warn_label: str):
+    """M at the points ta >= 0 (at least 1-d), and where p* reached cap (None without a cap)."""
+    if not np.isfinite(ta).all():
+        raise ValueError(f"{warn_label}: t must be finite")
+    positive = ta > 0
+    logt = np.log(np.where(positive, ta, 1.0))
+    ps = ws._p_star(ta, logt)
+    if not np.all(ps < 2.0**63):
+        raise ValueError(f"t = {ta.max():g} is too large for {ws.label}: its p passes 2^63")
+    over = None
+    if cap is not None:
+        over = ps >= cap
+        if over.any():
+            ps = np.minimum(ps, cap)  # the supremum may sit beyond the table; report it truncated
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = ps * logt - ws.logM_at(ps)
+    return np.where(positive, np.maximum(vals, 0.0), 0.0), over
+
+
+def _warn_truncated(warn_label: str, cap: int, stacklevel: int):
+    msg = f"{warn_label}: maximizing p hit p_max = {cap}; raise p_max"
+    warnings.warn(msg, TruncationWarning, stacklevel=stacklevel + 1)
 
 
 def _assoc_value(ws: WeightSequence, t, cap: int | None, warn_label: str):
     t_in = np.asarray(t, dtype=float)
-    if not np.isfinite(t_in).all():
-        raise ValueError(f"{warn_label}: t must be finite")
-    scalar = t_in.ndim == 0
-    ta = np.atleast_1d(np.abs(t_in))
-    ps = ws._p_star(ta)
-    if not np.all(ps < 2.0**63):
-        raise ValueError(f"t = {ta.max():g} is too large for {ws.label}: its p passes 2^63")
-    if cap is not None and np.any(ps >= cap):
-        ps = np.minimum(ps, cap)  # the supremum may sit beyond the table; report it truncated
-        warnings.warn(
-            f"{warn_label}: maximizing p hit p_max = {cap}; raise p_max",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = ps * np.log(np.where(ta > 0, ta, 1.0)) - ws.logM_at(ps)
-    vals = np.where(ta > 0, np.maximum(vals, 0.0), 0.0)
-    return float(vals[0]) if scalar else vals
+    vals, over = _gauge_values(ws, np.atleast_1d(np.abs(t_in)), cap, warn_label)
+    if over is not None and over.any():
+        _warn_truncated(warn_label, cap, stacklevel=3)
+    return float(vals[0]) if t_in.ndim == 0 else vals
 
 
 def associated_function(ws: WeightSequence, t):
@@ -204,6 +246,31 @@ def associated_gauge(ws: WeightSequence, t):
     truncates for them.
     """
     return _assoc_value(ws, t, ws.p_cap, "associated_gauge")
+
+
+def gauge_table(ws: WeightSequence, lams, k_max: int) -> np.ndarray:
+    """associated_gauge(ws, outer(lams, 0..k_max)), read-only: one row per lambda of a grid, or one row.
+
+    Each scale memoizes the table of each grid (keyed by its float bytes) up to the largest k_max
+    read; a longer read computes only the missing columns.  Hit or miss, a read warns as the direct
+    call does: once, when p*(lambda k) reaches p_cap at some k <= k_max.
+    """
+    lams = np.asarray(lams, dtype=float)
+    grid = lams.reshape(-1)
+    memo, key = ws._gauges, grid.tobytes()
+    with _GAUGE_LOCK:
+        table, first = memo.get(key, (np.empty((grid.size, 0)), math.inf))
+        if table.shape[1] <= k_max:
+            t = np.multiply.outer(grid, np.arange(table.shape[1], k_max + 1, dtype=float))
+            vals, over = _gauge_values(ws, np.abs(t), ws.p_cap, "associated_gauge")
+            if over is not None and math.isinf(first) and over.any():
+                first = table.shape[1] + int(np.argmax(over.any(axis=0)))
+            table = np.concatenate([table, vals], axis=1)
+            table.setflags(write=False)
+            memo[key] = table, first
+    if k_max >= first:
+        _warn_truncated("associated_gauge", ws.p_cap, stacklevel=2)
+    return table[:, : k_max + 1].reshape(lams.shape + (k_max + 1,))
 
 
 @dataclass(frozen=True)

@@ -486,30 +486,34 @@ class TestMemoKeys:
         assert ("ud", ws_p1.memo_key, h_reg) in net._norms
         assert sum(k[0] == "ud" for k in net._norms) == len(h_grid) + 1
 
-    def test_coef_tables_share_one_call_per_representative(self, ws_p1, monkeypatch):
-        """One gauge build serves every lambda a net lacks; a memo hit builds none."""
+    def test_coef_tables_share_one_call_per_representative(self, monkeypatch):
+        """One gauge computation per grid a scale lacks, for the columns it lacks; a memo hit computes none."""
+        ws = W.gevrey(1.0, 512)  # a fresh scale: its gauge memo is empty
         calls = []
+        kernel = W._gauge_values
 
-        def counting(ws, t):
-            t = np.asarray(t)
-            calls.append((t[:, 1].tolist(), t.shape[1]))  # t = outer(lambdas, 0..K): (lambdas, K + 1)
-            return W.associated_gauge(ws, t)
+        def counting(ws, t, cap, label):
+            calls.append((t[:, -1].tolist(), t.shape[1]))  # t = outer(lambdas, K0..K): (lambdas, columns K0..K)
+            return kernel(ws, t, cap, label)
 
-        monkeypatch.setattr(A, "associated_gauge", counting)
+        monkeypatch.setattr(W, "_gauge_values", counting)
         # degree 2n: the |k| axis (0..2 NMAX) and the n axis of the M(lambda n) gauges differ
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(2 * n), NMAX)
         h_grid = [float(h) for h in V.DEFAULTS.h_grid]
-        lam_gauges = (list(V.DEFAULTS.lambda_grid), NMAX + 1)
-        A.coef_classify(net, ws_p1, "beurling", "moderate")
-        assert calls == [(h_grid, 2 * NMAX + 1), lam_gauges]
-        assert [k for k in net._norms if k[0] == "coef"] == [("coef", ws_p1.memo_key, h) for h in h_grid]
+        assert h_grid == list(V.DEFAULTS.lambda_grid)  # one grid: the M(lambda n) gauges slice its table
+        A.coef_classify(net, ws, "beurling", "moderate")
+        assert calls == [([2 * NMAX * h for h in h_grid], 2 * NMAX + 1)]
+        assert [k for k in net._norms if k[0] == "coef"] == [("coef", ws.memo_key, h) for h in h_grid]
 
         calls.clear()
-        A.coef_classify(net, ws_p1, "roumieu", "negligible")
-        assert calls == [lam_gauges]
+        A.coef_classify(net, ws, "roumieu", "negligible")
+        A.coef_classify(A.make_net(lambda n: S.TrigPoly.dirichlet(2 * n), NMAX), ws, "roumieu", "moderate")
+        assert calls == []
+        A.coef_classify(net, ws, "roumieu", "moderate", h_grid=(0.5, 3.0))
+        assert calls == [([2 * NMAX * 3.0], 2 * NMAX + 1)]
         calls.clear()
-        A.coef_classify(net, ws_p1, "roumieu", "moderate", h_grid=(0.5, 3.0))
-        assert calls == [([3.0], 2 * NMAX + 1), lam_gauges]
+        A.coef_classify(A.make_net(lambda n: S.TrigPoly.dirichlet(3 * n), NMAX), ws, "beurling", "moderate")
+        assert calls == [([3 * NMAX * h for h in h_grid], NMAX)]  # the columns 2 NMAX + 1..3 NMAX alone
 
     @pytest.mark.filterwarnings("ignore::periodic_gfa.weights.TruncationWarning")
     @pytest.mark.parametrize("seed", range(3))

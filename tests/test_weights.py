@@ -1,5 +1,10 @@
+import dataclasses
 import math
+import pickle
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import test_series
+from periodic_gfa import algebra as A
+from periodic_gfa import series as S
 from periodic_gfa import weights as W
 
 
@@ -177,6 +184,14 @@ class TestPresetLogM:
                 assert type(got) is type(want) and np.shape(got) == np.shape(want), (scale.p_max, p)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (scale.p_max, p)
 
+    def test_closed_form_only_past_the_table(self, monkeypatch):
+        ws, seen = W.gevrey(1.5, 16), []
+        monkeypatch.setattr(W, "gammaln", lambda x: seen.append(np.size(x)) or gammaln(x))
+        p = np.array([3, -2, 99, 16, 17, 0])
+        got = ws.logM_at(p)
+        assert seen == [3]  # -2, 99 and 17
+        assert got.tobytes() == (1.5 * gammaln(p.astype(float) + 1.0)).tobytes()
+
 
 class TestAssociatedFunction:
     def test_spot_values(self):
@@ -270,6 +285,125 @@ class TestRegularization:
         if np.all(np.diff(ws.logM, 2) >= 0):  # log m_p nondecreasing: the ratio search is the hull's
             t = np.append(0.0, t)
             assert ws._p_star(t).tobytes() == ratio_p_star(ws, t).tobytes()
+
+    @pytest.mark.parametrize("below", [0.9e-12, 0.5e-12])
+    def test_long_edge_ties_cost_at_most_1e_12(self, below):
+        ws = test_series.TestIntervals.stretched_scale(math.log(2400), 1500, 1500)
+        i = int(np.searchsorted(ws.hull, 1499))
+        assert ws.hull[i : i + 2].tolist() == [1499, 3000]  # one hull edge spans the stretch
+        # log t just below the edge's slope: p* 3000 would be short by 1501 * below
+        t = math.exp((ws.logM[3000] - ws.logM[1499]) / 1501 - below)
+        terms = np.arange(ws.p_max + 1) * math.log(t) - ws.logM
+        assert ws._p_star(t).tolist() == [np.argmax(terms)] == [1499]
+        assert abs(W.associated_function(ws, t) - terms.max()) <= 1e-12
+
+
+def recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = fn(*args)
+    return np.asarray(got), [(w.category, str(w.message)) for w in seen]
+
+
+def truncating_table():
+    """65 entries of 1.5 log p!: the gauge truncates once lambda k reaches about 64^1.5."""
+    return W.build_weight_sequence({"kind": "table", "logM": 1.5 * gammaln(np.arange(65) + 1.0)})
+
+
+class TestGaugeMemo:
+    """weights.gauge_table memoizes M(lambda k), k = 0..K, per scale and grid: every read equals the
+    direct associated_gauge call, its bits and its warnings, hit or miss."""
+
+    SCALES = {
+        "gevrey:1": lambda: W.gevrey(1.0, 64), "gevrey:2": lambda: W.gevrey(2.0, 64), "table": truncating_table,
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @example(scale="table", lams=[1.0, 8.0], by_H=True, reads=[300, 10, 40, 300], span=150, extra=[-300, 7, 299])
+    @given(
+        scale=st.sampled_from(sorted(SCALES)),
+        lams=st.lists(st.floats(0.01, 16.0), min_size=1, max_size=4),
+        by_H=st.booleans(),
+        reads=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+        span=st.integers(0, 300),
+        extra=st.lists(st.integers(-400, 400), max_size=5),
+    )
+    def test_reads_equal_direct_calls(self, scale, lams, by_H, reads, span, extra):
+        ws = self.SCALES[scale]()
+        grid = np.asarray(lams) * (ws.H if by_H else 1.0)
+        for k_max in reads:  # each read a miss, a longer miss or a slice of a longer table
+            for g in (grid[0], grid):  # one row, or one per lambda
+                want = recorded(W.associated_gauge, ws, np.multiply.outer(g, np.arange(k_max + 1.0)))
+                for fn in (W.gauge_table, A._gauge_table):
+                    got = recorded(fn, ws, g, k_max)
+                    assert not got[0].flags.writeable
+                    assert got[0].shape == want[0].shape
+                    assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+            fresh = recorded(W.gauge_table, dataclasses.replace(ws), grid, k_max)  # want is the grid's
+            assert (fresh[0].tobytes(), fresh[1]) == (want[0].tobytes(), want[1])
+        ks = np.append(np.arange(-span, span + 1), np.array(extra, dtype=int))  # memo: no |k| reaches len(ks)
+        logc = np.linspace(-3.0, 2.0, len(ks))
+        gauges = recorded(W.associated_gauge, ws, np.multiply.outer(grid, ks))
+        for sign in (1.0, -1.0):
+            got = recorded(S.gauge_profiles, ks, logc, ws, grid, sign)
+            assert (got[0].tobytes(), got[1]) == ((logc + sign * gauges[0]).tobytes(), gauges[1])
+
+    def test_truncation_warns_on_a_hit_as_on_a_fresh_scale(self):
+        ws, lams = truncating_table(), [1.0, 8.0, 16.0]
+        first = next(k for k in range(1, 100) if ws._p_star(np.multiply.outer(lams, [k])).max() >= ws.p_cap)
+        warned = [(W.TruncationWarning, "associated_gauge: maximizing p hit p_max = 64; raise p_max")]
+        for k_max in (first - 1, first, 3 * first, first, first - 1, 0):  # a miss, two longer ones, slices
+            fresh = recorded(W.gauge_table, truncating_table(), lams, k_max)
+            direct = recorded(W.associated_gauge, ws, np.multiply.outer(lams, np.arange(k_max + 1.0)))
+            assert fresh[1] == direct[1] == (warned if k_max >= first else [])
+            assert recorded(W.gauge_table, ws, lams, k_max)[1] == direct[1]
+
+    def test_sparse_ks_read_directly(self):
+        ws, ks, lams = W.gevrey(1.0, 64), np.array([3, -10**7, 10**8]), [0.5, 2.0]
+        got = S.gauge_profiles(ks, 0.0, ws, lams, 1.0)
+        assert got.tobytes() == (0.0 + W.associated_gauge(ws, np.multiply.outer(lams, ks))).tobytes()
+        assert ws._gauges == {}  # a table up to |k| = 10^8 would cost more than ks itself
+
+    def test_scale_with_a_memo_pickles(self):
+        ws = truncating_table()
+        want = recorded(W.gauge_table, ws, [1.0, 8.0], 100)
+        copy = pickle.loads(pickle.dumps(ws))
+        got = recorded(W.gauge_table, copy, [1.0, 8.0], 100)
+        assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+
+    def test_non_finite_grid_rejected(self):
+        for lams in ([1.0, math.inf], [math.nan], -math.inf):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                W.gauge_table(W.gevrey(1.0, 64), lams, 4)
+
+    def test_threads_compute_each_column_once(self, monkeypatch):
+        columns, kernel = [], W._gauge_values
+
+        def counting(ws, t, *args):
+            columns.append(t.shape[1])
+            return kernel(ws, t, *args)
+
+        def read(ws, start, k):
+            start.wait()
+            return W.gauge_table(ws, grid, k)
+
+        monkeypatch.setattr(W, "_gauge_values", counting)
+        grid, k_maxes = [0.5, 2.0], [5, 400, 17, 250, 63, 399, 1, 128]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(k_maxes)) as pool:
+                for _ in range(10):  # rounds on a fresh scale, every read starting at once
+                    ws, start = W.gevrey(1.0, 512), threading.Barrier(len(k_maxes), timeout=60)
+                    columns.clear()
+                    futures = [pool.submit(read, ws, start, k) for k in k_maxes]
+                    got = [f.result(timeout=60) for f in futures]
+                    assert sum(columns) == max(k_maxes) + 1  # no two reads computed the same column
+        finally:
+            sys.setswitchinterval(interval)
+        for k_max, g in zip(k_maxes, got):
+            want = W.associated_gauge(ws, np.multiply.outer(grid, np.arange(k_max + 1.0)))
+            assert g.tobytes() == want.tobytes()
 
 
 class TestModifiedAssociated:
