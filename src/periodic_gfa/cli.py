@@ -223,6 +223,10 @@ def cmd_weights(args) -> tuple[int, dict]:
     ts = [float(x) for x in args.t.split(",")] if args.t else []
     if not all(math.isfinite(t) for t in [*ts, args.t_lo, args.t_hi]):
         raise ValueError("--t, --t-lo and --t-hi must be finite")
+    if not (args.t_lo > 0 and args.t_hi > 0):
+        raise ValueError("--t-lo and --t-hi must be positive")
+    if args.t_points < 1:
+        raise ValueError("--t-points must be at least 1")
     grid = np.geomspace(args.t_lo, args.t_hi, args.t_points)
     doubling = weights.check_doubling_inequality(ws, grid)
     report = {

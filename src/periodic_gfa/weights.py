@@ -160,10 +160,12 @@ class WeightSequence:
         return p
 
     @cached_property
-    def _hull_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The slope of each hull edge and its tie tolerance 1e-12 / its length, for _p_star."""
+    def _hull_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slope of each hull edge, its tie tolerance 1e-12 / its length, and the left slope of
+        each hull vertex (-inf at p = 0), for _p_star."""
         length = np.diff(self.hull)
-        return np.diff(self.logM[self.hull]) / length, 1e-12 / length
+        slope = np.diff(self.logM[self.hull]) / length
+        return slope, 1e-12 / length, np.concatenate([[-np.inf], slope])
 
     def _p_star(self, t, logt=None) -> np.ndarray:
         """Last maximiser p of p log t - log M_p, for an array of t >= 0 (logt: its log, where t > 0):
@@ -175,44 +177,64 @@ class WeightSequence:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = self.gevrey_s
         if s is not None:
-            ps = np.floor(np.power(t, 1.0 / s) * (1.0 + 1e-14))
+            ps = np.power(t, 1.0 / s)
+            ps *= 1.0 + 1e-14
+            np.floor(ps, out=ps)
             return ps.astype(np.int64) if np.all(ps < 2.0**63) else ps
         if logt is None:
             logt = np.log(np.where(t > 0, t, 1.0))
-        slope, tol = self._hull_edges
-        i = np.searchsorted(slope, logt + 1e-12, side="right")
+        slope, tol, left = self._hull_edges
+        logt = np.reshape(logt, -1)
+        x = logt + 1e-12
+        # ascending points (a NaN fails the order test), more than the slopes: the merge searches
+        # at most every slope among the points, fewer searches than each point among the slopes
+        if len(x) > len(slope) and np.all(x[1:] >= x[:-1]):
+            i = _merge_counts(slope, x)
+        else:
+            i = np.searchsorted(slope, x, side="right")
         # where an edge taken lies above log t, walk from the maximiser over ties
-        flat, logt = i.reshape(-1), np.reshape(logt, -1)
-        tied = np.flatnonzero((flat > 0) & (slope[np.maximum(flat - 1, 0)] > logt))
-        lt, stop = logt[tied], flat[tied]
-        j = np.searchsorted(slope, lt, side="right")
-        while True:
-            step = j < stop
-            step[step] = slope[j[step]] <= lt[step] + tol[j[step]]
-            if not step.any():
-                break
-            j += step
-        flat[tied] = j
-        return np.where(t > 0, self.hull[i], 0)
+        tied = np.flatnonzero(left[i] > logt)
+        if tied.size:
+            lt, stop = logt[tied], i[tied]
+            j = np.searchsorted(slope, lt, side="right")
+            while True:
+                step = j < stop
+                step[step] = slope[j[step]] <= lt[step] + tol[j[step]]
+                if not step.any():
+                    break
+                j += step
+            i[tied] = j
+        return np.where(t > 0, self.hull[i].reshape(t.shape), 0)
+
+
+def _merge_counts(slope: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """searchsorted(slope, x, "right") for ascending x (at least one point), by one merge: each slope
+    in (x[0], x[-1]] is searched among the points, and the counts are exact integers."""
+    lo, hi = np.searchsorted(slope, x[[0, -1]], side="right")
+    pos = np.searchsorted(x, slope[lo:hi], side="left")
+    return lo + np.cumsum(np.bincount(pos, minlength=len(x) + 1)[:-1])
 
 
 def _gauge_values(ws: WeightSequence, ta: np.ndarray, cap: int | None, warn_label: str):
-    """M at the points ta >= 0 (at least 1-d), and where p* reached cap (None without a cap)."""
+    """M at the points ta >= 0 (at least 1-d), and where p* reached cap (None where it reached it nowhere)."""
     if not np.isfinite(ta).all():
         raise ValueError(f"{warn_label}: t must be finite")
     positive = ta > 0
     logt = np.log(np.where(positive, ta, 1.0))
     ps = ws._p_star(ta, logt)
-    if not np.all(ps < 2.0**63):
+    top = ps.max(initial=0)
+    if not top < 2.0**63:
         raise ValueError(f"t = {ta.max():g} is too large for {ws.label}: its p passes 2^63")
     over = None
-    if cap is not None:
+    if cap is not None and top >= cap:
         over = ps >= cap
-        if over.any():
-            ps = np.minimum(ps, cap)  # the supremum may sit beyond the table; report it truncated
+        np.minimum(ps, cap, out=ps)  # the supremum may sit beyond the table; report it truncated
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = ps * logt - ws.logM_at(ps)
-    return np.where(positive, np.maximum(vals, 0.0), 0.0), over
+        vals = ps * logt
+        vals -= ws.logM[ps] if top <= ws.p_max else ws.logM_at(ps)
+    np.maximum(vals, 0.0, out=vals)
+    vals[~positive] = 0.0
+    return vals, over
 
 
 def _warn_truncated(warn_label: str, cap: int, stacklevel: int):
@@ -439,9 +461,12 @@ def check_doubling_inequality(ws: WeightSequence, t_grid) -> DoublingReport:
     """Verify 2 M(t) <= M(H t) + log A over a grid of evaluation points.
 
     Evaluations use the analytic gauge for preset-backed sequences so
-    that table truncation cannot produce spurious violations.
+    that table truncation cannot produce spurious violations.  A grid of
+    any shape is read flat; an empty grid raises ValueError.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.ravel(np.asarray(t_grid, dtype=float))
+    if t_grid.size == 0:
+        raise ValueError("check_doubling_inequality: the t grid is empty")
     lhs = 2.0 * associated_gauge(ws, t_grid)
     rhs = associated_gauge(ws, ws.H * t_grid)
     excess = lhs - rhs - np.log(ws.A)

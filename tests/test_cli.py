@@ -160,13 +160,19 @@ def test_unknown_descriptor_exits_2(capsys, argv):
         (["classify", "--net", "dirichlet", "--mode", "moderate", "--nmax", "16", "--hgrid", "3e8"], "h is too large"),
         (["classify", "--net", "dirichlet", "--mode", "moderate", "--nmax", "16", "--hgrid", "1e18"], "h is too large"),
         (["weights", "--gevrey", "1", "--t", "1e19"], "t = 1e+19 is too large"),
+        (["weights", "--gevrey", "1", "--t-lo", "0"], "--t-lo and --t-hi must be positive"),
+        (["weights", "--gevrey", "1", "--t-hi", "-5"], "--t-lo and --t-hi must be positive"),
+        (["weights", "--gevrey", "1", "--t-points", "0"], "--t-points must be at least 1"),
+        (["weights", "--gevrey", "1", "--t-points", "-3"], "--t-points must be at least 1"),
     ],
     ids=["exp_decay-nan", "exp_growth-inf", "scaled-inf", "scaled-nan", "t-inf", "t_hi-nan", "gevrey-inf", "weights-nan",
-         "h-past-row-key", "h-past-int64", "t-past-int64"],
+         "h-past-row-key", "h-past-int64", "t-past-int64", "t_lo-zero", "t_hi-negative", "t_points-zero",
+         "t_points-negative"],
 )
 def test_non_finite_descriptor_exits_2(capsys, argv, message):
     # before, most of these printed a report with "nan" entries, or wrong values for the last two, after
-    # a RuntimeWarning and exited 0; --hgrid 3e8 ended in an IndexError traceback
+    # a RuntimeWarning and exited 0; --hgrid 3e8 ended in an IndexError traceback; --t-lo 0 printed
+    # numpy's "Geometric sequence cannot include zero" and --t-points 0 its empty-argmax message
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import pickle
 import sys
@@ -34,6 +35,53 @@ def ratio_p_star(ws, t):
         logt = np.log(np.where(t > 0, t, 1.0))
     ps = np.searchsorted(np.diff(ws.logM), logt + 1e-12, side="right")
     return np.where(t > 0, ps, 0).astype(np.int64)
+
+
+def reference_p_star(self, t, logt=None):
+    """WeightSequence._p_star as it was before the merge search: one binary search per point (the
+    edges' slopes and tolerances computed in place, as _hull_edges then gave them)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    s = self.gevrey_s
+    if s is not None:
+        ps = np.floor(np.power(t, 1.0 / s) * (1.0 + 1e-14))
+        return ps.astype(np.int64) if np.all(ps < 2.0**63) else ps
+    if logt is None:
+        logt = np.log(np.where(t > 0, t, 1.0))
+    length = np.diff(self.hull)
+    slope, tol = np.diff(self.logM[self.hull]) / length, 1e-12 / length
+    i = np.searchsorted(slope, logt + 1e-12, side="right")
+    # where an edge taken lies above log t, walk from the maximiser over ties
+    flat, logt = i.reshape(-1), np.reshape(logt, -1)
+    tied = np.flatnonzero((flat > 0) & (slope[np.maximum(flat - 1, 0)] > logt))
+    lt, stop = logt[tied], flat[tied]
+    j = np.searchsorted(slope, lt, side="right")
+    while True:
+        step = j < stop
+        step[step] = slope[j[step]] <= lt[step] + tol[j[step]]
+        if not step.any():
+            break
+        j += step
+    flat[tied] = j
+    return np.where(t > 0, self.hull[i], 0)
+
+
+def reference_gauge_values(ws, ta, cap, warn_label):
+    """W._gauge_values as it was before its passes were merged, on reference_p_star."""
+    if not np.isfinite(ta).all():
+        raise ValueError(f"{warn_label}: t must be finite")
+    positive = ta > 0
+    logt = np.log(np.where(positive, ta, 1.0))
+    ps = reference_p_star(ws, ta, logt)
+    if not np.all(ps < 2.0**63):
+        raise ValueError(f"t = {ta.max():g} is too large for {ws.label}: its p passes 2^63")
+    over = None
+    if cap is not None:
+        over = ps >= cap
+        if over.any():
+            ps = np.minimum(ps, cap)  # the supremum may sit beyond the table; report it truncated
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = ps * logt - ws.logM_at(ps)
+    return np.where(positive, np.maximum(vals, 0.0), 0.0), over
 
 
 def certify_m2_every_split(logM, declared=None):
@@ -298,6 +346,110 @@ class TestRegularization:
         assert abs(W.associated_function(ws, t) - terms.max()) <= 1e-12
 
 
+@functools.cache
+def kernel_scale(name):
+    """The scales the M(t) kernel is checked on against its reference."""
+    if name.startswith("gevrey:"):
+        return W.gevrey(float(name[7:]), 64)  # points past p = 64 read log M_p in closed form
+    if name == "log_fact":
+        return W.build_weight_sequence({"kind": "table", "logM": gammaln(np.arange(4097) + 1.0)})
+    if name == "dips":  # log m_p dips by half _M1_TOL a step on 2300..3100
+        return test_series.TestIntervals.stretched_scale(math.log(2400), 2300, 800, step=0.5 * W._M1_TOL)
+    if name == "long_edge":  # one hull edge spans 1499..3000
+        return test_series.TestIntervals.stretched_scale(math.log(2400), 1500, 1500)
+    # collinear: log m_p rounded to eighths, so runs of hull edges share one exact slope; and
+    # log M_0 just below 0, so that p* = 0 at t = 0 reads a positive p log t - log M_p there
+    logm = np.round(8.0 * np.log(np.arange(1.0, 2049))) / 8.0
+    return W.WeightSequence(logM=np.append(-(2.0**-44), np.cumsum(logm)), label="collinear")
+
+
+class TestKernel:
+    """The M(t) kernel equals its reference, reference_p_star and reference_gauge_values, byte for
+    byte, whichever search it takes: a merge on ascending points more than the hull's slopes, else
+    one binary search per point."""
+
+    @settings(max_examples=12, deadline=None)
+    @example(seed=1, n=9000, span=(-6.0, 12.0), ties=40, zeros=2, dups=50, order="ascending")  # a merge
+    @example(seed=2, n=9000, span=(-1.0, 9.0), ties=40, zeros=0, dups=50, order="2-d")  # a merge
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([0, 1, 7, 300, 5000, 9000]),
+        span=st.tuples(st.floats(-6.0, 4.0), st.floats(0.0, 12.0)),
+        ties=st.integers(0, 40),
+        zeros=st.integers(0, 3),
+        dups=st.integers(0, 50),
+        order=st.sampled_from(["ascending", "descending", "shuffled", "2-d", "2-d rows"]),
+    )
+    @pytest.mark.parametrize("name", ["gevrey:1", "gevrey:2", "gevrey:0.5", "log_fact", "dips", "long_edge", "collinear"])
+    def test_equals_the_reference(self, name, seed, n, span, ties, zeros, dups, order):
+        ws, rng = kernel_scale(name), np.random.default_rng(seed)
+        log_t = span[0] + span[1] * rng.random(n)  # up to e^16: past every table's cap
+        if ws.p_cap is not None:  # log t on, and within 1e-12 / length of, the slopes of hull edges
+            length = np.diff(ws.hull)
+            slope = np.diff(ws.logM[ws.hull]) / length
+            e = rng.integers(0, len(slope), ties)
+            log_t = np.concatenate([log_t, slope[e] + rng.choice([-1.0, -0.9, -0.5, 0.0, 0.5, 1.0], ties) * 1e-12 / length[e]])
+        t = np.concatenate([np.exp(log_t), np.zeros(zeros)])
+        t = np.concatenate([t, rng.choice(t, dups)]) if len(t) else t
+        t = np.sort(t)
+        if order == "descending":
+            t = t[::-1]
+        elif order == "shuffled":
+            t = rng.permutation(t)
+        elif order == "2-d":  # ascending when read flat
+            t = t[: len(t) // 2 * 2].reshape(2, -1)
+        elif order == "2-d rows":  # each row ascending, as gauge_table's outer(lambdas, k)
+            t = np.sort(t[: len(t) // 2 * 2].reshape(-1, 2).T, axis=1)
+        got, want = ws._p_star(t), reference_p_star(ws, t)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        for fn, cap, label in (
+            (W.associated_gauge, ws.p_cap, "associated_gauge"),
+            (W.associated_function, ws.p_max, "associated_function"),
+        ):
+            vals, over = reference_gauge_values(ws, np.atleast_1d(np.abs(t)), cap, label)
+            warned = [(W.TruncationWarning, f"{label}: maximizing p hit p_max = {cap}; raise p_max")]
+            got = recorded(fn, ws, t)
+            assert got[0].shape == vals.shape and got[0].tobytes() == vals.tobytes()
+            assert got[1] == (warned if over is not None and over.any() else [])
+
+    @pytest.mark.parametrize("name", ["log_fact", "collinear"])
+    def test_merge_runs_on_ascending_points_only(self, monkeypatch, name):
+        ws, calls, merge = kernel_scale(name), [], W._merge_counts
+
+        def spy(slope, x):
+            calls.append(len(x))
+            return merge(slope, x)
+
+        monkeypatch.setattr(W, "_merge_counts", spy)
+        n = 2 * len(ws.hull)  # more points than the hull has slopes
+        t = np.geomspace(1.5, 4000.0, n)
+        with_nan = np.where(np.arange(n) == n // 2, math.nan, t)  # read as log t = 0 there: a dip
+        nan_log = np.append(np.log(t[:-1]), math.nan)  # a NaN log t fails the order test itself
+        for args, merged in (
+            ((t,), True), ((t.reshape(2, -1),), True), ((t[::-1],), False), ((with_nan,), False),
+            ((t, nan_log), False), ((t[: len(ws.hull) - 1],), False),  # no more points than slopes
+        ):
+            calls.clear()
+            got, want = ws._p_star(*args), reference_p_star(ws, *args)
+            assert got.tobytes() == want.tobytes()
+            assert calls == ([args[0].size] if merged else [])
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", W.TruncationWarning)
+            W.check_doubling_inequality(ws, t)  # both of its calls: t and H t, each ascending
+        assert calls == [n, n]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        slope=st.lists(st.integers(-20, 20), min_size=1, max_size=30),
+        x=st.lists(st.integers(-25, 25), min_size=1, max_size=30),
+    )
+    def test_merge_counts_equal_the_binary_search(self, slope, x):
+        slope, x = np.sort(np.asarray(slope, float) / 4.0), np.sort(np.asarray(x, float) / 4.0)
+        got = W._merge_counts(slope, x)
+        assert got.tolist() == np.searchsorted(slope, x, side="right").tolist()
+
+
 def recorded(fn, *args):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
@@ -462,6 +614,20 @@ class TestDoubling:
         rep = W.check_doubling_inequality(ws, [1e-9, 1e-6])
         assert rep.passed and rep.max_excess == 0.0
 
+
+    def test_grid_of_any_shape_is_read_flat(self):
+        ws, flat = W.gevrey(1.0, 64), np.geomspace(1e-2, 1e3, 12)
+        want = W.check_doubling_inequality(ws, flat)
+        for grid in (flat.reshape(3, 4), flat.reshape(2, 3, 2), [flat]):
+            got = W.check_doubling_inequality(ws, grid)
+            assert got.to_json() == want.to_json() and got.table.tobytes() == want.table.tobytes()
+        point = W.check_doubling_inequality(ws, np.float64(10.0))  # a 0-d grid is one point
+        assert point.to_json() == W.check_doubling_inequality(ws, [10.0]).to_json()
+
+    @pytest.mark.parametrize("grid", [[], np.empty((0, 3)), np.empty((2, 0))])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="t grid is empty"):
+            W.check_doubling_inequality(W.gevrey(1.0, 64), grid)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_point_rejected(self, bad):
