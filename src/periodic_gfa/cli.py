@@ -305,13 +305,22 @@ def cmd_product(args) -> tuple[int, dict]:
 
 
 def cmd_apply(args) -> tuple[int, dict]:
+    if args.kwindow < 0:
+        raise ValueError("--kwindow must be at least 0")
     ws = parse_weights(args.weights)
     P = parse_operator(args.op, ws, args.cls)
     dist = parse_distribution(args.dist, ws, args.cls)
     out = operators.apply_operator(P, dist)
     ks = np.arange(-args.kwindow, args.kwindow + 1)
-    applied = out.coefficients(ks)
-    direct = operators.multiplier_values(P, ks) * dist.coefficients(ks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        applied = out.coefficients(ks)
+        direct = operators.multiplier_values(P, ks) * dist.coefficients(ks)
+    lost = ~(np.isfinite(applied) & np.isfinite(direct))
+    if np.any(lost):
+        k = int(np.min(np.abs(ks[lost])))
+        raise ValueError(
+            f"P(k) c_k is not finite in double precision at |k| = {k}; take --kwindow below {k}"
+        )
     residual = float(np.max(np.abs(applied - direct) / (1.0 + np.abs(direct))))
     report = {
         "operator": P.label,
@@ -437,14 +446,19 @@ def cmd_demo(args) -> tuple[int, dict]:
 # parser
 # ---------------------------------------------------------------------------
 
-def _common(p, nmax_default=DEFAULTS.n_max):
+def _common(p, flags=("class", "nmax", "tau", "assert"), nmax_default=DEFAULTS.n_max):
+    """--weights, --out and those of the other shared flags the command reads."""
     p.add_argument("--weights", default="gevrey:1", help="gevrey:<s> or file:<path>")
-    p.add_argument("--class", dest="cls", choices=["beurling", "roumieu"], default="roumieu")
-    p.add_argument("--nmax", type=int, default=nmax_default)
-    p.add_argument("--tau", type=float, default=DEFAULTS.tau)
+    if "class" in flags:
+        p.add_argument("--class", dest="cls", choices=["beurling", "roumieu"], default="roumieu")
+    if "nmax" in flags:
+        p.add_argument("--nmax", type=int, default=nmax_default)
+    if "tau" in flags:
+        p.add_argument("--tau", type=float, default=DEFAULTS.tau)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--assert", dest="assert_", action="store_true",
-                   help="exit 1 when the headline verdict is negative")
+    if "assert" in flags:
+        p.add_argument("--assert", dest="assert_", action="store_true",
+                       help="exit 1 when the headline verdict is negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-hi", type=float, default=1e2)
     p.add_argument("--t-points", type=int, default=25)
     p.add_argument("--csv", type=Path, default=None)
-    _common(p)
+    _common(p, ("assert",))
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("classify", help="moderate/negligible verdict for a net")
@@ -479,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="coefficient rows of an embedded distribution")
     p.add_argument("--dist", required=True)
     p.add_argument("--mollifier", default="dirichlet")
-    _common(p, nmax_default=8)
+    _common(p, ("class", "nmax"), nmax_default=8)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("product", help="product preservation check for two smooth-class inputs")
@@ -493,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, help="poly:c0,c1,... | structure_beurling:<l> | file:<path>")
     p.add_argument("--dist", required=True)
     p.add_argument("--kwindow", type=int, default=8)
-    _common(p)
+    _common(p, ("class", "assert"))
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("factorize", help="operator factorization of a distribution")
@@ -503,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=str, default=None, help="r-sequence descriptor (Roumieu), file:<path>")
     p.add_argument("--k", type=str, default=None, help="k-sequence descriptor (Roumieu), file:<path>")
     p.add_argument("--kmax", type=int, default=200)
-    _common(p)
+    _common(p, ("class", "tau", "assert"))
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("regularity", help="regularity equivalence report for a distribution")

@@ -33,6 +33,7 @@ from .weights import (
     RSequence,
     WeightSequence,
     associated_gauge,
+    linear_rsequence,
     modified_weights,
     relation,
 )
@@ -269,10 +270,7 @@ def eval_ultrapoly(P: Ultrapolynomial, x):
 
 
 def multiplier_values(P: Ultrapolynomial, ks) -> np.ndarray:
-    ks = np.asarray(ks, dtype=float)
-    if P.form == "table":
-        return np.asarray(np.polynomial.polynomial.polyval(ks, P.coef), dtype=complex)
-    return np.asarray(eval_ultrapoly(P, ks), dtype=complex)
+    return np.asarray(eval_ultrapoly(P, np.asarray(ks, dtype=float)), dtype=complex)
 
 
 def _applied_growth_lambda(P: Ultrapolynomial, lam_f: float) -> float:
@@ -438,47 +436,39 @@ def structure_factorize(
     must strictly dominate ws, and g is additionally swept against the
     target gauge over the default grid.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be at least 0, got {k_max}")
     ks = np.arange(-k_max, k_max + 1)
     cvals = c.coefficients(ks)
     logc = log_abs(cvals)
 
+    # each class picks the rate, the pre-check's scale, grid and bound, the
+    # series, and the scale and grid of the space g lands in
     if cls == "beurling":
         lam = 1.0 if lam is None else float(lam)
-        pre = coefficient_verdict(
-            ks, logc, ws, [lam], "forall", -1.0, tau, {"lambda": lam, "mode": "sigma_prime"}
-        )
-        if not pre.bounded:
-            raise GrowthFail(
-                f"coefficients exceed e^{{M({lam:g} k)}} (margin {pre.margin:.2f})"
-            )
-        P = build_ultrapolynomial({"form": "structure_beurling", "lambda": lam}, ws, "beurling")
-        inclass_lam = lam
+        pre_ws, pre_grid, bound = ws, {"lambda": lam, "mode": "sigma_prime"}, f"e^{{M({lam:g} k)}}"
+        spec = {"form": "structure_beurling", "lambda": lam}
+        # the single-factor series even lands g in the base-scale space
+        in_ws, in_grid = ws, {"lambda": lam, "mode": "sigma_plus"}
     elif cls == "roumieu":
-        r_seq = r_seq if r_seq is not None else _default_rseq(k_max)
-        k_seq = k_seq if k_seq is not None else _default_rseq(k_max)
-        pre = coefficient_verdict(
-            ks, logc, modified_weights(ws, r_seq), [1.0], "forall", -1.0, tau,
-            {"r": r_seq.label, "mode": "sigma_prime_r"},
-        )
-        if not pre.bounded:
-            raise GrowthFail(
-                f"coefficients exceed the supplied modified gauge (margin {pre.margin:.2f})"
-            )
-        P = build_ultrapolynomial(
-            {"form": "structure_roumieu", "r": r_seq, "k": k_seq}, ws, "roumieu"
-        )
-        inclass_lam = 1.0
+        lam, default = 1.0, linear_rsequence(max(512, 2 * k_max))
+        r_seq = default if r_seq is None else r_seq
+        k_seq = default if k_seq is None else k_seq
+        pre_ws, pre_grid = modified_weights(ws, r_seq), {"r": r_seq.label, "mode": "sigma_prime_r"}
+        bound = "the supplied modified gauge"
+        spec = {"form": "structure_roumieu", "r": r_seq, "k": k_seq}
+        # the two factors cancel the r-modified growth and leave decay at the k-modified gauge
+        in_ws = modified_weights(ws, k_seq)
+        in_grid = {"k_sequence": k_seq.label, "mode": "sigma_plus_k_modified"}
     else:
         raise ValueError("cls must be 'beurling' or 'roumieu'")
 
-    if target is not None:
-        rel = relation(ws, target, kind="strict")
-        if not rel.bounded:
-            raise RelationFail(
-                f"target {target.label} does not strictly dominate {ws.label}"
-            )
-
-    logP = log_eval_ultrapoly(P, ks)
+    pre = coefficient_verdict(ks, logc, pre_ws, [lam], "forall", -1.0, tau, pre_grid)
+    if not pre.bounded:
+        raise GrowthFail(f"coefficients exceed {bound} (margin {pre.margin:.2f})")
+    P = build_ultrapolynomial(spec, ws, cls)
+    if target is not None and not relation(ws, target, kind="strict").bounded:
+        raise RelationFail(f"target {target.label} does not strictly dominate {ws.label}")
 
     def g_oracle(kk, _c=c, _P=P):
         kk = np.asarray(kk)
@@ -492,23 +482,13 @@ def structure_factorize(
         label=f"({c.label})/P",
     )
 
-    gvals = g.coefficients(ks)
-    recon = _times_exp(gvals, logP)
+    # one log P(k) table: the reconstruction multiplies back g's oracle values on ks
+    logP = log_eval_ultrapoly(P, ks)
+    recon = _times_exp(_times_exp(cvals, -logP), logP)
     residual = float(np.max(np.abs(recon - cvals) / (1.0 + np.abs(cvals))))
 
     logg = logc - logP
-    if cls == "beurling":
-        # the single-factor series even lands g in the base-scale space
-        inclass_ws = ws
-        inclass_grid = {"lambda": inclass_lam, "mode": "sigma_plus"}
-    else:
-        # the two factors cancel the r-modified growth and leave decay
-        # at the k-modified gauge
-        inclass_ws = modified_weights(ws, k_seq)
-        inclass_grid = {"k_sequence": k_seq.label, "mode": "sigma_plus_k_modified"}
-    g_inclass = coefficient_verdict(
-        ks, logg, inclass_ws, [inclass_lam], "forall", 1.0, tau, inclass_grid
-    )
+    g_inclass = coefficient_verdict(ks, logg, in_ws, [lam], "forall", 1.0, tau, in_grid)
     g_target = None
     if target is not None:
         g_target = coefficient_verdict(
@@ -516,7 +496,7 @@ def structure_factorize(
             {"mu_grid": list(DEFAULTS.lambda_grid), "target": target.label},
         )
 
-    lb = lower_bound_check(P, ws, lam=inclass_lam, tau=tau)
+    lb = lower_bound_check(P, ws, lam=lam, tau=tau)
     return StructureFactorization(
         P=P,
         g=g,
@@ -525,9 +505,3 @@ def structure_factorize(
         g_target=g_target,
         lower_bound=lb,
     )
-
-
-def _default_rseq(k_max: int) -> RSequence:
-    from .weights import linear_rsequence
-
-    return linear_rsequence(max(512, 2 * k_max))

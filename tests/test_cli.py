@@ -507,3 +507,73 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert target.read_text() == out
+
+
+def test_apply_past_double_range_exits_2(capsys):
+    # log P(k) passes 706 from |k| = 177, so P(k) reads inf there; before, inf * (x + 0j) put a NaN
+    # in the residual, three RuntimeWarnings went to stderr, and --assert passed on "nan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["apply", "--op", "structure_beurling:1", "--dist", "delta",
+                         "--kwindow", "200", "--assert"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: P(k) c_k is not finite") and captured.err.count("\n") == 1
+    assert "|k| = 177;" in captured.err
+    code, rep = run(capsys, ["apply", "--op", "structure_beurling:1", "--dist", "delta",
+                             "--kwindow", "176", "--assert"])
+    assert code == 0 and rep["multiplier_residual"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["factorize", "--dist", "cot_reg", "--kmax", "-3"], "k_max must be at least 0"),
+        (["factorize", "--dist", "delta", "--class", "beurling", "--kmax", "-1"], "k_max must be at least 0"),
+        (["apply", "--op", "poly:0,0,1", "--dist", "delta", "--kwindow", "-1"], "--kwindow must be at least 0"),
+    ],
+    ids=["kmax-roumieu", "kmax-beurling", "kwindow"],
+)
+def test_negative_window_exits_2(capsys, argv, message):
+    # before, numpy's "zero-size array to reduction operation maximum which has no identity"
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["factorize", "--dist", "cot_reg", "--kmax", "0"], "reconstruction_residual"),
+        (["apply", "--op", "poly:0,0,1", "--dist", "delta", "--kwindow", "0"], "multiplier_residual"),
+    ],
+    ids=["kmax", "kwindow"],
+)
+def test_zero_window_reports(capsys, argv, key):
+    code, rep = run(capsys, argv)
+    assert code == 0 and rep[key] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["weights", "--gevrey", "1"], ["--class", "beurling"]),
+        (["weights", "--gevrey", "1"], ["--nmax", "16"]),
+        (["weights", "--gevrey", "1"], ["--tau", "1"]),
+        (["embed", "--dist", "delta"], ["--tau", "1"]),
+        (["embed", "--dist", "delta"], ["--assert"]),
+        (["apply", "--op", "poly:0,0,1", "--dist", "delta"], ["--nmax", "16"]),
+        (["apply", "--op", "poly:0,0,1", "--dist", "delta"], ["--tau", "1"]),
+        (["factorize", "--dist", "cot_reg"], ["--nmax", "16"]),
+    ],
+    ids=["weights-class", "weights-nmax", "weights-tau", "embed-tau", "embed-assert", "apply-nmax",
+         "apply-tau", "factorize-nmax"],
+)
+def test_flag_the_command_does_not_read_exits_2(capsys, argv, flag):
+    # each of these was parsed and then ignored, so e.g. `pgfa embed --assert` exited 0 whatever it computed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + flag)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err

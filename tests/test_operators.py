@@ -285,3 +285,41 @@ class TestFactorize:
         assert fact.P.form == "structure_roumieu"
         assert fact.g_inclass.bounded
         assert fact.lower_bound.passed
+
+    @pytest.mark.parametrize("cls, calls", [("beurling", 2), ("roumieu", 4)])
+    def test_one_log_table_per_factorization(self, ws_p1, monkeypatch, cls, calls):
+        # one even-series sum per factor for log P on ks and one for the lower bound's grid;
+        # the reconstruction reads the same log P table and does not call g's oracle
+        seen = []
+        real = O._log_even_series
+
+        def spy(*args):
+            seen.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(O, "_log_even_series", spy)
+        c = S.delta() if cls == "beurling" else S.cot_reg()
+        fact = O.structure_factorize(c, ws_p1, cls, k_max=128)
+        assert fact.reconstruction_residual <= 1e-12 and fact.g_inclass.bounded
+        assert len(seen) == calls and seen.count(257) == calls // 2
+
+    @pytest.mark.parametrize(
+        "dist, cls, k_max",
+        [("exp_growth", "beurling", 200), ("cot_reg", "roumieu", 128)],
+    )
+    def test_g_oracle_divides_by_log_p(self, ws_p1, dist, cls, k_max):
+        # the residual no longer reads g's oracle, so check the oracle here: c e^{-log P}, to the byte
+        c = S.exp_growth(0.5, ws_p1, cls) if dist == "exp_growth" else S.cot_reg()
+        fact = O.structure_factorize(c, ws_p1, cls, k_max=k_max)
+        ks = np.arange(-k_max, k_max + 1)
+        logP = O.log_eval_ultrapoly(fact.P, ks)
+        want = O._times_exp(c.coefficients(ks), -logP)
+        assert fact.g.coefficients(ks).tobytes() == want.tobytes()
+        assert dist != "exp_growth" or logP.max() > 745
+
+    @pytest.mark.parametrize("cls", ["beurling", "roumieu"])
+    def test_window_bounds(self, ws_p1, cls):
+        with pytest.raises(ValueError, match="k_max must be at least 0"):
+            O.structure_factorize(S.delta(), ws_p1, cls, k_max=-1)
+        fact = O.structure_factorize(S.delta(), ws_p1, cls, k_max=0)
+        assert fact.reconstruction_residual == 0.0 and fact.g_inclass.bounded
