@@ -215,11 +215,10 @@ def _coef_rows(poly: series.TrigPoly) -> list[dict]:
 
 def cmd_weights(args) -> tuple[int, dict]:
     if args.gevrey is not None:
-        ws = weights.gevrey(args.gevrey, args.pmax or 2048)
-    elif args.table is not None:
-        ws = parse_weights(f"file:{args.table}", args.pmax)
+        desc = f"gevrey:{args.gevrey!r}"
     else:
-        ws = parse_weights(args.weights, args.pmax)
+        desc = args.weights if args.table is None else f"file:{args.table}"
+    ws = parse_weights(desc, args.pmax)
     ts = [float(x) for x in args.t.split(",")] if args.t else []
     if not all(math.isfinite(t) for t in [*ts, args.t_lo, args.t_hi]):
         raise ValueError("--t, --t-lo and --t-hi must be finite")
@@ -379,24 +378,14 @@ def cmd_demo(args) -> tuple[int, dict]:
     sin_d = parse_distribution("sin", ws, cls)
     cos_d = parse_distribution("cos", ws, cls)
     iota_delta = embedding.embed(series.delta(cls), mol, n_max)
-    u = algebra.make_net(
-        algebra.net_mul(embedding.embed(sin_d, mol, n_max), iota_delta).at,
-        n_max, label="iota(sin)*iota(delta)",
-    )
-    v = algebra.make_net(
-        algebra.net_mul(u, embedding.embed(series.cot_reg(cls), mol, n_max)).at,
-        n_max, label="u*iota(cot_reg)",
-    )
-    w = algebra.make_net(
-        algebra.net_mul(embedding.embed(cos_d, mol, n_max), iota_delta).at,
-        n_max, label="iota(cos)*iota(delta)",
-    )
+    u = algebra.net_mul(embedding.embed(sin_d, mol, n_max), iota_delta, "iota(sin)*iota(delta)")
+    v = algebra.net_mul(u, embedding.embed(series.cot_reg(cls), mol, n_max), "u*iota(cot_reg)")
+    w = algebra.net_mul(embedding.embed(cos_d, mol, n_max), iota_delta, "iota(cos)*iota(delta)")
 
     sups = u.derivative_rows().sup_norm_argmax(np.arange(n_max + 1))[0].tolist()
     u_neg = algebra.classify_negligible(u, ws, cls, tau=args.tau)
-    vw_neg = algebra.classify_negligible(algebra.make_net((v - w).at, n_max, "v-w"), ws, cls, tau=args.tau)
-    w_delta_net = algebra.make_net((w - iota_delta).at, n_max, "w-iota(delta)")
-    w_delta_neg = algebra.classify_negligible(w_delta_net, ws, cls, tau=args.tau)
+    vw_neg = algebra.classify_negligible(v - w, ws, cls, tau=args.tau)
+    w_delta_neg = algebra.classify_negligible(w - iota_delta, ws, cls, tau=args.tau)
     # the distribution-side product cos*delta has the Cauchy-convolved
     # coefficients (c_hat * delta_hat)(m), identically 1/(2 pi); embedding it
     # recovers iota(delta) exactly, in contrast with the algebra product w

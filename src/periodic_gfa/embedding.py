@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .algebra import Net, classify_negligible, constant_net, make_net, net_mul
+from .algebra import Net, classify_negligible, constant_net, make_net
 from .series import (
     TWO_PI,
     CoefDistribution,
@@ -36,7 +36,7 @@ from .series import (
     truncate_distribution,
 )
 from .verdict import DEFAULTS, GrowthVerdict, json_float
-from .weights import WeightSequence, associated_gauge
+from .weights import WeightSequence, gauge_table
 
 
 class MollifierFail(ValueError):
@@ -232,7 +232,11 @@ def modulate(f, k: int):
 
 @dataclass(frozen=True)
 class ProductPreservationReport:
-    """sigma(f g) versus iota(f) iota(g), with the coefficient residual bound."""
+    """sigma(f g) versus iota(f) iota(g), with the coefficient residual bound.
+
+    diff_sup_by_n holds, per n, the largest coefficient magnitude of the
+    residual sigma(fg)_n - (iota(f) iota(g))_n, not its sup norm.
+    """
 
     verdict: GrowthVerdict
     residual_bound: dict[str, Any]
@@ -277,9 +281,8 @@ def check_product_preservation(
     fpoly, ftail = truncate_distribution(f, k_max=k_max)
     gpoly, gtail = truncate_distribution(g, k_max=k_max)
     fg = multiply(fpoly, gpoly).trimmed()
-    sigma_net = constant_net(fg, n_max, label="sigma(fg)")
-    diff = (sigma_net - net_mul(f_net, g_net)).map(lambda p: p.trimmed(), "sigma(fg)-iota(f)iota(g)")
-    diff = make_net(diff.gen, n_max, label=diff.label)
+    diff = make_net(lambda n: (fg - multiply(f_net.at(n), g_net.at(n))).trimmed(), n_max,
+                    "sigma(fg)-iota(f)iota(g)")
     verdict = classify_negligible(diff, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau)
 
     sups = [float(np.max(np.abs(diff.at(n).coef))) for n in range(n_max + 1)]
@@ -293,26 +296,19 @@ def check_product_preservation(
     lams = sorted(DEFAULTS.lambda_grid)
     scan = coefficient_verdict(ks, log_abs(fg.coef), ws, lams, "exists", 1.0, tau, None)
     lam = next((lam for lam, mg in zip(lams, scan.details["margins"][0]) if mg <= tau), None)
-    if lam is None:
-        best = {"lambda": None, "K": math.inf, "C_fit": math.inf,
-                "reference": math.inf, "ratio": math.inf}
-    else:
+    best = {"lambda": lam, "K": math.inf, "C_fit": math.inf, "reference": math.inf, "ratio": math.inf}
+    if lam is not None:
+        gauge = gauge_table(ws, lam * m.r, n_max)  # M(lambda r n), n = 0..n_max
         fit = -np.inf
         for n in range(1, n_max + 1):
-            resid = fg_mag * np.abs(1.0 - TWO_PI * m.coefficients(ks, n))
-            top = float(np.max(resid))
+            top = float(np.max(fg_mag * np.abs(1.0 - TWO_PI * m.coefficients(ks, n))))
             if top > 0:
-                fit = max(fit, math.log(top) + float(associated_gauge(ws, lam * m.r * n)))
+                fit = max(fit, math.log(top) + float(gauge[n]))
         K = math.exp(log_coef_seminorm(fg, ws, lam, sign="plus"))
         reference = (1.0 + TWO_PI * m.C_bound) * K
         c_fit = math.exp(fit) if np.isfinite(fit) else 0.0
-        best = {
-            "lambda": lam,
-            "K": K,
-            "C_fit": c_fit,
-            "reference": reference,
-            "ratio": c_fit / reference if reference > 0 else math.inf,
-        }
+        best.update(K=K, C_fit=c_fit, reference=reference,
+                    ratio=c_fit / reference if reference > 0 else math.inf)
     best["truncation_tails"] = [ftail, gtail]
     return ProductPreservationReport(
         verdict=verdict,
@@ -326,13 +322,14 @@ def check_operator_commutes(P, f: CoefDistribution, m: Mollifier, n_max: int = 1
     """Coefficient-wise identity P(k) (2 pi f_hat c_{k,n}) = 2 pi (P(k) f_hat) c_{k,n}."""
     from .operators import apply_operator, multiplier_values
 
+    applied = apply_operator(P, f)
     worst = 0.0
     for n in range(n_max + 1):
         deg = m.degree(n)
         ks = np.arange(-deg, deg + 1)
         pk = multiplier_values(P, ks)
         lhs = pk * (TWO_PI * f.coefficients(ks) * m.coefficients(ks, n))
-        rhs = TWO_PI * apply_operator(P, f).coefficients(ks) * m.coefficients(ks, n)
+        rhs = TWO_PI * applied.coefficients(ks) * m.coefficients(ks, n)
         denom = 1.0 + np.abs(rhs)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / denom)))
     return {"passed": worst <= 1e-12, "max_residual": worst, "n_max": n_max}

@@ -149,7 +149,7 @@ def build_ultrapolynomial(spec, ws: WeightSequence, cls: str = "beurling") -> Ul
     )
 
 
-def _certify_roumieu_product(ws: WeightSequence, r: RSequence, k: RSequence, tau: float = DEFAULTS.tau):
+def _certify_roumieu_product(ws: WeightSequence, r: RSequence, k: RSequence):
     """Desk certification |c_n| <= C_L L^n / M_n for the two-factor product.
 
     Product coefficients are assembled in log scale from the factors'
@@ -157,7 +157,8 @@ def _certify_roumieu_product(ws: WeightSequence, r: RSequence, k: RSequence, tau
     p ~ 4H/L before the growing r, k products win, so the probe range is
     doubled until the head/tail rule can see past that bump (capped by
     the supplied sequence tables).  Each doubling adds only the new
-    coefficients: c_p depends on the terms up to p alone.
+    coefficients: c_p depends on the terms up to p alone.  Profiles are
+    judged at the default tau.
     """
     probe_cap = min(r.j_max, k.j_max)
     n_probe = 64
@@ -176,7 +177,7 @@ def _certify_roumieu_product(ws: WeightSequence, r: RSequence, k: RSequence, tau
         last_fail = None
         for L in _L_GRID:
             prof = logc + logMn - n * math.log(L)
-            ok, margin, _, _ = bounded_test(prof, tau)
+            ok, margin, _, _ = bounded_test(prof, DEFAULTS.tau)
             if not ok:
                 last_fail = (L, margin)
                 break
@@ -238,10 +239,19 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
 
 
 def _times_exp(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """z e^{logs}; where e^{|logs|} leaves double range, as e^{log|z| + logs} times the phase of z."""
+    """z e^{logs}; where e^{|logs|} leaves double range, as e^{log|z| + logs} times the phase of z.
+
+    There a part of the product that overflows is +-inf, and a part whose phase factor is 0 is 0
+    (not inf * 0); no RuntimeWarning is raised.
+    """
     far = np.abs(logs) > _LOG_HUGE
     out = z * np.exp(np.where(far, 0.0, logs))
-    out[far] = np.exp(log_abs(z[far]) + logs[far]) * np.exp(1j * np.angle(z[far]))
+    phase = np.exp(1j * np.angle(z[far]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.exp(log_abs(z[far]) + logs[far]) * phase
+    prod.real[phase.real == 0] = 0.0
+    prod.imag[phase.imag == 0] = 0.0
+    out[far] = prod
     return out
 
 
@@ -273,6 +283,13 @@ def multiplier_values(P: Ultrapolynomial, ks) -> np.ndarray:
     return np.asarray(eval_ultrapoly(P, np.asarray(ks, dtype=float)), dtype=complex)
 
 
+def _times_multiplier(P: Ultrapolynomial, ks, c) -> np.ndarray:
+    """P(k) c_k; a closed-form P acts in log scale, so the product stays finite where P(k) overflows."""
+    if P.form == "table":
+        return multiplier_values(P, ks) * c
+    return _times_exp(np.asarray(c, dtype=complex), log_eval_ultrapoly(P, ks))
+
+
 def _applied_growth_lambda(P: Ultrapolynomial, lam_f: float) -> float:
     """Conservative growth rate of P(k) c_k from |P(x)| <= C e^{M(2 L x)}."""
     H = P.ws.H
@@ -286,12 +303,10 @@ def _applied_growth_lambda(P: Ultrapolynomial, lam_f: float) -> float:
 def apply_operator(P: Ultrapolynomial, f):
     """The multiplier action c_k -> P(k) c_k on a TrigPoly, distribution, or Net."""
     if isinstance(f, TrigPoly):
-        ks = f.support()
-        return TrigPoly(multiplier_values(P, ks) * f.coef, f.degree)
+        return TrigPoly(_times_multiplier(P, f.support(), f.coef), f.degree)
     if isinstance(f, CoefDistribution):
         return CoefDistribution(
-            oracle=lambda ks, _o=f.oracle: multiplier_values(P, np.asarray(ks))
-            * np.asarray(_o(ks)),
+            oracle=lambda ks, _o=f.oracle: _times_multiplier(P, np.asarray(ks), _o(ks)),
             tag=f.tag,
             cls=f.cls,
             growth_lambda=_applied_growth_lambda(P, f.growth_lambda),

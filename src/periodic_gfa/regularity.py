@@ -197,27 +197,21 @@ def check_embedding_residual(
     profiles = gauge_profiles(np.arange(n_max + 1), sups, ws, lams, 1.0)
     # exists lambda: the decisive rate is the one with the smallest margin
     v = decide([profiles], "forall", "exists", tau, None, "residual")
-    per_lambda = dict(zip(lam_grid, v.details["margins"][0]))
-    if not v.bounded:
-        return ResidualBoundReport(
-            passed=False,
-            best_lambda=None,
-            margin=v.margin,
-            fitted_constant=math.inf,
-            reference_constant=math.inf,
-            per_lambda=per_lambda,
-        )
-    j = v.details["decisive_inner"]
-    best = lam_grid[j]
-    finite = profiles[j][np.isfinite(profiles[j])]
-    logK = log_coef_seminorm(f, ws, best, sign="minus", k_max=k_max)
+    best, fitted, reference = None, math.inf, math.inf
+    if v.bounded:
+        j = v.details["decisive_inner"]
+        best = lam_grid[j]
+        finite = profiles[j][np.isfinite(profiles[j])]
+        fitted = math.exp(float(np.max(finite))) if finite.size else 0.0
+        logK = log_coef_seminorm(f, ws, best, sign="minus", k_max=k_max)
+        reference = ws.A * (1.0 + 2.0 * math.pi * m.C_bound) * math.exp(logK)
     return ResidualBoundReport(
-        passed=True,
+        passed=v.bounded,
         best_lambda=best,
         margin=v.margin,
-        fitted_constant=math.exp(float(np.max(finite))) if finite.size else 0.0,
-        reference_constant=ws.A * (1.0 + 2.0 * math.pi * m.C_bound) * math.exp(logK),
-        per_lambda=per_lambda,
+        fitted_constant=fitted,
+        reference_constant=reference,
+        per_lambda=dict(zip(lam_grid, v.details["margins"][0])),
     )
 
 
@@ -268,24 +262,18 @@ def check_regularity_equivalence(
     decay = coefficient_decay_class(f, ws, cls, mu_grid=lam_grid, k_max=k_max, tau=tau)
     reg = replace(reg, coefficient_decay=decay)
 
-    h_star = reg.witness.get("h", 1.0)
-    lam_star = reg.witness.get("lambda", 1.0)
-    l_star = 1.0
-    envelope = []
+    # the envelope's terms at k = 4, 8, 16, 32 (rows) and n = 1..n_max (columns), with l = 1
+    ks = np.array([4.0, 8.0, 16.0, 32.0])
     ns = np.arange(1, n_max + 1, dtype=float)
-    for k in (4, 8, 16, 32):
-        term1 = np.asarray(associated_gauge(ws, lam_star * ns)) - float(
-            associated_gauge(ws, h_star * k)
-        )
-        term2 = float(associated_gauge(ws, ws.H * l_star * k)) - np.asarray(
-            associated_gauge(ws, l_star * ns)
-        )
-        env = float(np.min(np.logaddexp(term1, term2)))
-        fk = abs(complex(f.coefficients(np.array([k]))[0]))
-        envelope.append(
-            {"k": float(k), "log_envelope": env,
-             "log_coef": math.log(fk) if fk > 0 else float("-inf")}
-        )
+    h_star, lam_star, l_star = reg.witness.get("h", 1.0), reg.witness.get("lambda", 1.0), 1.0
+    M_lam_n, M_h_k, M_Hl_k, M_l_n = (np.asarray(associated_gauge(ws, t))
+                                     for t in (lam_star * ns, h_star * ks, ws.H * l_star * ks, l_star * ns))
+    envs = np.min(np.logaddexp(M_lam_n - M_h_k[:, None], M_Hl_k[:, None] - M_l_n), axis=1)
+    fks = [abs(complex(c)) for c in f.coefficients(ks.astype(int))]
+    envelope = [
+        {"k": k, "log_envelope": float(env), "log_coef": math.log(fk) if fk > 0 else float("-inf")}
+        for k, env, fk in zip(ks.tolist(), envs, fks)
+    ]
     return RegularityEquivalenceReport(
         consistent=reg.regular == decay.bounded,
         regular=reg,

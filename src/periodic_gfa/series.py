@@ -720,12 +720,10 @@ def from_trigpoly(f: TrigPoly, cls: str = "roumieu", label: str = "table") -> Co
     )
 
 
-def truncate_distribution(
-    dist: CoefDistribution, k_max: int = DEFAULTS.k_max, floor_rel: float = 1e-16
-):
+def truncate_distribution(dist: CoefDistribution, k_max: int = DEFAULTS.k_max):
     """Degree-limited TrigPoly view of an oracle with a recorded tail estimate.
 
-    Coefficients below floor_rel of the peak are dropped (they cannot
+    Coefficients below 1e-16 of the peak are dropped (they cannot
     affect double-precision norms); the tail estimate extrapolates the
     boundary decay geometrically when it is decaying, else reports the
     boundary magnitude.
@@ -736,7 +734,7 @@ def truncate_distribution(
     peak = float(np.max(mags)) if len(mags) else 0.0
     if peak == 0.0:
         return TrigPoly.zero(), 0.0
-    keep = mags >= floor_rel * peak
+    keep = mags >= 1e-16 * peak
     if not np.any(keep):
         return TrigPoly.zero(), 0.0
     idx = np.nonzero(keep)[0]

@@ -46,6 +46,23 @@ class TestWeightsCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("argv,desc", [
+        (["--gevrey", "1.5", "--pmax", "100"], "gevrey:1.5"),
+        (["--table", "t.json"], "file:t.json"),
+        (["--weights", "gevrey:2"], "gevrey:2"),
+    ])
+    def test_every_scale_through_parse_weights(self, capsys, monkeypatch, argv, desc):
+        seen = []
+
+        def spy(d, p_max=None):
+            seen.append((d, p_max))
+            return weights.gevrey(1.0, 64)
+
+        monkeypatch.setattr(cli, "parse_weights", spy)
+        assert cli.main(["weights", *argv]) == 0
+        capsys.readouterr()
+        assert seen == [(desc, 100 if "--pmax" in argv else None)]
+
     def test_csv_output(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
         code, _ = run(capsys, ["weights", "--gevrey", "1", "--csv", str(target)])
@@ -408,6 +425,19 @@ class TestDemoCommand:
         assert not rep["w_minus_iota_delta_negligible"]["bounded"]
         assert rep["iota_of_cos_delta_vs_iota_delta_max_gap"] == 0.0
         assert rep["chain_conclusion"]["chain_breaks_in_algebra"]
+
+    def test_builds_its_nets_without_rewrapping(self, capsys, monkeypatch):
+        wrapped = []
+        inner = algebra.make_net
+
+        def counting(gen, n_max, label="net"):
+            wrapped.append(label)
+            return inner(gen, n_max, label)
+
+        monkeypatch.setattr(algebra, "make_net", counting)
+        assert cli.main(["demo", "--nmax", "16"]) == 0
+        capsys.readouterr()
+        assert wrapped == []
 
     def test_csv_lists_the_reported_sups(self, capsys, tmp_path):
         target = tmp_path / "sups.csv"

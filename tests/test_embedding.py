@@ -8,6 +8,7 @@ from periodic_gfa import embedding as E
 from periodic_gfa import operators as O
 from periodic_gfa import series as S
 from periodic_gfa import weights as W
+from periodic_gfa.verdict import DEFAULTS
 
 TWO_PI = 2 * math.pi
 NMAX = 32
@@ -161,6 +162,56 @@ class TestProductPreservation:
         zero = S.from_trigpoly(S.TrigPoly.zero(), label="0")
         rep = E.check_product_preservation(zero, zero, mol, ws_p1, "roumieu", n_max=16)
         assert rep.verdict.bounded
+
+
+def residual_bound_per_n(f, g, m, ws, lam, n_max, k_max=DEFAULTS.k_max):
+    """residual_bound at rate lam, with one associated_gauge call per n (the reference)."""
+    fpoly, ftail = S.truncate_distribution(f, k_max=k_max)
+    gpoly, gtail = S.truncate_distribution(g, k_max=k_max)
+    fg = S.multiply(fpoly, gpoly).trimmed()
+    ks, fg_mag = fg.support(), np.abs(fg.coef)
+    fit = -np.inf
+    for n in range(1, n_max + 1):
+        top = float(np.max(fg_mag * np.abs(1.0 - TWO_PI * m.coefficients(ks, n))))
+        if top > 0:
+            fit = max(fit, math.log(top) + float(W.associated_gauge(ws, lam * m.r * n)))
+    K = math.exp(S.log_coef_seminorm(fg, ws, lam, sign="plus"))
+    reference = (1.0 + TWO_PI * m.C_bound) * K
+    c_fit = math.exp(fit) if np.isfinite(fit) else 0.0
+    return {"lambda": lam, "K": K, "C_fit": c_fit, "reference": reference,
+            "ratio": c_fit / reference if reference > 0 else math.inf, "truncation_tails": [ftail, gtail]}
+
+
+class TestProductResidual:
+    @pytest.mark.parametrize("mollifier", ["dirichlet", "cutoff"])
+    def test_fit_equals_the_per_n_reference(self, ws_p1, mollifier):
+        params = {"r": 0.5, "R": 2.0} if mollifier == "cutoff" else {}
+        m = E.build_mollifier(mollifier, **params)
+        f, g = S.exp_decay(1.0), S.exp_decay(2.0)
+        rep = E.check_product_preservation(f, g, m, ws_p1, "roumieu", n_max=NMAX)
+        lam = rep.residual_bound["lambda"]
+        assert lam is not None
+        # repr shows every bit of every float
+        assert repr(rep.residual_bound) == repr(residual_bound_per_n(f, g, m, ws_p1, lam, NMAX))
+
+    def test_builds_three_nets(self, ws_p1, mol, monkeypatch):
+        built = []
+        init = A.Net.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("label"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(A.Net, "__init__", spy)
+        E.check_product_preservation(S.exp_decay(1.0), S.exp_decay(1.0), mol, ws_p1, "roumieu", n_max=16)
+        assert built == ["iota(exp_decay:1)", "iota(exp_decay:1)", "sigma(fg)-iota(f)iota(g)"]
+
+    def test_no_bounded_rate_reads_inf(self, ws_p1, mol):
+        f = S.exp_decay(0.05)
+        rep = E.check_product_preservation(f, f, mol, ws_p1, "roumieu", n_max=16)
+        bound = rep.to_json()["residual_bound"]
+        assert bound["lambda"] is None
+        assert [bound[key] for key in ("K", "C_fit", "reference", "ratio")] == ["inf"] * 4
 
 
 class TestOperatorCommutes:

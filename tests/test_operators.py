@@ -151,6 +151,21 @@ class TestApply:
                 want = pk * d.coefficients(ks)
                 assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
 
+    def test_closed_form_products_in_log_scale(self):
+        # log P(k) passes 706 from |k| = 177, where P(k) reads inf; P(k) c_k is finite through
+        # |k| = 178, and past it inf in the real part and 0 in the imaginary one (the phase of delta)
+        ws = W.gevrey(1.0, 2048)
+        P = O.build_ultrapolynomial({"form": "structure_beurling", "lambda": 1.0}, ws, "beurling")
+        ks = np.arange(-400, 401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = O.apply_operator(P, S.delta()).coefficients(ks)
+        near, fits = np.abs(ks) <= 176, np.abs(ks) <= 178
+        want = O.multiplier_values(P, ks[near]) * S.delta().coefficients(ks[near])
+        assert got[near].tobytes() == want.tobytes()
+        assert np.isfinite(got[fits]).all()
+        assert np.all(got.real[~fits] == np.inf) and np.all(got.imag == 0.0)
+
     def test_class_closure_polynomial(self, ws_p1):
         P = O.build_ultrapolynomial([1, 0, 1], ws_p1, "roumieu")
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)

@@ -141,6 +141,45 @@ class TestEquivalence:
         assert all("log_envelope" in row for row in rep.envelope)
 
 
+def envelope_per_k(f, ws, reg, n_max):
+    """The envelope rows by one pass per k, four associated_gauge calls each (the reference)."""
+    h_star = reg.witness.get("h", 1.0)
+    lam_star = reg.witness.get("lambda", 1.0)
+    l_star = 1.0
+    ns = np.arange(1, n_max + 1, dtype=float)
+    rows = []
+    for k in (4, 8, 16, 32):
+        term1 = np.asarray(W.associated_gauge(ws, lam_star * ns)) - float(W.associated_gauge(ws, h_star * k))
+        term2 = float(W.associated_gauge(ws, ws.H * l_star * k)) - np.asarray(
+            W.associated_gauge(ws, l_star * ns)
+        )
+        env = float(np.min(np.logaddexp(term1, term2)))
+        fk = abs(complex(f.coefficients(np.array([k]))[0]))
+        rows.append({"k": float(k), "log_envelope": env,
+                     "log_coef": math.log(fk) if fk > 0 else float("-inf")})
+    return rows
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("dist,cls", [("exp_decay", "roumieu"), ("delta", "beurling")])
+    def test_rows_equal_the_per_k_reference(self, ws_p1, mol, dist, cls):
+        f = S.exp_decay(1.0, cls) if dist == "exp_decay" else S.delta(cls)
+        rep = R.check_regularity_equivalence(f, mol, ws_p1, cls, n_max=16)
+        # repr shows every bit of every float
+        assert repr(rep.envelope) == repr(envelope_per_k(f, ws_p1, rep.regular, 16))
+
+    def test_four_gauge_calls_per_check(self, ws_p1, mol, monkeypatch):
+        calls = []
+
+        def spy(ws, t):
+            calls.append(np.shape(t))
+            return W.associated_gauge(ws, t)
+
+        monkeypatch.setattr(R, "associated_gauge", spy)
+        R.check_regularity_equivalence(S.exp_decay(1.0), mol, ws_p1, "roumieu", n_max=16)
+        assert sorted(calls) == [(4,), (4,), (16,), (16,)]
+
+
 class TestInclusions:
     def test_const_embed_outputs_regular(self, ws_p1):
         for f in (S.exp_decay(1.0), S.from_trigpoly(S.TrigPoly.sine(), label="sin")):
