@@ -148,13 +148,13 @@ def _parse_net_atom(desc: str, ws, cls: str, n_max: int) -> algebra.Net:
 
 
 def parse_net(desc: str, ws, cls: str, n_max: int) -> algebra.Net:
-    """Net descriptors; factors joined by '*' multiply index-wise."""
-    atoms = [a for a in desc.split("*") if a]
-    nets = [_parse_net_atom(a, ws, cls, n_max) for a in atoms]
+    """Net descriptors; factors joined by '*' multiply index-wise.  The net is labelled desc."""
+    nets = [_parse_net_atom(a, ws, cls, n_max) for a in desc.split("*") if a]
     net = nets[0]
     for other in nets[1:]:
         net = algebra.net_mul(net, other)
-    return algebra.make_net(net.at, n_max, label=desc)
+    net.label = desc
+    return net
 
 
 def _structure_operator(spec: dict, ws) -> operators.Ultrapolynomial:
@@ -201,12 +201,8 @@ def _grid_arg(text: str | None):
 
 
 def _coef_rows(poly: series.TrigPoly) -> list[dict]:
-    rows = []
-    for k in poly.support():
-        v = poly.coefficient(int(k))
-        if v != 0:
-            rows.append({"k": int(k), "re": float(v.real), "im": float(v.imag)})
-    return rows
+    return [{"k": int(k), "re": float(v.real), "im": float(v.imag)}
+            for k, v in zip(poly.support(), poly.coef) if v != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,30 +371,23 @@ def cmd_demo(args) -> tuple[int, dict]:
     mol = parse_mollifier("dirichlet")
     n_max = args.nmax
     cls = args.cls
-    sin_d = parse_distribution("sin", ws, cls)
-    cos_d = parse_distribution("cos", ws, cls)
-    iota_delta = embedding.embed(series.delta(cls), mol, n_max)
-    u = algebra.net_mul(embedding.embed(sin_d, mol, n_max), iota_delta, "iota(sin)*iota(delta)")
-    v = algebra.net_mul(u, embedding.embed(series.cot_reg(cls), mol, n_max), "u*iota(cot_reg)")
-    w = algebra.net_mul(embedding.embed(cos_d, mol, n_max), iota_delta, "iota(cos)*iota(delta)")
+    iota = {d: embedding.embed(parse_distribution(d, ws, cls), mol, n_max)
+            for d in ("delta", "sin", "cot_reg", "cos")}
+    u = algebra.net_mul(iota["sin"], iota["delta"], "iota(sin)*iota(delta)")
+    v = algebra.net_mul(u, iota["cot_reg"], "u*iota(cot_reg)")
+    w = algebra.net_mul(iota["cos"], iota["delta"], "iota(cos)*iota(delta)")
 
     sups = u.derivative_rows().sup_norm_argmax(np.arange(n_max + 1))[0].tolist()
     u_neg = algebra.classify_negligible(u, ws, cls, tau=args.tau)
     vw_neg = algebra.classify_negligible(v - w, ws, cls, tau=args.tau)
-    w_delta_neg = algebra.classify_negligible(w - iota_delta, ws, cls, tau=args.tau)
-    # the distribution-side product cos*delta has the Cauchy-convolved
-    # coefficients (c_hat * delta_hat)(m), identically 1/(2 pi); embedding it
+    w_delta_neg = algebra.classify_negligible(w - iota["delta"], ws, cls, tau=args.tau)
+    # the distribution-side product cos*delta has the Cauchy-convolved coefficients
+    # (c_hat * delta_hat)(m), identically 1/(2 pi); embedding it on the mollifier table
     # recovers iota(delta) exactly, in contrast with the algebra product w
-    cos_delta = series.CoefDistribution(
-        oracle=lambda ks: 0.5 * (series.delta(cls).coefficients(np.asarray(ks) - 1)
-                                 + series.delta(cls).coefficients(np.asarray(ks) + 1)),
-        tag="table", cls=cls, growth_lambda=1.0, label="cos*delta",
-    )
-    iota_cos_delta = embedding.embed(cos_delta, mol, n_max)
-    dist_side_gap = max(
-        float(np.max(np.abs((iota_cos_delta.at(n) - iota_delta.at(n)).coef)))
-        for n in range(n_max + 1)
-    )
+    ks, c = mol.table(n_max)
+    delta_hat = series.delta(cls).coefficients
+    iota_cos_delta = series.TWO_PI * (0.5 * (delta_hat(ks - 1) + delta_hat(ks + 1))) * c
+    dist_side_gap = float(np.max(np.abs(iota_cos_delta - series.TWO_PI * delta_hat(ks) * c)))
 
     limit = 1.0 / math.pi
     tail = sups[16:] if n_max >= 16 else sups

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import PATTERNS, HypothesisFail, Net, _classify, _ud_tables, classify_moderate
 from .embedding import Mollifier, MollifierFail, embed
-from .series import CoefDistribution, coefficient_verdict, gauge_profiles, log_abs, log_coef_seminorm
+from .series import TWO_PI, CoefDistribution, coefficient_verdict, gauge_profiles, log_abs, log_coef_seminorm
 from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, json_float
 from .weights import WeightSequence, associated_gauge
 
@@ -185,15 +185,12 @@ def check_embedding_residual(
     if abs(m.r - 1.0) > 1e-12:
         raise MollifierFail("the residual bound assumes a mollifier with r = 1")
     lam_grid = desk_grid(lam_grid, DEFAULTS.lambda_grid)
-    ks = np.arange(-k_max, k_max + 1)
+    ks, c = m.table(n_max, k_hi=k_max)
     fvals = f.coefficients(ks)
     lams = np.asarray(lam_grid, dtype=float)
     dual = gauge_profiles(ks, 0.0, ws, ws.H * lams, -1.0)  # -M(H lambda k), one row per lambda
     # sup_k |residual_n(k)| e^{-M(H lambda k)} in log scale, as rows over n per lambda
-    sups = np.array([
-        np.max(log_abs(fvals * (1.0 - 2.0 * math.pi * m.coefficients(ks, n))) + dual, axis=1)
-        for n in range(n_max + 1)
-    ]).T
+    sups = np.array([np.max(log_abs(fvals * (1.0 - TWO_PI * row)) + dual, axis=1) for row in c]).T
     profiles = gauge_profiles(np.arange(n_max + 1), sups, ws, lams, 1.0)
     # exists lambda: the decisive rate is the one with the smallest margin
     v = decide([profiles], "forall", "exists", tau, None, "residual")

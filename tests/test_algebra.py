@@ -916,3 +916,18 @@ class TestReflection:
                     assert got.margin == want.margin or abs(got.margin - want.margin) <= 1e-12, (
                         net.label, want.method, got.margin - want.margin,
                     )
+
+
+class TestSmallerH:
+    """The Roumieu moderate pattern is forall lambda exists h: more h values can only lower the margin,
+    so adding h = 1/16 and 1/64 never turns a moderate verdict false."""
+
+    def test_margin_never_rises(self, nets, ws_p1):
+        mol = E.build_mollifier("dirichlet")
+        growing = E.embed(S.exp_growth(1.0, ws_p1, "roumieu"), mol, NMAX)
+        finer = tuple(sorted(set(V.DEFAULTS.h_grid) | {1 / 16, 1 / 64}))
+        for net in [net for net, _ in nets] + [growing]:
+            coarse = A.classify_moderate(net, ws_p1, "roumieu")
+            fine = A.classify_moderate(net, ws_p1, "roumieu", h_grid=finer)
+            assert fine.margin <= coarse.margin, (net.label, fine.margin, coarse.margin)
+            assert fine.bounded or not coarse.bounded, net.label

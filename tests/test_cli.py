@@ -113,6 +113,28 @@ class TestClassifyCommand:
     def test_unknown_descriptor_exits_2(self, capsys):
         assert cli.main(["classify", "--net", "mystery", "--mode", "moderate"]) == 2
 
+    @pytest.mark.parametrize(
+        "desc, nets",
+        [
+            ("dirichlet", 1),
+            ("dirichlet*dirichlet", 3),
+            ("embed:cot_reg:dirichlet", 1),
+            ("scaled:sin:1*dirichlet*", 4),
+        ],
+    )
+    def test_parsed_nets_are_built_directly(self, capsys, monkeypatch, desc, nets):
+        built = []
+        init = algebra.Net.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("label"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(algebra.Net, "__init__", spy)
+        code, rep = run(capsys, ["classify", "--net", desc, "--mode", "moderate", "--nmax", "16"])
+        assert code == 0 and rep["net"] == desc
+        assert len(built) == nets  # the atoms and products, no relabelling wrapper
+
     def test_coefficient_method(self, capsys):
         argv = ["classify", "--net", "dirichlet", "--mode", "moderate", "--nmax", "16"]
         code, rep = run(capsys, argv + ["--method", "coefficient", "--assert"])
@@ -212,6 +234,17 @@ def test_non_finite_coefficient_file_exits_2(capsys, tmp_path, method):
 
 
 class TestEmbedCommand:
+    def test_rows_equal_the_per_k_reference(self):
+        polys = [series.TrigPoly(np.array([0.5, -0.0, 0.0, 1j, -2 + 0.25j]), 2), series.TrigPoly.zero(3)]
+        polys += [series.TrigPoly.sine(), series.TrigPoly.dirichlet(4)]
+        for poly in polys:
+            want = []
+            for k in poly.support():
+                v = poly.coefficient(int(k))
+                if v != 0:
+                    want.append({"k": int(k), "re": float(v.real), "im": float(v.imag)})
+            assert repr(cli._coef_rows(poly)) == repr(want)
+
     def test_delta_rows(self, capsys):
         code, rep = run(capsys, ["embed", "--dist", "delta", "--nmax", "8"])
         assert code == 0
@@ -438,6 +471,20 @@ class TestDemoCommand:
         assert cli.main(["demo", "--nmax", "16"]) == 0
         capsys.readouterr()
         assert wrapped == []
+
+    def test_reads_the_cos_delta_gap_from_the_mollifier_table(self, capsys, monkeypatch):
+        built = []
+        init = algebra.Net.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("label"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(algebra.Net, "__init__", spy)
+        code, rep = run(capsys, ["demo", "--nmax", "16"])
+        assert code == 0 and rep["iota_of_cos_delta_vs_iota_delta_max_gap"] == 0.0
+        assert {"iota(delta)", "iota(sin)", "iota(cot_reg)", "iota(cos)"} <= set(built)
+        assert "iota(cos*delta)" not in built
 
     def test_csv_lists_the_reported_sups(self, capsys, tmp_path):
         target = tmp_path / "sups.csv"

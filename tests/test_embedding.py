@@ -1,9 +1,14 @@
+import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from periodic_gfa import algebra as A
+from periodic_gfa import cli
 from periodic_gfa import embedding as E
 from periodic_gfa import operators as O
 from periodic_gfa import series as S
@@ -57,6 +62,107 @@ class TestMollifier:
     def test_bad_cutoff_profile(self):
         with pytest.raises(E.MollifierFail):
             E.build_mollifier("cutoff", r=1.0, R=2.0, psi=lambda x: np.cos(x), label="cosine")
+
+    def test_validation_names_the_smallest_failing_n_first(self):
+        # the plateau breaks at n = 3 and the row for n = 5 is missing: n = 3 is reported
+        rows = {n: {k: 1 / TWO_PI for k in range(-n, n + 1)} for n in (1, 2, 3, 4, 6)}
+        rows[3][0] = 1.0
+        msg = "plateau clause c = 1/(2 pi) for |k| <= r n fails at (k=0, n=3)"
+        with pytest.raises(E.MollifierFail, match=f"^{re.escape(msg)}$"):
+            E.build_mollifier("table", rows=rows, C=1.0, R=2.0, r=1.0)
+
+
+def table_mollifier(n_top=40):
+    """Rows 1..n_top: the plateau |k| <= n and one complex shoulder at |k| = n + 1."""
+    rows = {n: {k: 1 / TWO_PI for k in range(-n, n + 1)} | {n + 1: 0.25, -n - 1: 0.1j} for n in range(1, n_top + 1)}
+    return E.build_mollifier("table", rows=rows, C=1.0, R=3.0, r=1.0, label="table")
+
+
+MOLLIFIERS = {
+    "dirichlet": lambda: E.build_mollifier("dirichlet"),
+    "trapezoid": lambda: E.build_mollifier("cutoff", r=0.5, R=2.0),
+    "table": table_mollifier,
+}
+
+
+class TestMollifierTable:
+    @pytest.mark.parametrize("kind", sorted(MOLLIFIERS))
+    def test_rows_are_the_per_n_coefficients(self, kind):
+        m = MOLLIFIERS[kind]()
+        for k_hi in (None, 0, 50):
+            ks, c = m.table(12, k_hi=k_hi)
+            K = m.degree(12) if k_hi is None else k_hi
+            assert ks.tolist() == list(range(-K, K + 1)) and c.shape == (13, 2 * K + 1)
+            for n in range(13):
+                assert c[n].tobytes() == m.coefficients(ks, n).tobytes(), (kind, k_hi, n)
+
+    def test_a_missing_row_raises(self):
+        with pytest.raises(E.MollifierFail, match="no row for n = 41"):
+            table_mollifier(40).table(41)
+
+
+def embed_per_n(f, m, n_max):
+    """The members 2 pi f_hat(k) c_{k,n} with one oracle read per n (the reference)."""
+    members = []
+    for n in range(n_max + 1):
+        deg = m.degree(n)
+        ks = np.arange(-deg, deg + 1)
+        members.append(S.TrigPoly(TWO_PI * f.coefficients(ks) * m.coefficients(ks, n), deg))
+    return members
+
+
+# log M_p = log p! as a table: the same scale as gevrey:1, read through the table path
+_TABLE_P1 = W.build_weight_sequence({"kind": "table", "logM": gammaln(np.arange(513) + 1.0)}, p_max=512)
+
+
+def _file_distribution(tmp_path):
+    path = tmp_path / "dist.json"
+    rows = [{"k": k, "re": math.cos(k) / (1 + k * k), "im": math.sin(3 * k) / (2 + abs(k))} for k in range(-30, 31)]
+    path.write_text(json.dumps({"coef": rows, "class": "roumieu"}))
+    return cli.parse_distribution(f"file:{path}", None, "roumieu")
+
+
+class TestEmbedReadsOnce:
+    @pytest.mark.parametrize("kind", sorted(MOLLIFIERS))
+    def test_members_equal_the_per_n_reference(self, ws_p1, kind, tmp_path):
+        m = MOLLIFIERS[kind]()
+        dists = [S.delta(), S.cot_reg(), S.exp_decay(1.0), _file_distribution(tmp_path)]
+        dists += [S.exp_growth(1.0, ws, cls) for ws in (ws_p1, _TABLE_P1) for cls in ("roumieu", "beurling")]
+        for f in dists:
+            for n_max in (8, 32):
+                net = E.embed(f, m, n_max)
+                for n, want in enumerate(embed_per_n(f, m, n_max)):
+                    got = net.at(n)
+                    assert got.degree == want.degree and got.coef.tobytes() == want.coef.tobytes(), (f.label, n)
+
+    def test_one_oracle_read_per_net(self, mol):
+        reads = []
+        delta = S.delta()
+
+        def oracle(ks):
+            reads.append(len(ks))
+            return delta.coefficients(ks)
+
+        f = S.CoefDistribution(oracle=oracle, tag="delta", label="counted")
+        net = E.embed(f, mol, 64)
+        for n in range(65):
+            net.at(n)
+        assert reads == [2 * mol.degree(64) + 1]
+
+    def test_a_missing_mollifier_row_fails_at_its_probe(self):
+        with pytest.raises(A.GeneratorFail, match=r"failed at n=16") as info:
+            E.embed(S.delta(), table_mollifier(12), 16)
+        assert "no row for n = 16" in str(info.value.__cause__)
+
+    def test_an_oracle_error_surfaces_at_the_first_member(self, mol):
+        def oracle(ks):
+            if np.max(np.abs(ks)) > 20:
+                raise KeyError("no coefficient past |k| = 20")
+            return np.ones(len(ks), dtype=complex)
+
+        f = S.CoefDistribution(oracle=oracle, tag="table", label="short")
+        with pytest.raises(A.GeneratorFail, match=r"failed at n=0"):
+            E.embed(f, mol, 16)
 
 
 class TestEmbed:
@@ -214,7 +320,69 @@ class TestProductResidual:
         assert [bound[key] for key in ("K", "C_fit", "reference", "ratio")] == ["inf"] * 4
 
 
+def commute_residual_per_n(P, f, m, n_max):
+    """max_residual of check_operator_commutes with one operator and oracle read per n (the reference)."""
+    applied = O.apply_operator(P, f)
+    worst = 0.0
+    for n in range(n_max + 1):
+        deg = m.degree(n)
+        ks = np.arange(-deg, deg + 1)
+        pk = O.multiplier_values(P, ks)
+        lhs = pk * (TWO_PI * f.coefficients(ks) * m.coefficients(ks, n))
+        rhs = TWO_PI * applied.coefficients(ks) * m.coefficients(ks, n)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
+    return worst
+
+
+def _structure_beurling(ws):
+    return O.build_ultrapolynomial({"form": "structure_beurling", "lambda": 1.0}, ws, "beurling")
+
+
 class TestOperatorCommutes:
+    @pytest.mark.parametrize("kind", sorted(MOLLIFIERS))
+    def test_residual_equals_the_per_n_reference(self, ws_p1, ws_p2, kind):
+        m = MOLLIFIERS[kind]()
+        cases = [
+            (O.build_ultrapolynomial([0, 0, 1], ws_p1, "beurling"), S.delta()),
+            (O.build_ultrapolynomial([1, -2, 0.5], ws_p1, "beurling"), S.exp_decay(0.5)),
+            (_structure_beurling(ws_p1), S.cot_reg()),
+            (_structure_beurling(ws_p2), S.exp_decay(1.0)),
+        ]
+        for P, f in cases:
+            for n_max in (8, 16):
+                rep = E.check_operator_commutes(P, f, m, n_max=n_max)
+                assert repr(rep["max_residual"]) == repr(commute_residual_per_n(P, f, m, n_max)), (f.label, n_max)
+
+    def test_two_series_sums_per_check(self, ws_p1, mol, monkeypatch):
+        calls = []
+        inner = O._log_even_series
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(O, "_log_even_series", spy)
+        P = _structure_beurling(ws_p1)
+        calls.clear()
+        assert E.check_operator_commutes(P, S.delta(), mol)["passed"]
+        assert len(calls) == 2  # one multiplier_values and one applied-oracle read
+
+    def test_finite_up_to_the_overflow(self, mol):
+        P = _structure_beurling(W.gevrey(1.0, 2048))  # log P(k) passes 706 from |k| = 177
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = E.check_operator_commutes(P, S.delta(), mol, n_max=88)  # |k| <= 176
+        assert rep["passed"] and repr(rep["max_residual"]) == "1.2002521080640852e-16"
+        assert repr(rep["max_residual"]) == repr(commute_residual_per_n(P, S.delta(), mol, 88))
+
+    @pytest.mark.parametrize("n_max", [89, 100])
+    def test_overflow_is_an_input_error(self, mol, n_max):
+        P = _structure_beurling(W.gevrey(1.0, 2048))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not finite in double precision at \|k\| = 177; take n_max below 89"):
+                E.check_operator_commutes(P, S.delta(), mol, n_max=n_max)
+
     def test_square_delta(self, ws_p1, mol):
         P = O.build_ultrapolynomial([0, 0, 1], ws_p1, "beurling")
         rep = E.check_operator_commutes(P, S.delta(), mol)

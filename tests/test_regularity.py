@@ -7,6 +7,7 @@ from periodic_gfa import algebra as A
 from periodic_gfa import embedding as E
 from periodic_gfa import regularity as R
 from periodic_gfa import series as S
+from periodic_gfa import verdict as V
 from periodic_gfa import weights as W
 from periodic_gfa.verdict import DEFAULTS
 
@@ -109,6 +110,44 @@ class TestEmbeddingResidual:
         wide = E.build_mollifier("cutoff", r=2.0, R=4.0)
         with pytest.raises(E.MollifierFail):
             R.check_embedding_residual(S.cot_reg(), wide, ws_p1)
+
+
+def embedding_residual_per_n(f, m, ws, n_max, k_max=1024, tau=DEFAULTS.tau):
+    """check_embedding_residual with one mollifier read per n (the reference)."""
+    lam_grid = DEFAULTS.lambda_grid
+    ks = np.arange(-k_max, k_max + 1)
+    fvals = f.coefficients(ks)
+    lams = np.asarray(lam_grid, dtype=float)
+    dual = S.gauge_profiles(ks, 0.0, ws, ws.H * lams, -1.0)
+    sups = np.array([
+        np.max(S.log_abs(fvals * (1.0 - 2.0 * math.pi * m.coefficients(ks, n))) + dual, axis=1)
+        for n in range(n_max + 1)
+    ]).T
+    profiles = S.gauge_profiles(np.arange(n_max + 1), sups, ws, lams, 1.0)
+    v = V.decide([profiles], "forall", "exists", tau, None, "residual")
+    best, fitted, reference = None, math.inf, math.inf
+    if v.bounded:
+        j = v.details["decisive_inner"]
+        best = lam_grid[j]
+        finite = profiles[j][np.isfinite(profiles[j])]
+        fitted = math.exp(float(np.max(finite))) if finite.size else 0.0
+        logK = S.log_coef_seminorm(f, ws, best, sign="minus", k_max=k_max)
+        reference = ws.A * (1.0 + 2.0 * math.pi * m.C_bound) * math.exp(logK)
+    return R.ResidualBoundReport(
+        passed=v.bounded, best_lambda=best, margin=v.margin, fitted_constant=fitted,
+        reference_constant=reference, per_lambda=dict(zip(lam_grid, v.details["margins"][0])),
+    )
+
+
+class TestEmbeddingResidualTable:
+    @pytest.mark.parametrize("mollifier", ["dirichlet", "cutoff"])
+    def test_report_equals_the_per_n_reference(self, ws_p1, ws_p2, mollifier):
+        m = E.build_mollifier(mollifier, **({"r": 1.0, "R": 3.0} if mollifier == "cutoff" else {}))
+        for ws in (ws_p1, ws_p2):
+            for f in (S.cot_reg(), S.exp_decay(1.0), S.delta(), S.exp_growth(1.0, ws, "beurling")):
+                rep = R.check_embedding_residual(f, m, ws, n_max=NMAX)
+                # repr shows every bit of every float
+                assert repr(rep) == repr(embedding_residual_per_n(f, m, ws, NMAX)), f.label
 
 
 class TestEquivalence:
