@@ -24,6 +24,7 @@ Usage (from the repository root):
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -150,7 +151,7 @@ def coefficient_records():
                         lambda: repr(series.log_coef_seminorm(dist, ws, lam, sign, k_max=1024)),
                     )
             for cls in ("roumieu", "beurling"):
-                d = series.CoefDistribution(dist.oracle, dist.tag, cls, dist.growth_lambda, name)
+                d = dataclasses.replace(dist, cls=cls)
                 yield outcome(
                     "const_embed", {**p, "class": cls},
                     lambda: _reprs(embedding.const_embed(d, 16, ws=ws).meta),

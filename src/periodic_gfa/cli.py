@@ -97,12 +97,14 @@ def parse_rsequence(desc: str) -> weights.RSequence:
 def parse_mollifier(desc: str) -> embedding.Mollifier:
     if desc == "dirichlet":
         return embedding.build_mollifier("dirichlet")
-    if desc.startswith("cutoff:trapezoid"):
-        params = {}
+    if desc == "cutoff:trapezoid" or desc.startswith("cutoff:trapezoid:"):
+        params = {"r": 1.0, "R": 2.0}
         for part in desc.split(":")[2:]:
             key, _, val = part.partition("=")
+            if key not in params:
+                raise ValueError(f"cutoff:trapezoid takes only r= and R=, not {part!r}")
             params[key] = float(val)
-        return embedding.build_mollifier("cutoff", r=params.get("r", 1.0), R=params.get("R", 2.0))
+        return embedding.build_mollifier("cutoff", **params)
     if desc.startswith("file:"):
         with _payload(desc[5:]) as payload:
             rows = {
@@ -150,6 +152,8 @@ def _parse_net_atom(desc: str, ws, cls: str, n_max: int) -> algebra.Net:
 def parse_net(desc: str, ws, cls: str, n_max: int) -> algebra.Net:
     """Net descriptors; factors joined by '*' multiply index-wise.  The net is labelled desc."""
     nets = [_parse_net_atom(a, ws, cls, n_max) for a in desc.split("*") if a]
+    if not nets:
+        raise ValueError(f"net descriptor {desc!r} names no net")
     net = nets[0]
     for other in nets[1:]:
         net = algebra.net_mul(net, other)

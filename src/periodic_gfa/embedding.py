@@ -19,7 +19,7 @@ clause checks run for n >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -223,12 +223,8 @@ def modulate(f, k: int):
     if isinstance(f, TrigPoly):
         return multiply(f, TrigPoly.basis(k))
     if isinstance(f, CoefDistribution):
-        return CoefDistribution(
-            oracle=lambda ks, _o=f.oracle: np.asarray(_o(np.asarray(ks) - k)),
-            tag=f.tag,
-            cls=f.cls,
-            growth_lambda=f.growth_lambda,
-            label=f"e^(i{k}t)*{f.label}",
+        return replace(
+            f, oracle=lambda ks, _o=f.oracle: np.asarray(_o(np.asarray(ks) - k)), label=f"e^(i{k}t)*{f.label}"
         )
     if isinstance(f, Net):
         return f.map(lambda tp: multiply(tp, TrigPoly.basis(k)), label=f"e^(i{k}t)*{f.label}")

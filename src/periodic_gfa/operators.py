@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -239,19 +239,17 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
 
 
 def _times_exp(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """z e^{logs}; where e^{|logs|} leaves double range, as e^{log|z| + logs} times the phase of z.
+    """z e^{logs}; where e^{|logs|} leaves double range, each part x of z as sign(x) e^{log|x| + logs}.
 
-    There a part of the product that overflows is +-inf, and a part whose phase factor is 0 is 0
-    (not inf * 0); no RuntimeWarning is raised.
+    There a part of the product that overflows is +-inf, and a part that is 0 stays 0; no
+    RuntimeWarning is raised.
     """
     far = np.abs(logs) > _LOG_HUGE
     out = z * np.exp(np.where(far, 0.0, logs))
-    phase = np.exp(1j * np.angle(z[far]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = np.exp(log_abs(z[far]) + logs[far]) * phase
-    prod.real[phase.real == 0] = 0.0
-    prod.imag[phase.imag == 0] = 0.0
-    out[far] = prod
+    zf, lf = z[far], logs[far]
+    with np.errstate(over="ignore"):
+        out.real[far] = np.sign(zf.real) * np.exp(log_abs(zf.real) + lf)
+        out.imag[far] = np.sign(zf.imag) * np.exp(log_abs(zf.imag) + lf)
     return out
 
 
@@ -305,10 +303,9 @@ def apply_operator(P: Ultrapolynomial, f):
     if isinstance(f, TrigPoly):
         return TrigPoly(_times_multiplier(P, f.support(), f.coef), f.degree)
     if isinstance(f, CoefDistribution):
-        return CoefDistribution(
+        return replace(
+            f,
             oracle=lambda ks, _o=f.oracle: _times_multiplier(P, np.asarray(ks), _o(ks)),
-            tag=f.tag,
-            cls=f.cls,
             growth_lambda=_applied_growth_lambda(P, f.growth_lambda),
             label=f"{P.label}({f.label})",
         )
@@ -485,15 +482,11 @@ def structure_factorize(
     if target is not None and not relation(ws, target, kind="strict").bounded:
         raise RelationFail(f"target {target.label} does not strictly dominate {ws.label}")
 
-    def g_oracle(kk, _c=c, _P=P):
-        kk = np.asarray(kk)
-        return _times_exp(np.asarray(_c.coefficients(kk)), -log_eval_ultrapoly(_P, kk.astype(float)))
-
-    g = CoefDistribution(
-        oracle=g_oracle,
+    g = replace(
+        c,
+        oracle=lambda kk: _times_exp(c.coefficients(kk), -log_eval_ultrapoly(P, np.asarray(kk, dtype=float))),
         tag="table",
         cls=cls,
-        growth_lambda=c.growth_lambda,
         label=f"({c.label})/P",
     )
 

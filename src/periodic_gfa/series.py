@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -641,12 +641,8 @@ class CoefDistribution:
         return np.asarray(self.oracle(ks), dtype=complex)
 
     def scaled(self, a: complex) -> "CoefDistribution":
-        return CoefDistribution(
-            oracle=lambda ks, _o=self.oracle: np.asarray(_o(ks)) * a,
-            tag=self.tag,
-            cls=self.cls,
-            growth_lambda=self.growth_lambda,
-            label=f"{a}*{self.label}",
+        return replace(
+            self, oracle=lambda ks, _o=self.oracle: np.asarray(_o(ks)) * a, label=f"{a}*{self.label}"
         )
 
 
@@ -767,10 +763,10 @@ def convolve(f, g):
         ks = np.arange(-g.degree, g.degree + 1)
         return TrigPoly(TWO_PI * f.coefficients(ks) * g.coefficient(ks), g.degree)
     lam = 4.0 * max(f.growth_lambda, g.growth_lambda)  # covers H <= 4 (Gevrey s <= 2)
-    return CoefDistribution(
+    return replace(
+        f,
         oracle=lambda ks: TWO_PI * f.coefficients(ks) * g.coefficients(ks),
         tag="table" if "table" in (f.tag, g.tag) else f.tag,
-        cls=f.cls,
         growth_lambda=lam,
         label=f"({f.label})*({g.label})",
     )

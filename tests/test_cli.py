@@ -220,6 +220,29 @@ def test_non_finite_descriptor_exits_2(capsys, argv, message):
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--net", "", "--mode", "moderate", "--nmax", "8"], "net descriptor '' names no net"),
+        (["classify", "--net", "*", "--mode", "moderate", "--nmax", "8"], "net descriptor '*' names no net"),
+        (["embed", "--dist", "delta", "--mollifier", "cutoff:trapezoidal:r=1:R=3", "--nmax", "8"],
+         "unknown mollifier descriptor 'cutoff:trapezoidal:r=1:R=3'"),
+        (["embed", "--dist", "delta", "--mollifier", "cutoff:trapezoid:r=1:R=3:q=9", "--nmax", "8"],
+         "cutoff:trapezoid takes only r= and R=, not 'q=9'"),
+        (["classify", "--net", "embed:delta:cutoff:trapezoid:s=1", "--mode", "moderate", "--nmax", "8"],
+         "cutoff:trapezoid takes only r= and R=, not 's=1'"),
+    ],
+    ids=["net-empty", "net-star", "cutoff-head", "cutoff-key", "embed-atom-cutoff-key"],
+)
+def test_malformed_descriptor_exits_2(capsys, argv, message):
+    # an empty net descriptor ended in an IndexError traceback; a cutoff head or key outside the
+    # grammar was read as cutoff:trapezoid with the keys it knew, and the report exited 0
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("method", ["full_norm", "coefficient"])
 def test_non_finite_coefficient_file_exits_2(capsys, tmp_path, method):
     table = tmp_path / "dist.json"
@@ -283,6 +306,10 @@ class TestEmbedCommand:
         by_k = {c["k"]: c["re"] for c in rep["rows"][8]["coef"]}
         assert sorted(by_k) == list(range(-23, 24))
         assert by_k[8] == pytest.approx(1 / TWO_PI) and by_k[-16] == pytest.approx(0.5 / TWO_PI)
+
+    def test_trapezoid_defaults(self, capsys):
+        code, rep = run(capsys, ["embed", "--dist", "delta", "--mollifier", "cutoff:trapezoid", "--nmax", "8"])
+        assert code == 0 and rep["mollifier"] == "cutoff:trapezoid:r=1:R=2"
 
     def test_constant_one(self, capsys):
         code, rep = run(capsys, ["embed", "--dist", "one", "--nmax", "8"])

@@ -166,6 +166,18 @@ class TestApply:
         assert np.isfinite(got[fits]).all()
         assert np.all(got.real[~fits] == np.inf) and np.all(got.imag == 0.0)
 
+    def test_far_products_keep_exact_zeros(self):
+        # past the far threshold each part of z is scaled by itself, so a part that is 0 stays 0
+        # (a phase taken as exp(1j * angle(z)) leaves a rounding residue there, which overflows)
+        ws = W.gevrey(1.0, 2048)
+        P = O.build_ultrapolynomial({"form": "structure_beurling", "lambda": 1.0}, ws, "beurling")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_axis = O.apply_operator(P, S.cot_reg()).coefficients([-400])
+            negative = O._times_exp(np.array([-2.0 + 0j]), np.array([710.0]))
+        assert on_axis.real[0] == 0.0 and on_axis.imag[0] == np.inf
+        assert negative.real[0] == -np.inf and negative.imag[0] == 0.0
+
     def test_class_closure_polynomial(self, ws_p1):
         P = O.build_ultrapolynomial([1, 0, 1], ws_p1, "roumieu")
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)
