@@ -206,6 +206,13 @@ PATTERNS = {
 }
 
 
+def _pattern(mode: str, cls: str) -> tuple:
+    """PATTERNS[mode, cls], the one place a class picks its quantifiers and axes."""
+    if (mode, cls) not in PATTERNS:
+        raise ValueError("cls must be 'beurling' or 'roumieu'")
+    return PATTERNS[mode, cls]
+
+
 def _decide_pattern(
     rows, gauges, mode: str, cls: str, tau: float, grid: dict, method: str
 ) -> GrowthVerdict:
@@ -214,9 +221,7 @@ def _decide_pattern(
     A single row (a sup-norm table, a scalar net) leaves only the lambda
     quantifiers of the pattern.
     """
-    if (mode, cls) not in PATTERNS:
-        raise ValueError("cls must be 'beurling' or 'roumieu'")
-    axis, outer_q, inner_q, sign = PATTERNS[mode, cls]
+    axis, outer_q, inner_q, sign = _pattern(mode, cls)
     cells = np.asarray(rows, dtype=float)[:, None] + sign * np.asarray(gauges, dtype=float)
     if axis == "lambda":
         cells = cells.transpose(1, 0, 2)
@@ -277,6 +282,15 @@ def classify_negligible(
     return _classify(net, ws, _ud_tables, "negligible", cls, h_grid, lam_grid, tau, "full_norm")
 
 
+def _require_moderate(net: Net, ws: WeightSequence, cls: str, moderate, why: str, **grids) -> GrowthVerdict:
+    """The moderate verdict, or one computed on grids, that an operation needs; HypothesisFail if false."""
+    if moderate is None:
+        moderate = classify_moderate(net, ws, cls, **grids)
+    if not moderate.bounded:
+        raise HypothesisFail(f"net {net.label!r} is not desk-moderate; {why}")
+    return moderate
+
+
 def classify_negligible_supnorm(
     net: Net,
     ws: WeightSequence,
@@ -292,12 +306,7 @@ def classify_negligible_supnorm(
     let it be recomputed here.  Quantifiers are over lambda only:
     Beurling forall, Roumieu exists.
     """
-    if moderate is None:
-        moderate = classify_moderate(net, ws, cls, tau=tau)
-    if not moderate.bounded:
-        raise HypothesisFail(
-            f"net {net.label!r} is not desk-moderate; sup-norm characterization needs it"
-        )
+    _require_moderate(net, ws, cls, moderate, "sup-norm characterization needs it", tau=tau)
     return _classify_row(_sup_table(net), ws, "negligible", cls, lam_grid, tau, "sup_norm")
 
 

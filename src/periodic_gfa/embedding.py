@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .algebra import Net, classify_negligible, constant_net, make_net
+from .algebra import Net, _pattern, classify_negligible, constant_net, make_net
 from .series import (
     TWO_PI,
     CoefDistribution,
@@ -206,7 +206,8 @@ def const_embed(
         raise ValueError("const_embed of a coefficient oracle needs a weight sequence")
     poly, tail = truncate_distribution(f, k_max=k_max)
     lam_grid = DEFAULTS.lambda_grid
-    q = "forall" if f.cls == "beurling" else "exists"
+    # read as one row over |k|, a smooth-class sequence decays as a negligible net does over lambda
+    q = _pattern("negligible", f.cls)[2]
     v = coefficient_verdict(poly.support(), log_abs(poly.coef), ws, lam_grid, q, 1.0, tau, None)
     if not v.bounded:
         raise DecayFail(

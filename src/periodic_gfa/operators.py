@@ -241,13 +241,13 @@ def _log_even_series(ws: WeightSequence, logL: float, x: np.ndarray, rs: RSequen
 def _times_exp(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """z e^{logs}; where e^{|logs|} leaves double range, each part x of z as sign(x) e^{log|x| + logs}.
 
-    There a part of the product that overflows is +-inf, and a part that is 0 stays 0; no
+    A part of the product that overflows is +-inf, and a part that is 0 stays 0; no
     RuntimeWarning is raised.
     """
     far = np.abs(logs) > _LOG_HUGE
-    out = z * np.exp(np.where(far, 0.0, logs))
     zf, lf = z[far], logs[far]
     with np.errstate(over="ignore"):
+        out = z * np.exp(np.where(far, 0.0, logs))
         out.real[far] = np.sign(zf.real) * np.exp(log_abs(zf.real) + lf)
         out.imag[far] = np.sign(zf.imag) * np.exp(log_abs(zf.imag) + lf)
     return out

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import PATTERNS, HypothesisFail, Net, _classify, _ud_tables, classify_moderate
+from .algebra import Net, _classify, _pattern, _require_moderate, _ud_tables, classify_moderate
 from .embedding import Mollifier, MollifierFail, embed
 from .series import TWO_PI, CoefDistribution, coefficient_verdict, gauge_profiles, log_abs, log_coef_seminorm
 from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, json_float
@@ -72,31 +72,20 @@ def classify_regular(
     A not-regular verdict means no grid witness exists; it is a
     statement about the supplied grids, recorded in the result.
     """
-    h_grid, lam_grid = desk_grid(h_grid, DEFAULTS.h_grid), desk_grid(lam_grid, DEFAULTS.lambda_grid)
-    if moderate is None:
-        moderate = classify_moderate(net, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau)
-    if not moderate.bounded:
-        raise HypothesisFail(
-            f"net {net.label!r} is not desk-moderate; regularity is undefined for it"
-        )
-    if cls == "beurling":
-        h_eff = tuple(sorted(set(h_grid) | {4.0 * max(lam_grid)}))
-        lam_eff = lam_grid
-    elif cls == "roumieu":
-        h_eff = h_grid
-        lam_eff = tuple(sorted(set(lam_grid) | {min(h_grid) / 4.0}))
-    else:
-        raise ValueError("cls must be 'beurling' or 'roumieu'")
-    v = _classify(net, ws, _ud_tables, "regular", cls, h_eff, lam_eff, tau, "full_norm")
+    grids = {"h": desk_grid(h_grid, DEFAULTS.h_grid), "lambda": desk_grid(lam_grid, DEFAULTS.lambda_grid)}
+    moderate = _require_moderate(net, ws, cls, moderate, "regularity is undefined for it",
+                                 h_grid=grids["h"], lam_grid=grids["lambda"], tau=tau)
     # the witness is the outer ("exists") grid point of the pattern
-    axis = PATTERNS["regular", cls][0]
-    rates = lam_eff if axis == "lambda" else h_eff
+    axis = _pattern("regular", cls)[0]
     inner = "h" if axis == "lambda" else "lambda"
+    step = 4.0 * max(grids[axis]) if axis == "lambda" else min(grids[axis]) / 4.0
+    grids[inner] = tuple(sorted(set(grids[inner]) | {step}))
+    v = _classify(net, ws, _ud_tables, "regular", cls, grids["h"], grids["lambda"], tau, "full_norm")
     return RegularityVerdict(
         regular=v.bounded,
         pattern=f"exists {axis} forall {inner}",
         margin=v.margin,
-        witness={axis: rates[v.details["decisive_outer"]]},
+        witness={axis: grids[axis][v.details["decisive_outer"]]},
         moderate=moderate,
         margin_bracket=v.margin_bracket,
         tau=tau,
@@ -120,7 +109,8 @@ def coefficient_decay_class(
     """
     mu_grid = desk_grid(mu_grid, DEFAULTS.lambda_grid)
     ks = np.arange(-k_max, k_max + 1)
-    q = "forall" if cls == "beurling" else "exists"
+    # read as one row over |k|, a smooth-class sequence decays as a negligible net does over lambda
+    q = _pattern("negligible", cls)[2]
     v = coefficient_verdict(ks, log_abs(c.coefficients(ks)), ws, mu_grid, q, 1.0, tau, None)
     # witness_n is the frequency |k| where the decisive profile escapes
     return replace(
@@ -128,18 +118,6 @@ def coefficient_decay_class(
         grid={"mu_grid": list(mu_grid), "class": cls, "pattern": f"{q} mu",
               "decisive_mu": mu_grid[v.details["decisive_inner"]]},
     )
-
-
-def _moderate_lambda_grid(ws: WeightSequence, m: Mollifier, f: CoefDistribution, lam_grid, h_grid):
-    """Grids wide enough to witness moderateness of an embedded net.
-
-    The embedding bound needs rates up to H R max(lambda_f, h), so those
-    points are appended to the gauge grid.
-    """
-    lam_grid = desk_grid(lam_grid, DEFAULTS.lambda_grid)
-    h_grid = desk_grid(h_grid, DEFAULTS.h_grid)
-    extra = ws.H * m.R * max(max(h_grid), f.growth_lambda)
-    return tuple(sorted(set(lam_grid) | {extra}))
 
 
 @dataclass(frozen=True)
@@ -251,7 +229,9 @@ def check_regularity_equivalence(
     the quantity the equivalence rests on, at a few frequencies.
     """
     net = embed(f, m, n_max)
-    wide = _moderate_lambda_grid(ws, m, f, lam_grid, h_grid)
+    lam_grid, h_grid = desk_grid(lam_grid, DEFAULTS.lambda_grid), desk_grid(h_grid, DEFAULTS.h_grid)
+    # the embedding bound witnesses moderateness at rates up to H R max(lambda_f, h)
+    wide = tuple(sorted(set(lam_grid) | {ws.H * m.R * max(max(h_grid), f.growth_lambda)}))
     moderate = classify_moderate(net, ws, cls, h_grid=h_grid, lam_grid=wide, tau=tau)
     reg = classify_regular(
         net, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau, moderate=moderate

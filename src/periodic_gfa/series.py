@@ -722,10 +722,12 @@ def truncate_distribution(dist: CoefDistribution, k_max: int = DEFAULTS.k_max):
     Coefficients below 1e-16 of the peak are dropped (they cannot
     affect double-precision norms); the tail estimate extrapolates the
     boundary decay geometrically when it is decaying, else reports the
-    boundary magnitude.
+    boundary magnitude.  A coefficient that is not finite raises ValueError.
     """
     ks = np.arange(-k_max, k_max + 1)
     vals = dist.coefficients(ks)
+    if not np.isfinite(vals).all():
+        raise ValueError("a coefficient is not finite")
     mags = np.abs(vals)
     peak = float(np.max(mags)) if len(mags) else 0.0
     if peak == 0.0:
@@ -791,7 +793,10 @@ def _coef_arrays(c, k_max: int):
 
 def gauge_profiles(ks, logc, ws: WeightSequence, lams, sign: float) -> np.ndarray:
     """Rows logc + sign * M(lambda |k|), one per lambda in lams: read at |k| from the scale's memo
-    (weights.gauge_table) for integer ks whose table is no longer than ks, else from one gauge call."""
+    (weights.gauge_table) for integer ks whose table is no longer than ks, else from one gauge call.
+    A logc that is NaN or +inf (a coefficient that is not finite) raises ValueError; -inf is a zero."""
+    if not np.all(np.less(logc, np.inf)):
+        raise ValueError("a coefficient is not finite")
     ks = np.asarray(ks)
     k_max = int(np.abs(ks).max(initial=0)) if ks.dtype.kind in "iu" else ks.size
     if k_max < ks.size:

@@ -681,3 +681,22 @@ def test_flag_the_command_does_not_read_exits_2(capsys, argv, flag):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--net", "const:file:{}", "--mode", "negligible", "--nmax", "16"],
+     ["factorize", "--dist", "file:{}", "--kmax", "16"]],
+    ids=["classify-const", "factorize"],
+)
+def test_nan_coefficient_exits_2(capsys, tmp_path, argv):
+    # json reads NaN; the classify report said bounded with margin -inf, and the factorization
+    # reported a "nan" reconstruction residual with g in class, each with exit 0
+    table = tmp_path / "nan.json"
+    table.write_text('{"coef": [{"k": 0, "re": NaN}, {"k": 1, "re": 1.0}]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main([a.format(table) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a coefficient is not finite\n"

@@ -178,6 +178,24 @@ class TestApply:
         assert on_axis.real[0] == 0.0 and on_axis.imag[0] == np.inf
         assert negative.real[0] == -np.inf and negative.imag[0] == 0.0
 
+    def test_near_products_overflow_without_warning(self):
+        # the near branch z e^{logs} overflows where |z| is large although logs stays in range:
+        # log|c_k| = 76 and log P(k) = 635 at |k| = 159
+        ws = W.gevrey(1.0, 2048)
+        P = O.build_ultrapolynomial({"form": "structure_beurling", "lambda": 1.0}, ws, "beurling")
+        f = S.exp_growth(0.5, ws, "beurling")
+        ks = np.arange(-400, 401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = O.apply_operator(P, f).coefficients(ks)
+        logs, z = O.log_eval_ultrapoly(P, ks), f.coefficients(ks)
+        near = np.abs(logs) <= O._LOG_HUGE
+        with np.errstate(over="ignore"):
+            assert got[near].tobytes() == (z[near] * np.exp(logs[near])).tobytes()
+        infinite = np.isinf(got.real) | np.isinf(got.imag)
+        assert np.count_nonzero(np.isinf(got.real)) + np.count_nonzero(np.isinf(got.imag)) == 484
+        assert np.abs(ks[infinite]).min() == 159 and np.all(infinite[np.abs(ks) >= 159])
+
     def test_class_closure_polynomial(self, ws_p1):
         P = O.build_ultrapolynomial([1, 0, 1], ws_p1, "roumieu")
         net = A.make_net(lambda n: S.TrigPoly.dirichlet(n), NMAX)

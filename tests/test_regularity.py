@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from periodic_gfa import algebra as A
+from periodic_gfa import battery
 from periodic_gfa import embedding as E
 from periodic_gfa import regularity as R
 from periodic_gfa import series as S
@@ -253,3 +255,109 @@ class TestGridEntryPoints:
     def test_bad_grid_raises(self, ws_p1, mol, call, grid):
         with pytest.raises(ValueError, match="grids must be nonempty with positive entries"):
             call(ws_p1, mol, grid)
+
+
+def ladder_classify_regular(net, ws, cls="roumieu", h_grid=None, lam_grid=None, tau=DEFAULTS.tau,
+                            moderate=None):
+    """classify_regular with its grids picked by a ladder on the class (the reference)."""
+    h_grid, lam_grid = V.desk_grid(h_grid, DEFAULTS.h_grid), V.desk_grid(lam_grid, DEFAULTS.lambda_grid)
+    if moderate is None:
+        moderate = A.classify_moderate(net, ws, cls, h_grid=h_grid, lam_grid=lam_grid, tau=tau)
+    if not moderate.bounded:
+        raise A.HypothesisFail(f"net {net.label!r} is not desk-moderate; regularity is undefined for it")
+    if cls == "beurling":
+        h_eff = tuple(sorted(set(h_grid) | {4.0 * max(lam_grid)}))
+        lam_eff = lam_grid
+    elif cls == "roumieu":
+        h_eff = h_grid
+        lam_eff = tuple(sorted(set(lam_grid) | {min(h_grid) / 4.0}))
+    else:
+        raise ValueError("cls must be 'beurling' or 'roumieu'")
+    v = A._classify(net, ws, A._ud_tables, "regular", cls, h_eff, lam_eff, tau, "full_norm")
+    axis = A.PATTERNS["regular", cls][0]
+    rates = lam_eff if axis == "lambda" else h_eff
+    inner = "h" if axis == "lambda" else "lambda"
+    return R.RegularityVerdict(
+        regular=v.bounded,
+        pattern=f"exists {axis} forall {inner}",
+        margin=v.margin,
+        witness={axis: rates[v.details["decisive_outer"]]},
+        moderate=moderate,
+        margin_bracket=v.margin_bracket,
+        tau=tau,
+        details={"margins": v.details["margins"]},
+    )
+
+
+def moderate_lambda_grid(ws, m, f, lam_grid, h_grid):
+    """The gauge grid widened to H R max(lambda_f, max h), by a helper of its own (the reference)."""
+    lam_grid = V.desk_grid(lam_grid, DEFAULTS.lambda_grid)
+    h_grid = V.desk_grid(h_grid, DEFAULTS.h_grid)
+    extra = ws.H * m.R * max(max(h_grid), f.growth_lambda)
+    return tuple(sorted(set(lam_grid) | {extra}))
+
+
+def outcome(call):
+    """repr of a verdict with its details (repr shows every bit of every float), or the error raised."""
+    try:
+        v = call()
+    except (A.HypothesisFail, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(v) + repr(v.details)
+
+
+CUSTOM = {"h_grid": (0.5, 1.0, 3.0), "lam_grid": (0.3, 1.0, 2.0)}
+
+
+class TestPatternAxes:
+    """classify_regular reads its witness axis from PATTERNS and stretches the other grid one step."""
+
+    @pytest.mark.parametrize("grids", [{}, CUSTOM], ids=["default", "custom"])
+    @pytest.mark.parametrize("cls", ["beurling", "roumieu"])
+    def test_equals_the_class_ladder(self, ws_p1, cls, grids):
+        for net, _ in battery.full_battery(ws_p1, NMAX):
+            got = outcome(lambda: R.classify_regular(net, ws_p1, cls, **grids))
+            assert got == outcome(lambda: ladder_classify_regular(net, ws_p1, cls, **grids)), net.label
+
+    @pytest.mark.parametrize("grids", [{}, CUSTOM], ids=["default", "explicit"])
+    @pytest.mark.parametrize("cls", ["beurling", "roumieu"])
+    @pytest.mark.parametrize("mollifier", ["dirichlet", "cutoff"])
+    def test_equivalence_widens_lambda_as_the_helper(self, ws_p1, cls, grids, mollifier):
+        m = E.build_mollifier(mollifier, **({"r": 1.0, "R": 3.0} if mollifier == "cutoff" else {}))
+        for f in (S.exp_decay(1.0, cls), S.delta(cls), S.cot_reg(cls), S.exp_growth(1.0, ws_p1, cls)):
+            def reference():
+                net = E.embed(f, m, 16)
+                wide = moderate_lambda_grid(ws_p1, m, f, grids.get("lam_grid"), grids.get("h_grid"))
+                moderate = A.classify_moderate(net, ws_p1, cls, h_grid=grids.get("h_grid"), lam_grid=wide)
+                reg = ladder_classify_regular(net, ws_p1, cls, moderate=moderate, **grids)
+                decay = R.coefficient_decay_class(f, ws_p1, cls, mu_grid=grids.get("lam_grid"))
+                return replace(reg, coefficient_decay=decay)
+
+            got = outcome(lambda: R.check_regularity_equivalence(f, m, ws_p1, cls, n_max=16, **grids).regular)
+            assert got == outcome(reference), f.label
+
+    def test_unknown_class_raises(self, ws_p1):
+        # each of these read a class other than 'beurling' as Roumieu
+        moderate = A.classify_moderate(A.constant_net(S.TrigPoly.sine(), NMAX), ws_p1, "roumieu")
+        assert moderate.bounded
+        calls = [
+            lambda: R.coefficient_decay_class(S.exp_decay(1.0), ws_p1, "beurlin"),
+            lambda: E.const_embed(S.exp_decay(1.0, "beurlin"), 16, ws=ws_p1),
+            lambda: R.classify_regular(A.constant_net(S.TrigPoly.sine(), NMAX), ws_p1, "beurlin",
+                                       moderate=moderate),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^cls must be 'beurling' or 'roumieu'$"):
+                call()
+
+    def test_hypothesis_messages(self, ws_p1):
+        big = A.make_net(
+            lambda n: S.TrigPoly.dirichlet(n).scaled(math.exp(float(W.associated_gauge(ws_p1, 8.0 * n)))),
+            NMAX, "big",
+        )
+        with pytest.raises(A.HypothesisFail) as exc:
+            R.classify_regular(big, ws_p1, "beurling")
+        assert str(exc.value) == "net 'big' is not desk-moderate; regularity is undefined for it"
+        with pytest.raises(A.HypothesisFail) as exc:
+            A.classify_negligible_supnorm(big, ws_p1, "roumieu")
+        assert str(exc.value) == "net 'big' is not desk-moderate; sup-norm characterization needs it"

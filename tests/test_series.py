@@ -1590,6 +1590,27 @@ class TestDistributions:
         assert tail < 1e-14
         assert poly.coefficient(1) == pytest.approx(math.exp(-1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_coefficient_raises(self, ws_p1, bad):
+        # a NaN peak kept nothing, so truncation gave the zero polynomial; a NaN in the head of a
+        # coefficient profile read as bounded with margin -inf
+        d = S.from_trigpoly(S.TrigPoly.from_coef({0: bad, 1: 1.0}))
+        calls = [
+            lambda: S.truncate_distribution(d, k_max=16),
+            lambda: R.coefficient_decay_class(d, ws_p1),
+            lambda: S.certify_growth(d, ws_p1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^a coefficient is not finite$"):
+                call()
+
+    def test_gauge_profiles_take_zeros_not_non_finite_coefficients(self, ws_p1):
+        ks = np.arange(-4, 5)
+        assert np.all(S.gauge_profiles(ks, np.full(9, -np.inf), ws_p1, [1.0, 2.0], 1.0) == -np.inf)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^a coefficient is not finite$"):
+                S.gauge_profiles(ks, np.where(ks == 0, bad, 0.0), ws_p1, [1.0, 2.0], 1.0)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=-40, max_value=40))
     def test_exp_growth_symmetric(self, k):
