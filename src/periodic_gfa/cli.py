@@ -1,7 +1,7 @@
 """Command-line interface: JSON verdict reports over the library presets.
 
-Exit codes: 0 for a completed report, 1 when --assert is given and the
-report's headline verdict is negative, 2 for usage or input errors.
+Each command returns (ok, report), ok its headline verdict; main encodes the report with
+verdict.jsonable and exits 0, or 1 when --assert is given and ok is false; 2 on usage or input errors.
 Reports are deterministic for identical argv and input files.
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, embedding, operators, regularity, series, weights
-from .verdict import DEFAULTS, json_float
+from .verdict import DEFAULTS, jsonable
 
 # ValueError covers InvalidSpec, the *Fail input errors and JSONDecodeError
 _USAGE_ERRORS = (
@@ -56,11 +56,22 @@ def parse_weights(desc: str, p_max: int | None = None) -> weights.WeightSequence
     raise ValueError(f"unknown weight descriptor {desc!r}")
 
 
-def _dist_from_file(path: str) -> series.CoefDistribution:
+def _rows(rows, key: str) -> dict[int, complex]:
+    """Rows {key: i, "re": x, "im": y} as {i: x + iy}; a repeated index is a ValueError."""
+    table = {}
+    for r in rows:
+        i = int(r[key])
+        if i in table:
+            raise ValueError(f"coefficient table repeats {key} = {i}")
+        table[i] = complex(r.get("re", 0.0), r.get("im", 0.0))
+    return table
+
+
+def _dist_from_file(path: str, cls: str) -> series.CoefDistribution:
+    """A coefficient table file; its "class", else cls."""
     with _payload(path) as payload:
-        rows = payload["coef"] if isinstance(payload, dict) else payload
-        table = {int(r["k"]): complex(r.get("re", 0.0), r.get("im", 0.0)) for r in rows}
-        cls = payload.get("class", "roumieu") if isinstance(payload, dict) else "roumieu"
+        table = _rows(payload["coef"] if isinstance(payload, dict) else payload, "k")
+        cls = payload.get("class", cls) if isinstance(payload, dict) else cls
     poly = series.TrigPoly.from_coef(table)
     return series.from_trigpoly(poly, cls=cls, label=f"file:{path}")
 
@@ -81,7 +92,7 @@ def parse_distribution(desc: str, ws: weights.WeightSequence, cls: str) -> serie
     if desc.startswith("exp_growth:"):
         return series.exp_growth(float(desc.split(":", 1)[1]), ws, cls)
     if desc.startswith("file:"):
-        return _dist_from_file(desc[5:])
+        return _dist_from_file(desc[5:], cls)
     raise ValueError(f"unknown distribution descriptor {desc!r}")
 
 
@@ -107,11 +118,7 @@ def parse_mollifier(desc: str) -> embedding.Mollifier:
         return embedding.build_mollifier("cutoff", **params)
     if desc.startswith("file:"):
         with _payload(desc[5:]) as payload:
-            rows = {
-                int(row["n"]): {int(c["k"]): complex(c.get("re", 0.0), c.get("im", 0.0))
-                                for c in row["coef"]}
-                for row in payload["rows"]
-            }
+            rows = {int(row["n"]): _rows(row["coef"], "k") for row in payload["rows"]}
             return embedding.build_mollifier(
                 "table", rows=rows, C=payload["C"], R=payload["R"], r=payload["r"]
             )
@@ -188,10 +195,11 @@ def parse_operator(desc: str, ws, cls: str) -> operators.Ultrapolynomial:
         with _payload(desc[5:]) as payload:
             if "form" in payload:
                 return _structure_operator(payload, ws)
-            table = {int(r["n"]): complex(r.get("re", 0.0), r.get("im", 0.0)) for r in payload["a"]}
-            coef = np.zeros(max(table) + 1, dtype=complex)
-            for nn, v in table.items():
-                coef[nn] = v
+            table = _rows(payload["a"], "n")
+            if min(table, default=0) < 0:
+                raise ValueError(f"an operator power must be at least 0, got n = {min(table)}")
+            coef = np.zeros(max(table, default=-1) + 1, dtype=complex)
+            coef[list(table)] = list(table.values())
             spec = {"a": coef}
             for key in ("C", "L"):
                 if key in payload:
@@ -213,7 +221,7 @@ def _coef_rows(poly: series.TrigPoly) -> list[dict]:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_weights(args) -> tuple[int, dict]:
+def cmd_weights(args) -> tuple[bool, dict]:
     if args.gevrey is not None:
         desc = f"gevrey:{args.gevrey!r}"
     else:
@@ -234,7 +242,7 @@ def cmd_weights(args) -> tuple[int, dict]:
         "A": ws.A,
         "H": ws.H,
         "conditions": {"log_convexity": True, "divergence_proxy": True, "stability": True},
-        "M": {str(t): json_float(float(weights.associated_function(ws, t))) for t in ts},
+        "M": {t: weights.associated_function(ws, t) for t in ts},
         "doubling_bound": doubling.to_json(),
     }
     if args.csv:
@@ -242,11 +250,10 @@ def cmd_weights(args) -> tuple[int, dict]:
             wr = csv.writer(fh)
             wr.writerow(["t", "2M(t)", "M(Ht)"])
             wr.writerows(doubling.table.tolist())
-    code = 1 if args.assert_ and not doubling.passed else 0
-    return code, report
+    return doubling.passed, report
 
 
-def cmd_classify(args) -> tuple[int, dict]:
+def cmd_classify(args) -> tuple[bool, dict]:
     ws = parse_weights(args.weights)
     net = parse_net(args.net, ws, args.cls, args.nmax)
     h_grid, lam_grid = _grid_arg(args.hgrid), _grid_arg(args.lgrid)
@@ -275,10 +282,10 @@ def cmd_classify(args) -> tuple[int, dict]:
         "mode": args.mode,
         **verdict.to_json(),
     }
-    return (1 if args.assert_ and not verdict.bounded else 0), report
+    return verdict.bounded, report
 
 
-def cmd_embed(args) -> tuple[int, dict]:
+def cmd_embed(args) -> tuple[bool, dict]:
     ws = parse_weights(args.weights)
     dist = parse_distribution(args.dist, ws, args.cls)
     mol = parse_mollifier(args.mollifier)
@@ -288,10 +295,10 @@ def cmd_embed(args) -> tuple[int, dict]:
         "mollifier": mol.label,
         "rows": [{"n": n, "coef": _coef_rows(net.at(n))} for n in range(args.nmax + 1)],
     }
-    return 0, report
+    return True, report
 
 
-def cmd_product(args) -> tuple[int, dict]:
+def cmd_product(args) -> tuple[bool, dict]:
     ws = parse_weights(args.weights)
     f = parse_distribution(args.f, ws, args.cls)
     g = parse_distribution(args.g, ws, args.cls)
@@ -300,10 +307,10 @@ def cmd_product(args) -> tuple[int, dict]:
         f, g, mol, ws, args.cls, n_max=args.nmax, tau=args.tau
     )
     report = {"f": f.label, "g": g.label, "mollifier": mol.label, **rep.to_json()}
-    return (1 if args.assert_ and not rep.verdict.bounded else 0), report
+    return rep.verdict.bounded, report
 
 
-def cmd_apply(args) -> tuple[int, dict]:
+def cmd_apply(args) -> tuple[bool, dict]:
     if args.kwindow < 0:
         raise ValueError("--kwindow must be at least 0")
     ws = parse_weights(args.weights)
@@ -324,16 +331,13 @@ def cmd_apply(args) -> tuple[int, dict]:
     report = {
         "operator": P.label,
         "distribution": dist.label,
-        "multiplier_residual": json_float(residual),
-        "coef": [
-            {"k": int(k), "re": json_float(v.real), "im": json_float(v.imag)}
-            for k, v in zip(ks, applied)
-        ],
+        "multiplier_residual": residual,
+        "coef": [{"k": k, "re": v.real, "im": v.imag} for k, v in zip(ks, applied)],
     }
-    return (1 if args.assert_ and residual > 1e-12 else 0), report
+    return residual <= 1e-12, report
 
 
-def cmd_factorize(args) -> tuple[int, dict]:
+def cmd_factorize(args) -> tuple[bool, dict]:
     ws = parse_weights(args.weights)
     dist = parse_distribution(args.dist, ws, args.cls)
     target = parse_weights(args.target) if args.target else None
@@ -350,10 +354,10 @@ def cmd_factorize(args) -> tuple[int, dict]:
         and (fact.g_target is None or fact.g_target.bounded)
     )
     report = {"distribution": dist.label, "weights": ws.label, **fact.to_json(), "passed": ok}
-    return (1 if args.assert_ and not ok else 0), report
+    return ok, report
 
 
-def cmd_regularity(args) -> tuple[int, dict]:
+def cmd_regularity(args) -> tuple[bool, dict]:
     ws = parse_weights(args.weights)
     dist = parse_distribution(args.dist, ws, args.cls)
     mol = parse_mollifier(args.mollifier)
@@ -361,10 +365,10 @@ def cmd_regularity(args) -> tuple[int, dict]:
         dist, mol, ws, args.cls, n_max=args.nmax, tau=args.tau
     )
     report = {"distribution": dist.label, "weights": ws.label, **rep.to_json()}
-    return (1 if args.assert_ and not rep.consistent else 0), report
+    return rep.consistent, report
 
 
-def cmd_demo(args) -> tuple[int, dict]:
+def cmd_demo(args) -> tuple[bool, dict]:
     """Numerical face of the delta-multiplication obstruction.
 
     In the distribution space, sin * delta = 0, cos * delta = delta and
@@ -399,16 +403,16 @@ def cmd_demo(args) -> tuple[int, dict]:
         "weights": ws.label,
         "class": cls,
         "n_max": n_max,
-        "sup_norms_u": [json_float(s) for s in sups],
+        "sup_norms_u": sups,
         "sup_norm_limit": {
             "expected": limit,
-            "max_tail_gap": json_float(max(abs(s - limit) for s in tail) if tail else math.inf),
+            "max_tail_gap": max(abs(s - limit) for s in tail) if tail else math.inf,
             "tail_within_window": bool(all(0.30 <= s <= 0.32 for s in tail)),
         },
         "u_negligible": u_neg.to_json(),
         "v_minus_w_negligible": vw_neg.to_json(),
         "w_minus_iota_delta_negligible": w_delta_neg.to_json(),
-        "iota_of_cos_delta_vs_iota_delta_max_gap": json_float(dist_side_gap),
+        "iota_of_cos_delta_vs_iota_delta_max_gap": dist_side_gap,
         "chain_conclusion": {
             "sin_delta_zero_in_distributions": True,
             "u_nonzero_in_algebra": not u_neg.bounded,
@@ -421,7 +425,7 @@ def cmd_demo(args) -> tuple[int, dict]:
             wr.writerow(["n", "sup_norm_u"])
             wr.writerows(enumerate(sups))
     ok = report["sup_norm_limit"]["tail_within_window"] and not u_neg.bounded and not vw_neg.bounded
-    return (1 if args.assert_ and not ok else 0), report
+    return ok, report
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +445,8 @@ def _common(p, flags=("class", "nmax", "tau", "assert"), nmax_default=DEFAULTS.n
     if "assert" in flags:
         p.add_argument("--assert", dest="assert_", action="store_true",
                        help="exit 1 when the headline verdict is negative")
+    else:
+        p.set_defaults(assert_=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,38 +522,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _sanitize(obj):
-    """A report in plain JSON types: string keys, lists, non-finite floats as strings."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return json_float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": json_float(obj.real), "im": json_float(obj.imag)}
-    return obj
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, report = args.func(args)
+        ok, report = args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(_sanitize(report), indent=2, sort_keys=True)
+    text = json.dumps(jsonable(report), indent=2, sort_keys=True)
     if args.out is not None:
         args.out.write_text(text + "\n")
     try:
         print(text, flush=True)
     except BrokenPipeError:  # the reader left early: the flush at exit goes to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
+    return 1 if args.assert_ and not ok else 0
 
 
 if __name__ == "__main__":

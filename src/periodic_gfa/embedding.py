@@ -35,7 +35,7 @@ from .series import (
     multiply,
     truncate_distribution,
 )
-from .verdict import DEFAULTS, GrowthVerdict, json_float
+from .verdict import DEFAULTS, GrowthVerdict, jsonable
 from .weights import WeightSequence, gauge_table
 
 
@@ -250,14 +250,13 @@ class ProductPreservationReport:
     exact_zero_from: int | None
 
     def to_json(self):
-        return {
+        return jsonable({
             "negligible": self.verdict.bounded,
             "verdict": self.verdict.to_json(),
-            "residual_bound": {k: json_float(v) if isinstance(v, float) else v
-                               for k, v in self.residual_bound.items()},
-            "diff_sup_by_n": [json_float(v) for v in self.diff_sup_by_n],
+            "residual_bound": self.residual_bound,
+            "diff_sup_by_n": self.diff_sup_by_n,
             "exact_zero_from": self.exact_zero_from,
-        }
+        })
 
 
 def check_product_preservation(

@@ -28,7 +28,7 @@ from scipy.special import logsumexp
 
 from .algebra import Net
 from .series import _LOG_HUGE, CoefDistribution, TrigPoly, coefficient_verdict, log_abs
-from .verdict import DEFAULTS, GrowthVerdict, bounded_test, json_float
+from .verdict import DEFAULTS, GrowthVerdict, bounded_test, jsonable
 from .weights import (
     RSequence,
     WeightSequence,
@@ -93,6 +93,7 @@ def build_ultrapolynomial(spec, ws: WeightSequence, cls: str = "beurling") -> Ul
     with declared bound constants via {"a": [...], "C": c, "L": l}) or a
     closed form {"form": "structure_beurling", "lambda": l} /
     {"form": "structure_roumieu", "r": RSequence, "k": RSequence}.
+    A coefficient that is not finite raises ValueError.
     """
     if cls not in ("beurling", "roumieu"):
         raise ValueError("cls must be 'beurling' or 'roumieu'")
@@ -134,6 +135,8 @@ def build_ultrapolynomial(spec, ws: WeightSequence, cls: str = "beurling") -> Ul
         declared = {}
     if coef.ndim != 1 or len(coef) == 0:
         raise ValueError("coefficient table must be a nonempty 1-d sequence")
+    if not np.isfinite(coef).all():
+        raise ValueError("a coefficient is not finite")
 
     if cls == "beurling":
         L = float(declared.get("L", 1.0))
@@ -352,15 +355,15 @@ class LowerBoundReport:
     x_grid: list
 
     def to_json(self):
-        return {
+        return jsonable({
             "passed": self.passed,
-            "c_prime": json_float(self.c_prime),
-            "log_c_prime": json_float(self.log_c_prime),
-            "trend_margin": json_float(self.trend_margin),
+            "c_prime": self.c_prime,
+            "log_c_prime": self.log_c_prime,
+            "trend_margin": self.trend_margin,
             "reference": self.reference,
             "x_grid": self.x_grid,
             "desk_scale": True,
-        }
+        })
 
 
 def lower_bound_check(
@@ -417,13 +420,13 @@ class StructureFactorization:
     lower_bound: LowerBoundReport
 
     def to_json(self):
-        return {
+        return jsonable({
             "operator": self.P.label,
-            "reconstruction_residual": json_float(self.reconstruction_residual),
+            "reconstruction_residual": self.reconstruction_residual,
             "g_inclass": self.g_inclass.to_json(),
             "g_target": None if self.g_target is None else self.g_target.to_json(),
             "lower_bound": self.lower_bound.to_json(),
-        }
+        })
 
 
 def structure_factorize(

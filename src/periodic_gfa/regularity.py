@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import Net, _classify, _pattern, _require_moderate, _ud_tables, classify_moderate
 from .embedding import Mollifier, MollifierFail, embed
 from .series import TWO_PI, CoefDistribution, coefficient_verdict, gauge_profiles, log_abs, log_coef_seminorm
-from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, json_float
+from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, jsonable
 from .weights import WeightSequence, associated_gauge
 
 
@@ -39,19 +39,17 @@ class RegularityVerdict:
     details: dict[str, Any] = field(default_factory=dict, repr=False)
 
     def to_json(self):
-        return {
+        return jsonable({
             "regular": self.regular,
             "pattern": self.pattern,
-            "margin": json_float(self.margin),
-            "margin_bracket": [json_float(x) for x in self.margin_bracket],
+            "margin": self.margin,
+            "margin_bracket": self.margin_bracket,
             "witness": self.witness,
             "moderate": self.moderate.to_json(),
-            "coefficient_decay": None
-            if self.coefficient_decay is None
-            else self.coefficient_decay.to_json(),
+            "coefficient_decay": None if self.coefficient_decay is None else self.coefficient_decay.to_json(),
             "tau": self.tau,
             "desk_scale": True,
-        }
+        })
 
 
 def classify_regular(
@@ -132,15 +130,15 @@ class ResidualBoundReport:
     per_lambda: dict[float, float]
 
     def to_json(self):
-        return {
+        return jsonable({
             "passed": self.passed,
             "best_lambda": self.best_lambda,
-            "margin": json_float(self.margin),
-            "fitted_constant": json_float(self.fitted_constant),
-            "reference_constant": json_float(self.reference_constant),
-            "per_lambda_margins": {str(k): json_float(v) for k, v in self.per_lambda.items()},
+            "margin": self.margin,
+            "fitted_constant": self.fitted_constant,
+            "reference_constant": self.reference_constant,
+            "per_lambda_margins": self.per_lambda,
             "desk_scale": True,
-        }
+        })
 
 
 def check_embedding_residual(
@@ -200,7 +198,7 @@ class RegularityEquivalenceReport:
     envelope: list[dict[str, float]]
 
     def to_json(self):
-        return {
+        return jsonable({
             "consistent": self.consistent,
             "net_regular": self.regular.regular,
             "coefficients_smooth_class": self.decay.bounded,
@@ -208,7 +206,7 @@ class RegularityEquivalenceReport:
             "decay": self.decay.to_json(),
             "envelope_diagnostics": self.envelope,
             "desk_scale": True,
-        }
+        })
 
 
 def check_regularity_equivalence(

@@ -113,24 +113,36 @@ class GrowthVerdict:
             object.__setattr__(self, "margin_bracket", (self.margin, self.margin))
 
     def to_json(self) -> dict[str, Any]:
-        return {
+        return jsonable({
             "bounded": self.bounded,
-            "margin": json_float(self.margin),
-            "margin_bracket": [json_float(x) for x in self.margin_bracket],
+            "margin": self.margin,
+            "margin_bracket": self.margin_bracket,
             "witness_n": self.witness_n,
             "grid": self.grid,
             "method": self.method,
             "tau": self.tau,
             "desk_scale": True,
-        }
+        })
 
 
-def json_float(x):
-    """JSON has no inf/nan; map non-finite floats to strings."""
-    x = float(x)
-    if math.isfinite(x):
-        return x
-    return repr(x)
+def jsonable(obj):
+    """obj in plain JSON types, the one encoder of every report: arrays and tuples as lists, keys as
+    strings, a numpy integer as int, a complex number as {"re", "im"}, a finite float (Python or
+    numpy) as a float and any other float as its repr "inf", "-inf" or "nan", which JSON lacks."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else repr(x)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
+    return obj
 
 
 _QUANTIFIERS = {"forall": (np.max, np.argmax), "exists": (np.min, np.argmin)}

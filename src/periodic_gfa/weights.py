@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 from scipy.special import gammaln
 
-from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, json_float
+from .verdict import DEFAULTS, GrowthVerdict, decide, desk_grid, jsonable
 
 _M1_TOL = 1e-9
 _GAUGE_LOCK = threading.Lock()  # one reader at a time extends a gauge_table memo
@@ -443,18 +443,15 @@ class DoublingReport:
     table: np.ndarray  # rows (t, 2 M(t), M(H t))
 
     def to_json(self):
-        return {
+        return jsonable({
             "passed": self.passed,
-            "max_excess": json_float(self.max_excess),
+            "max_excess": self.max_excess,
             "worst_t": self.worst_t,
             "H": self.H,
-            "logA": json_float(self.logA),
-            "grid": [
-                {"t": t, "2M(t)": json_float(a), "M(Ht)": json_float(b)}
-                for t, a, b in self.table.tolist()
-            ],
+            "logA": self.logA,
+            "grid": [{"t": t, "2M(t)": a, "M(Ht)": b} for t, a, b in self.table],
             "desk_scale": True,
-        }
+        })
 
 
 def check_doubling_inequality(ws: WeightSequence, t_grid) -> DoublingReport:

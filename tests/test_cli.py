@@ -86,6 +86,8 @@ class TestClassifyCommand:
              "--mode", "negligible", "--nmax", "16", "--assert"],
         )
         assert code == 1 and not rep["bounded"]
+        code, rep = run(capsys, ["product", "--f", "sin", "--g", "delta", "--nmax", "16", "--assert"])
+        assert code == 1 and not rep["negligible"]
 
     def test_scaled_net_negligible(self, capsys):
         code, rep = run(
@@ -395,29 +397,46 @@ class TestApplyCommand:
         assert captured.err.startswith("error:") and "lambda" in captured.err
 
 
+_DUP_ROW = [{"n": n, "coef": [{"k": 0, "re": 1 / TWO_PI}, {"k": 0, "re": 0.1}]} for n in range(9)]
+
+
 @pytest.mark.parametrize(
-    "argv, payload",
+    "argv, payload, err",
     [
-        (["weights", "--weights"], [1, 2]),
-        (["weights", "--weights"], {"kind": "table", "logM": []}),
-        (["weights", "--weights"], {"kind": "table", "logM": 0.0}),
-        (["apply", "--dist", "delta", "--op"], [1, 2]),
-        (["apply", "--dist", "delta", "--op"], {"a": 3}),
-        (["embed", "--dist"], {"coef": 5}),
-        (["embed", "--dist"], [1, 2]),
-        (["embed", "--dist", "delta", "--mollifier"], [1, 2]),
-        (["factorize", "--dist", "cot_reg", "--r"], [1, 2]),
+        (["weights", "--weights"], [1, 2], None),
+        (["weights", "--weights"], {"kind": "table", "logM": []}, None),
+        (["weights", "--weights"], {"kind": "table", "logM": 0.0}, None),
+        (["apply", "--dist", "delta", "--op"], [1, 2], None),
+        (["apply", "--dist", "delta", "--op"], {"a": 3}, None),
+        (["embed", "--dist"], {"coef": 5}, None),
+        (["embed", "--dist"], [1, 2], None),
+        (["embed", "--dist", "delta", "--mollifier"], [1, 2], None),
+        (["factorize", "--dist", "cot_reg", "--r"], [1, 2], None),
+        # the next four were read without a word: coef[-1] = 5 overwrote the z^2 coefficient, the last
+        # row of a repeated k won (the mollifier then failed its plateau clause), and an empty table
+        # failed inside max()
+        (["apply", "--dist", "exp_decay:1", "--kwindow", "2", "--class", "beurling", "--op"],
+         {"a": [{"n": 0, "re": 1}, {"n": 2, "re": 1}, {"n": -1, "re": 5}]},
+         "error: an operator power must be at least 0, got n = -1\n"),
+        (["embed", "--dist"], {"coef": [{"k": 0, "re": 1.0}, {"k": 1, "re": 0.5}, {"k": 1, "re": 0.25}]},
+         "error: coefficient table repeats k = 1\n"),
+        (["apply", "--dist", "delta", "--op"], {"a": []},
+         "error: coefficient table must be a nonempty 1-d sequence\n"),
+        (["embed", "--dist", "delta", "--mollifier"], {"rows": _DUP_ROW, "C": 1.0, "R": 2.0, "r": 1.0},
+         "error: coefficient table repeats k = 0\n"),
     ],
     ids=["weights-list", "weights-logM-empty", "weights-logM-scalar", "op-list", "op-a-int",
-         "dist-coef-int", "dist-list", "mollifier-list", "rsequence-list"],
+         "dist-coef-int", "dist-list", "mollifier-list", "rsequence-list", "op-negative-power",
+         "dist-repeated-k", "op-empty", "mollifier-repeated-k"],
 )
-def test_malformed_file_payload_exits_2(capsys, tmp_path, argv, payload):
+def test_malformed_file_payload_exits_2(capsys, tmp_path, argv, payload, err):
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
     code = cli.main(argv + [f"file:{path}"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:")
+    assert err is None or captured.err == err
 
 
 class TestFactorizeCommand:
@@ -686,12 +705,14 @@ def test_flag_the_command_does_not_read_exits_2(capsys, argv, flag):
 @pytest.mark.parametrize(
     "argv",
     [["classify", "--net", "const:file:{}", "--mode", "negligible", "--nmax", "16"],
-     ["factorize", "--dist", "file:{}", "--kmax", "16"]],
-    ids=["classify-const", "factorize"],
+     ["factorize", "--dist", "file:{}", "--kmax", "16"],
+     ["apply", "--op", "poly:nan", "--dist", "delta"]],
+    ids=["classify-const", "factorize", "apply-poly"],
 )
 def test_nan_coefficient_exits_2(capsys, tmp_path, argv):
     # json reads NaN; the classify report said bounded with margin -inf, and the factorization
-    # reported a "nan" reconstruction residual with g in class, each with exit 0
+    # reported a "nan" reconstruction residual with g in class, each with exit 0; the operator
+    # was certified with C(L) = 0 and its error blamed the --kwindow
     table = tmp_path / "nan.json"
     table.write_text('{"coef": [{"k": 0, "re": NaN}, {"k": 1, "re": 1.0}]}')
     with warnings.catch_warnings():
@@ -700,3 +721,28 @@ def test_nan_coefficient_exits_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: a coefficient is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "file_class, flag, code",
+    [(None, [], 0), (None, ["--class", "beurling"], 2), ("roumieu", ["--class", "beurling"], 0)],
+    ids=["default-roumieu", "class-flag", "file-class-wins"],
+)
+def test_file_distribution_reads_its_class_else_the_flag(capsys, tmp_path, file_class, flag, code):
+    # e^{-|k|} decays in the Roumieu class only; a file without "class" was read as Roumieu
+    # whatever --class said, so the Beurling decay check passed it with exit 0
+    payload = {"coef": [{"k": k, "re": math.exp(-abs(k))} for k in range(-40, 41)]}
+    if file_class is not None:
+        payload["class"] = file_class
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps(payload))
+    argv = ["classify", "--net", f"const:file:{path}", "--mode", "negligible", "--nmax", "16", *flag]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        want = f"error: 'file:{path}' does not satisfy the beurling smooth-class decay on the grid\n"
+        assert captured.err == want
+    else:
+        rep = json.loads(captured.out)
+        assert rep["class"] == (flag[1] if flag else "roumieu") and not rep["bounded"]

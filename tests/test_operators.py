@@ -36,6 +36,13 @@ class TestBuild:
         P = O.build_ultrapolynomial({"a": coef, "C": 1.0, "L": 1.0}, ws_p1, "beurling")
         assert P.cert["C"] == 1.0
 
+    @pytest.mark.parametrize("cls", ["beurling", "roumieu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_coefficient_not_finite_raises(self, ws_p1, cls, bad):
+        # a NaN coefficient was certified with C(L) = 0 for every L and applied as NaN multipliers
+        with pytest.raises(ValueError, match="^a coefficient is not finite$"):
+            O.build_ultrapolynomial([1.0, bad], ws_p1, cls)
+
     def test_declared_bound_violated(self, ws_p1):
         with pytest.raises(O.ClassFail):
             O.build_ultrapolynomial({"a": [1.0, 5.0], "C": 1.0, "L": 1.0}, ws_p1, "beurling")

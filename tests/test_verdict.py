@@ -1,5 +1,6 @@
 """The tensor quantifier engine against the per-cell rule it replaced."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from periodic_gfa import embedding as E
 from periodic_gfa import series as S
 from periodic_gfa import verdict as V
 
@@ -147,3 +149,51 @@ class TestNonFiniteInputs:
     def test_zero_tau_is_accepted(self):
         assert V.bounded_test(np.zeros(17), 0.0)[0]
         assert V.decide(np.zeros((1, 1, 17)), "forall", "exists", 0.0, None, "m").bounded
+
+
+def _growth(**kw):
+    base = {"bounded": True, "margin": 0.0, "witness_n": None, "grid": {}, "method": "m"}
+    return V.GrowthVerdict(**(base | kw))
+
+
+class TestJsonable:
+    """jsonable is the one encoder of every report."""
+
+    def test_rules(self):
+        got = V.jsonable({
+            0.25: (math.inf, -math.inf, math.nan),
+            "array": np.array([1.5, np.inf]),
+            "f64": np.float64(0.5),
+            "f32": np.float32(-np.inf),
+            "i64": np.int64(7),
+            "z": complex(1.0, -math.inf),
+            "kept": ["s", True, None, 3],
+        })
+        assert got == {
+            "0.25": ["inf", "-inf", "nan"],
+            "array": [1.5, "inf"],
+            "f64": 0.5,
+            "f32": "-inf",
+            "i64": 7,
+            "z": {"re": 1.0, "im": "-inf"},
+            "kept": ["s", True, None, 3],
+        }
+        assert type(got["f64"]) is float and type(got["i64"]) is int
+
+    @pytest.mark.parametrize(
+        "report, path, want",
+        [
+            (_growth(grid={"h_grid": (0.5, math.inf)}), ("grid", "h_grid"), [0.5, "inf"]),
+            (_growth(witness_n=np.int64(9)), ("witness_n",), 9),
+            (E.ProductPreservationReport(_growth(), {"truncation_tails": [math.inf, 0.0]}, [0.0], 0),
+             ("residual_bound", "truncation_tails"), ["inf", 0.0]),
+        ],
+        ids=["growth-grid-inf", "growth-witness-int64", "product-tails-inf"],
+    )
+    def test_to_json_is_strict_json(self, report, path, want):
+        # each nested value reached the report as it was, so json.dumps wrote Infinity or failed
+        out = report.to_json()
+        json.dumps(out, allow_nan=False)
+        for key in path:
+            out = out[key]
+        assert out == want and type(out) is type(want)
