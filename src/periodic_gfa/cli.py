@@ -68,10 +68,13 @@ def _rows(rows, key: str) -> dict[int, complex]:
 
 
 def _dist_from_file(path: str, cls: str) -> series.CoefDistribution:
-    """A coefficient table file; its "class", else cls."""
+    """A coefficient table file; its "class", else cls.  A class other than beurling or roumieu
+    is a ValueError."""
     with _payload(path) as payload:
         table = _rows(payload["coef"] if isinstance(payload, dict) else payload, "k")
         cls = payload.get("class", cls) if isinstance(payload, dict) else cls
+    if cls not in ("beurling", "roumieu"):
+        raise ValueError("cls must be 'beurling' or 'roumieu'")
     poly = series.TrigPoly.from_coef(table)
     return series.from_trigpoly(poly, cls=cls, label=f"file:{path}")
 
@@ -118,7 +121,12 @@ def parse_mollifier(desc: str) -> embedding.Mollifier:
         return embedding.build_mollifier("cutoff", **params)
     if desc.startswith("file:"):
         with _payload(desc[5:]) as payload:
-            rows = {int(row["n"]): _rows(row["coef"], "k") for row in payload["rows"]}
+            rows = {}
+            for row in payload["rows"]:
+                n = int(row["n"])
+                if n in rows:
+                    raise ValueError(f"mollifier table repeats n = {n}")
+                rows[n] = _rows(row["coef"], "k")
             return embedding.build_mollifier(
                 "table", rows=rows, C=payload["C"], R=payload["R"], r=payload["r"]
             )

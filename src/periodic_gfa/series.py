@@ -800,7 +800,7 @@ def gauge_profiles(ks, logc, ws: WeightSequence, lams, sign: float) -> np.ndarra
     ks = np.asarray(ks)
     k_max = int(np.abs(ks).max(initial=0)) if ks.dtype.kind in "iu" else ks.size
     if k_max < ks.size:
-        gauges = gauge_table(ws, lams, k_max)[..., np.abs(ks)]
+        gauges = np.take(gauge_table(ws, lams, k_max), np.abs(ks), axis=-1)  # C-ordered, unlike [..., idx]
     else:
         gauges = associated_gauge(ws, np.multiply.outer(np.asarray(lams, dtype=float), ks))
     return logc + sign * np.asarray(gauges)

@@ -170,7 +170,7 @@ def decide(
     e = np.asarray(profiles, dtype=float)
     if ks is not None:
         order = np.argsort(np.abs(ks), kind="stable")
-        freqs, e = np.abs(ks)[order], e[..., order]
+        freqs, e = np.abs(ks)[order], np.take(e, order, axis=-1)  # C-ordered rows, unlike e[..., order]
     margins, witnesses, _ = _head_tail(e)
     inner_red, inner_arg = _QUANTIFIERS[inner_q]
     outer_red, outer_arg = _QUANTIFIERS[outer_q]

@@ -398,6 +398,9 @@ class TestApplyCommand:
 
 
 _DUP_ROW = [{"n": n, "coef": [{"k": 0, "re": 1 / TWO_PI}, {"k": 0, "re": 0.1}]} for n in range(9)]
+# rows 0..19 of the Dirichlet table, then a second row n = 1
+_DUP_N = [{"n": n, "coef": [{"k": k, "re": 1 / TWO_PI} for k in range(-n, n + 1)]} for n in range(20)]
+_DUP_N.append({"n": 1, "coef": [{"k": 0, "re": 0.5}]})
 
 
 @pytest.mark.parametrize(
@@ -424,10 +427,13 @@ _DUP_ROW = [{"n": n, "coef": [{"k": 0, "re": 1 / TWO_PI}, {"k": 0, "re": 0.1}]} 
          "error: coefficient table must be a nonempty 1-d sequence\n"),
         (["embed", "--dist", "delta", "--mollifier"], {"rows": _DUP_ROW, "C": 1.0, "R": 2.0, "r": 1.0},
          "error: coefficient table repeats k = 0\n"),
+        # the last row n = 1 won, and the plateau clause took the blame
+        (["embed", "--dist", "delta", "--nmax", "8", "--mollifier"], {"rows": _DUP_N, "C": 1.0, "R": 2.0, "r": 1.0},
+         "error: mollifier table repeats n = 1\n"),
     ],
     ids=["weights-list", "weights-logM-empty", "weights-logM-scalar", "op-list", "op-a-int",
          "dist-coef-int", "dist-list", "mollifier-list", "rsequence-list", "op-negative-power",
-         "dist-repeated-k", "op-empty", "mollifier-repeated-k"],
+         "dist-repeated-k", "op-empty", "mollifier-repeated-k", "mollifier-repeated-n"],
 )
 def test_malformed_file_payload_exits_2(capsys, tmp_path, argv, payload, err):
     path = tmp_path / "payload.json"
@@ -721,6 +727,22 @@ def test_nan_coefficient_exits_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: a coefficient is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["embed", "--dist", "file:{}"], ["factorize", "--dist", "file:{}", "--kmax", "16"],
+     ["classify", "--net", "const:file:{}", "--mode", "negligible", "--nmax", "16"]],
+    ids=["embed", "factorize", "classify"],
+)
+def test_file_distribution_class_outside_both_exits_2(capsys, tmp_path, argv):
+    # embed and factorize reported "class": "gevrey" with exit 0; classify refused it late
+    path = tmp_path / "gevrey.json"
+    path.write_text(json.dumps({"class": "gevrey", "coef": [{"k": 0, "re": 1.0}, {"k": 1, "re": 0.5}]}))
+    code = cli.main([a.format(path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: cls must be 'beurling' or 'roumieu'\n"
 
 
 @pytest.mark.parametrize(

@@ -1571,6 +1571,53 @@ class TestSharedGauges:
             assert got == want  # dataclass equality covers margins, witness and details
 
 
+def fancy_gauge_profiles(ks, logc, ws, lams, sign):
+    """gauge_profiles with its |k| gather by fancy indexing, gauge_table(...)[..., |ks|]: the same
+    values on (lambda, k) rows whose k axis is strided; the reference for the np.take gather."""
+    ks = np.asarray(ks)
+    k_max = int(np.abs(ks).max(initial=0)) if ks.dtype.kind in "iu" else ks.size
+    if k_max < ks.size:
+        gauges = W.gauge_table(ws, lams, k_max)[..., np.abs(ks)]
+    else:
+        gauges = W.associated_gauge(ws, np.multiply.outer(np.asarray(lams, dtype=float), ks))
+    return logc + sign * np.asarray(gauges)
+
+
+class TestContiguousProfiles:
+    """gauge_profiles returns C-ordered rows, bit for bit those of the fancy-index gather."""
+
+    KS = {
+        "int": np.arange(-512, 513),
+        "int_unordered": np.array([3, -7, 0, 7, -3, 1, 1, -1, 2, 5, -5, 4, -4]),
+        "int_sparse": np.array([-300, 0, 2, 300]),  # longer than ks: one gauge call, not the memo
+        "float": np.linspace(-40.0, 40.0, 161),
+    }
+
+    @pytest.mark.parametrize(
+        "lams", [2.0, [1.0], [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]], ids=["scalar", "one", "grid"]
+    )
+    @pytest.mark.parametrize("kind", list(KS))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_contiguous_and_bit_identical(self, ws_p1, lams, kind, sign):
+        ks = self.KS[kind]
+        # zeros (-inf), exact ones (log 0.0) and a spread of magnitudes
+        mags = np.where(np.abs(ks) % 3 == 1, 0.0, np.where(ks == 0, 1.0, np.exp(-np.abs(ks) / 7)))
+        logc = S.log_abs(mags)
+        got = S.gauge_profiles(ks, logc, ws_p1, lams, sign)
+        want = fancy_gauge_profiles(ks, logc, ws_p1, lams, sign)
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape == np.shape(lams) + ks.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_scalar_logc(self, ws_p1):
+        # the embedding residual's dual rows -M(H lambda k): logc 0.0 for every k
+        ks, lams = np.arange(-64, 65), ws_p1.H * np.array([0.25, 1.0, 8.0])
+        got = S.gauge_profiles(ks, 0.0, ws_p1, lams, -1.0)
+        assert got.flags.c_contiguous
+        want = fancy_gauge_profiles(ks, 0.0, ws_p1, lams, -1.0)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 class TestDistributions:
     def test_cot_reg_coefficients(self):
         d = S.cot_reg()

@@ -1,5 +1,6 @@
 """The tensor quantifier engine against the per-cell rule it replaced."""
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from periodic_gfa import embedding as E
+from periodic_gfa import regularity as R
 from periodic_gfa import series as S
 from periodic_gfa import verdict as V
 
@@ -128,6 +130,85 @@ class TestTensorEngine:
         got, want = V.bounded_test(row, tau), reference_bounded_test(row, tau)
         assert (got[0], repr(got[1]), got[2], repr(got[3])) == (want[0], repr(want[1]), want[2], repr(want[3]))
         assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def fancy_fold_decide(profiles, outer_q, inner_q, tau, grid, method, ks, slack=0.0):
+    """decide(..., ks=ks) with its fold by fancy indexing, e[..., order]: the stack decided on rows
+    whose k axis is strided, the witness read as |k|; the reference for the np.take fold."""
+    freqs = np.abs(np.asarray(ks))
+    order = np.argsort(freqs, kind="stable")
+    e = np.asarray(profiles, dtype=float)[..., order]
+    v = V.decide(e, outer_q, inner_q, tau, grid, method, slack=slack)
+    return dataclasses.replace(v, witness_n=None if v.witness_n is None else int(freqs[order][v.witness_n]))
+
+
+def signed_reprs(v):
+    """repr of the verdict and of its details, which tell -0.0 from 0.0 where == does not."""
+    return repr(v), repr(v.details)
+
+
+class TestContiguousFold:
+    """decide folds the stack to |k| ascending with np.take, which keeps every row C-ordered."""
+
+    KS = np.array([k * (-1) ** k for k in range(21)] + [-k for k in range(1, 21)])  # |k| <= 20, each sign
+
+    @staticmethod
+    def rows(ks):
+        """(1, 6, len(ks)) profiles over ks: +inf in the tail, an empty tail, tail maxima tied at
+        |k| = 7 and 9 (and at +-7), the same row twice (tied margins), -0.0 tail entries over a
+        +0.0 baseline (margin -0.0) and an all -inf head under a finite tail.  The head ends at
+        |k| = 4.  No row's maximum is a zero held with both signs: see the test on that case."""
+        a = np.abs(ks).astype(float)
+        inf_tail = np.where(a == 15, math.inf, -a)
+        empty_tail = np.where(a <= 4, 1.0, NEG_INF)
+        tied = np.where(np.isin(a, (7, 9)), 3.0, -a)
+        signed = np.where(a == 0, 0.0, np.where((a > 4) & (a % 2 == 0), -0.0, -1.0 - a))
+        no_head = np.where(a <= 4, NEG_INF, 1.0 - a)
+        return np.array([[inf_tail, empty_tail, tied, tied, signed, no_head]])
+
+    @pytest.mark.parametrize("cells", [slice(None), slice(1, 5), slice(2, 4), slice(4, 5), slice(1, 2)])
+    @pytest.mark.parametrize("inner_q", ["forall", "exists"])
+    @pytest.mark.parametrize("outer_q", ["forall", "exists"])
+    def test_equals_the_fancy_fold(self, cells, inner_q, outer_q):
+        rng = np.random.default_rng(30)
+        for ks in (self.KS, rng.permutation(self.KS), np.sort(self.KS)):
+            e = self.rows(ks)[:, cells]
+            got = V.decide(e, outer_q, inner_q, 0.5, {"g": 1}, "coefficient", ks=ks, slack=0.25)
+            want = fancy_fold_decide(e, outer_q, inner_q, 0.5, {"g": 1}, "coefficient", ks, slack=0.25)
+            assert signed_reprs(got) == signed_reprs(want)
+
+    def test_witness_order_and_signed_zero_margin(self):
+        e = self.rows(self.KS)
+        tied = V.decide(e[:, 2:4], "forall", "forall", 0.5, None, "coefficient", ks=self.KS)
+        assert (tied.margin, tied.witness_n, tied.details["decisive_inner"]) == (3.0, 7, 0)
+        signed = V.decide(e[:, 4:5], "forall", "forall", 0.5, None, "coefficient", ks=self.KS)
+        assert repr(signed.margin) == "-0.0" and signed.witness_n == 6
+
+    def test_zero_of_both_signs_follows_the_cell_loop(self):
+        # A row whose maximum is a zero held with both signs: the sign of its max is the reduction
+        # loop's, and a strided row may take another loop than a contiguous one.  The fold keeps
+        # rows contiguous, as the cell loop does.
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            shape = (rng.integers(1, 4), rng.integers(1, 7), rng.integers(10, 81))
+            e = rng.choice([0.0, -0.0, -1.0, NEG_INF], size=shape)
+            ks = rng.integers(-20, 21, size=shape[2])
+            for qs in (("forall", "exists"), ("exists", "forall")):
+                got = V.decide(e, *qs, 0.5, None, "coefficient", ks=ks)
+                want = reference_decide(e, *qs, 0.5, None, "coefficient", ks=ks)
+                assert signed_reprs(got) == signed_reprs(want)
+
+    def test_head_tail_reads_contiguous_rows(self, monkeypatch, ws_p1):
+        seen, head_tail = [], V._head_tail
+
+        def spying(e):
+            seen.append((e.shape[:-1], e.flags.c_contiguous))
+            return head_tail(e)
+
+        monkeypatch.setattr(V, "_head_tail", spying)
+        R.coefficient_decay_class(S.exp_decay(1.0), ws_p1, "beurling")
+        S.certify_growth(S.cot_reg(), ws_p1)
+        assert seen == [((1, len(V.DEFAULTS.lambda_grid)), True), ((1, 1), True)]
 
 
 class TestNonFiniteInputs:
